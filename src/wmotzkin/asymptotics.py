@@ -43,7 +43,7 @@ class LinearDriftEstimate(AsymptoticEstimate):
 def _require(params: ModelParams, kinds: tuple[DriftKind, ...]) -> Regime:
     if params.is_degenerate:
         raise DomainError(
-            "degenerate model (alpha0 = a = 0): height is a point mass at 0"
+            "degenerate model (alpha0 = 0): height is a point mass at 0"
         )
     if not is_balanced(params):
         raise RegimeError(

@@ -1,26 +1,29 @@
 """Command-line front end: parameter ingestion, one subcommand per
 analysis, and CSV/JSON/SVG artifact emission.
 
-Exit codes: 0 success, 2 configuration error, 3 numeric-domain error,
-4 capacity error.  All numeric output uses 17 significant digits so that
-identical configurations produce byte-identical artifacts.
+Each tabular subcommand returns one `Table`, which `_write_csv` or
+`_write_json` renders.  Exit codes: 0 success, 2 configuration error,
+3 numeric-domain error, 4 capacity error.  All floats print with 17
+significant digits so that identical configurations produce
+byte-identical artifacts.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
+import itertools
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import asymptotics, ldp
+from . import asymptotics, exact, ldp
 from .errors import (
     AccuracyError,
     BoundaryError,
@@ -34,7 +37,7 @@ from .errors import (
 from .exact import build_triangle, final_log_row, _distribution_from_log_row
 from .model import DriftKind, ModelParams, classify
 from .saddlepoint import profile
-from .specfun import LOG_ZERO, log_sum_exp
+from .specfun import log_sum_exp
 
 LOG10 = math.log(10.0)
 
@@ -52,18 +55,10 @@ ASYM_HEADER = (
     "n,log_pn_exact,log_pn_asym,mu_exact,mu_asym,sigma2_exact,sigma2_asym"
 )
 PROFILE_HEADER = "k,log10_exact,log10_daniels,log10_gaussian"
+PROFILE_LINEAR_HEADER = "k,p_exact,p_daniels,p_gaussian"
 PROFILE_LOG_HEADER = "k,log10_exact,log10_daniels,log10_gaussian,log10_ldp_line"
 LDP_HEADER_BASE = "u,theta,I"
 EGF_HEADER = "x,n,coeff_exact,coeff_egf,rel_err"
-
-FIGURE_FILES = ("profile_linear.csv", "profile_log.csv", "rate_scaling.csv")
-
-
-def _fmt(value: float) -> str:
-    if value == LOG_ZERO:
-        return "-inf"
-    return format(value, ".17g")
-
 
 @dataclass
 class RunConfig:
@@ -75,23 +70,10 @@ class RunConfig:
     x: float = 1.0
     x_list: list[float] = field(default_factory=lambda: [0.5, 1.0, 2.0])
     n_terms: int = 9
-    theta_grid: list[float] = field(default_factory=lambda: [-2.0, -1.0, 0.0, 1.0, 2.0])
     u_grid: list[float] = field(default_factory=lambda: [i / 20 for i in range(1, 20)])
     n_list: list[int] = field(default_factory=list)
     out_format: str = "csv"
     out: str | None = None
-    threads: int = 1
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("MOTZKIN_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError(f"MOTZKIN_THREADS must be a positive integer, got {raw!r}")
-    if value < 1:
-        raise ConfigError(f"MOTZKIN_THREADS must be >= 1, got {value}")
-    return value
 
 
 def _load_params(source: str) -> ModelParams:
@@ -240,11 +222,67 @@ def svg_plot(series: list[Series], scale: str = "linear", title: str = "") -> Sv
 
 
 # --------------------------------------------------------------------- #
-# Subcommand implementations: each returns (csv_text, json_payload)      #
+# Tabular results and their writers                                      #
 # --------------------------------------------------------------------- #
 
 
-def _run_triangle(config: RunConfig):
+@dataclass
+class Table:
+    """One subcommand's result: the CSV header, rows of typed values in
+    header order, and the metadata that only the JSON payload carries.
+
+    `rows` may be a lazy iterator (the triangle streams its rows); every
+    other handler finishes its solves before it returns.
+    """
+
+    header: str
+    rows: Iterable[Sequence]
+    meta: dict = field(default_factory=dict)
+
+
+def _open_out(path) -> contextlib.AbstractContextManager:
+    if path is None:
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w")
+
+
+def _write_csv(table: Table, path=None) -> None:
+    """Stream `table` as CSV to `path` (stdout when None).
+
+    One line template serves every row; it is built from the first row's
+    value types: floats print with 17 significant digits, everything else
+    with str().
+    """
+    rows = iter(table.rows)
+    first = next(rows, None)
+    with _open_out(path) as out:
+        out.write(table.header + "\n")
+        if first is not None:
+            template = ",".join("{:.17g}" if isinstance(v, float) else "{}" for v in first)
+            out.writelines(
+                itertools.starmap((template + "\n").format, itertools.chain([first], rows))
+            )
+
+
+def _write_json(table: Table, params: ModelParams, path=None) -> None:
+    """Write `table` as one sort-keyed JSON object: `params`, the table's
+    metadata, and `rows` keyed by the CSV header."""
+    columns = table.header.split(",")
+    payload = {
+        "params": params.to_dict(),
+        **table.meta,
+        "rows": [dict(zip(columns, row)) for row in table.rows],
+    }
+    with _open_out(path) as out:
+        out.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+
+
+# --------------------------------------------------------------------- #
+# Subcommand implementations: each returns one Table                     #
+# --------------------------------------------------------------------- #
+
+
+def _run_triangle(config: RunConfig) -> Table:
     if config.n < 0:
         raise ConfigError(f"--n must be nonnegative, got {config.n}")
     if config.representation == "exact":
@@ -254,51 +292,43 @@ def _run_triangle(config: RunConfig):
                 "use --representation log_space"
             )
         tri = build_triangle(config.params, config.n, "exact")
-        lines = [TRIANGLE_HEADER_EXACT]
-        rows = []
-        for n in range(config.n + 1):
-            log_row = tri.log_row(n)
-            for k, w in enumerate(tri.row(n)):
-                lines.append(f"{n},{k},{_fmt(float(log_row[k]))},{w}")
-                rows.append({"n": n, "k": k, "log_weight": float(log_row[k]), "weight_decimal": str(w)})
-    elif config.representation == "log_space":
+        rows = (
+            (n, k, lw, str(w))
+            for n in range(config.n + 1)
+            for k, (lw, w) in enumerate(zip(tri.log_row(n).tolist(), tri.row(n)))
+        )
+        return Table(TRIANGLE_HEADER_EXACT, rows)
+    if config.representation == "log_space":
         if config.n > TRIANGLE_LOG_MAX_N:
             raise ConfigError(
                 f"log-space triangles are limited to n <= {TRIANGLE_LOG_MAX_N}"
             )
-        tri = build_triangle(config.params, config.n, "log_space")
-        lines = [TRIANGLE_HEADER_LOG]
-        rows = []
-        for n in range(config.n + 1):
-            for k, lw in enumerate(tri.rows[n]):
-                lines.append(f"{n},{k},{_fmt(float(lw))}")
-                rows.append({"n": n, "k": k, "log_weight": float(lw)})
-    else:
-        raise ConfigError(f"unknown representation {config.representation!r}")
-    payload = {"params": config.params.to_dict(), "rows": rows}
-    return "\n".join(lines) + "\n", payload
+        # Looked up on the module so that wrappers installed there see the build.
+        log_rows = exact.iter_log_rows(config.params, config.n)
+        rows = (
+            (n, k, lw)
+            for n, log_row in enumerate(log_rows)
+            for k, lw in enumerate(log_row.tolist())
+        )
+        return Table(TRIANGLE_HEADER_LOG, rows)
+    raise ConfigError(f"unknown representation {config.representation!r}")
 
 
-def _run_dist(config: RunConfig):
+def _run_dist(config: RunConfig) -> Table:
     if config.n < 0:
         raise ConfigError(f"--n must be nonnegative, got {config.n}")
     if config.n > TRIANGLE_LOG_MAX_N:
         raise ConfigError(f"--n is limited to {TRIANGLE_LOG_MAX_N}")
     dist = _distribution_from_log_row(config.n, final_log_row(config.params, config.n))
-    lines = [DIST_HEADER]
-    for k in range(config.n + 1):
-        lp = float(dist.log_p[k])
-        p = math.exp(lp) if lp > LOG_ZERO else 0.0
-        lines.append(f"{k},{_fmt(lp)},{_fmt(p)}")
-    payload = {
-        "params": config.params.to_dict(),
+    log_p = dist.log_p.tolist()
+    meta = {
         "n": config.n,
         "mean": dist.mean,
         "variance": dist.variance,
         "log_normalizer": dist.log_total,
-        "log_p": [float(v) for v in dist.log_p],
+        "log_p": log_p,
     }
-    return "\n".join(lines) + "\n", payload
+    return Table(DIST_HEADER, [(k, lp, math.exp(lp)) for k, lp in enumerate(log_p)], meta)
 
 
 def _asym_estimate(params: ModelParams, x: float, n: int):
@@ -310,11 +340,9 @@ def _asym_estimate(params: ModelParams, x: float, n: int):
     return asymptotics.log_pn_quadratic(params, x, n)
 
 
-def _run_asym(config: RunConfig):
-    n_list = config.n_list or [50, 100, 200, 400]
-    lines = [ASYM_HEADER]
+def _run_asym(config: RunConfig) -> Table:
     rows = []
-    for n in n_list:
+    for n in config.n_list or [50, 100, 200, 400]:
         if not 1 <= n <= TRIANGLE_LOG_MAX_N:
             raise ConfigError(f"asym n must be in 1..{TRIANGLE_LOG_MAX_N}, got {n}")
         log_row = final_log_row(config.params, n)
@@ -322,86 +350,23 @@ def _run_asym(config: RunConfig):
         log_exact = log_sum_exp(log_row + k * math.log(config.x))
         dist = _distribution_from_log_row(n, log_row)
         est = _asym_estimate(config.params, config.x, n)
-        lines.append(
-            ",".join(
-                [
-                    str(n),
-                    _fmt(log_exact),
-                    _fmt(est.log_pn),
-                    _fmt(dist.mean),
-                    _fmt(est.mu),
-                    _fmt(dist.variance),
-                    _fmt(est.sigma2),
-                ]
-            )
-        )
         rows.append(
-            {
-                "n": n,
-                "log_pn_exact": log_exact,
-                "log_pn_asym": est.log_pn,
-                "mu_exact": dist.mean,
-                "mu_asym": est.mu,
-                "sigma2_exact": dist.variance,
-                "sigma2_asym": est.sigma2,
-            }
+            (n, log_exact, est.log_pn, dist.mean, est.mu, dist.variance, est.sigma2)
         )
-    payload = {"params": config.params.to_dict(), "x": config.x, "rows": rows}
-    return "\n".join(lines) + "\n", payload
+    return Table(ASYM_HEADER, rows, {"x": config.x})
 
 
-def _profile_rows(config: RunConfig):
+def _run_saddle(config: RunConfig) -> Table:
     if not 1 <= config.n <= TRIANGLE_LOG_MAX_N:
         raise ConfigError(f"--n must be in 1..{TRIANGLE_LOG_MAX_N}, got {config.n}")
-    return profile(config.params, config.n, config.epsilon)
+    rows = [
+        (r.k, r.log_p_exact / LOG10, r.log_p_daniels / LOG10, r.log_p_gaussian / LOG10)
+        for r in profile(config.params, config.n, config.epsilon)
+    ]
+    return Table(PROFILE_HEADER, rows, {"n": config.n, "epsilon": config.epsilon})
 
 
-def _run_saddle(config: RunConfig):
-    rows = _profile_rows(config)
-    lines = [PROFILE_HEADER]
-    payload_rows = []
-    for row in rows:
-        lines.append(
-            f"{row.k},{_fmt(row.log_p_exact / LOG10)},"
-            f"{_fmt(row.log_p_daniels / LOG10)},{_fmt(row.log_p_gaussian / LOG10)}"
-        )
-        payload_rows.append(
-            {
-                "k": row.k,
-                "log10_exact": row.log_p_exact / LOG10,
-                "log10_daniels": row.log_p_daniels / LOG10,
-                "log10_gaussian": row.log_p_gaussian / LOG10,
-            }
-        )
-    payload = {
-        "params": config.params.to_dict(),
-        "n": config.n,
-        "epsilon": config.epsilon,
-        "rows": payload_rows,
-    }
-    return "\n".join(lines) + "\n", payload
-
-
-def _empirical_columns(params: ModelParams, u_grid, n_list, threads: int):
-    """-(1/N) log p_{N, floor(uN)} per N, optionally across a thread pool."""
-
-    def one(n: int):
-        log_row = final_log_row(params, n)
-        log_total = log_sum_exp(log_row)
-        return [
-            -(float(log_row[math.floor(u * n)]) - log_total) / n for u in u_grid
-        ]
-
-    n_list = list(n_list)
-    if threads > 1 and len(n_list) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            columns = list(pool.map(one, n_list))
-    else:
-        columns = [one(n) for n in n_list]
-    return columns
-
-
-def _run_ldp(config: RunConfig):
+def _run_ldp(config: RunConfig) -> Table:
     for u in config.u_grid:
         if not 0.0 < u < 1.0:
             raise ConfigError(f"--u-grid entries must be in (0, 1), got {u}")
@@ -409,153 +374,84 @@ def _run_ldp(config: RunConfig):
         if not 1 <= n <= TRIANGLE_LOG_MAX_N:
             raise ConfigError(f"--N-list entries must be in 1..{TRIANGLE_LOG_MAX_N}")
     prof = ldp.rate_profile(config.params, config.u_grid)
-    columns = _empirical_columns(
-        config.params, config.u_grid, config.n_list, config.threads
-    )
+    columns = ldp.empirical_rates(config.params, config.u_grid, config.n_list)
     header = LDP_HEADER_BASE + "".join(f",emp_{n}" for n in config.n_list)
-    lines = [header]
-    payload_rows = []
-    for i, u in enumerate(config.u_grid):
-        emp = [columns[j][i] for j in range(len(config.n_list))]
-        lines.append(
-            ",".join(
-                [_fmt(u), _fmt(float(prof.theta[i])), _fmt(float(prof.rate[i]))]
-                + [_fmt(v) for v in emp]
-            )
-        )
-        payload_rows.append(
-            {
-                "u": u,
-                "theta": float(prof.theta[i]),
-                "I": float(prof.rate[i]),
-                "empirical": {str(n): v for n, v in zip(config.n_list, emp)},
-            }
-        )
-    payload = {
-        "params": config.params.to_dict(),
-        "N_list": config.n_list,
-        "rows": payload_rows,
-    }
-    return "\n".join(lines) + "\n", payload
+    rows = list(zip(config.u_grid, prof.theta.tolist(), prof.rate.tolist(), *columns))
+    return Table(header, rows, {"N_list": config.n_list})
 
 
-def _run_egf_check(config: RunConfig):
+def _run_egf_check(config: RunConfig) -> Table:
     from .closedform import EgfEvaluator
 
     if not 1 <= config.n_terms <= 30:
         raise ConfigError(f"--n must be in 1..30 for egf-check, got {config.n_terms}")
     ev = EgfEvaluator(config.params)
     tri = build_triangle(config.params, config.n_terms - 1)
-    lines = [EGF_HEADER]
-    payload_rows = []
+    rows = []
     for x in config.x_list:
         coeffs = ev.taylor_coefficients(x, config.n_terms)
         for n in range(config.n_terms):
-            exact = sum(w * x**k for k, w in enumerate(tri.row(n))) / math.factorial(n)
-            rel = abs(coeffs[n] - exact) / max(abs(exact), 1e-300)
-            lines.append(f"{_fmt(x)},{n},{_fmt(exact)},{_fmt(float(coeffs[n]))},{_fmt(rel)}")
-            payload_rows.append(
-                {
-                    "x": x,
-                    "n": n,
-                    "coeff_exact": exact,
-                    "coeff_egf": float(coeffs[n]),
-                    "rel_err": rel,
-                }
-            )
-    payload = {"params": config.params.to_dict(), "rows": payload_rows}
-    return "\n".join(lines) + "\n", payload
+            exact_coeff = sum(w * x**k for k, w in enumerate(tri.row(n))) / math.factorial(n)
+            rel = abs(coeffs[n] - exact_coeff) / max(abs(exact_coeff), 1e-300)
+            rows.append((x, n, exact_coeff, float(coeffs[n]), rel))
+    return Table(EGF_HEADER, rows)
 
 
 def _run_figures(config: RunConfig) -> list[Path]:
     if config.out is None:
         raise ConfigError("figures requires --out DIRECTORY")
+    params, n, u_grid = config.params, config.n, config.u_grid
+    n_list = config.n_list or [100, 200, 400, 800]
+
+    rows = profile(params, n, config.epsilon)
+    line_rates = [ldp.rate_function(params, r.k / n).rate for r in rows]
+    u_rates = [ldp.rate_function(params, u).rate for u in u_grid]
+    columns = ldp.empirical_rates(params, u_grid, n_list)
+    linear = [
+        (r.k, math.exp(r.log_p_exact), math.exp(r.log_p_daniels), math.exp(r.log_p_gaussian))
+        for r in rows
+    ]
+    tables = {
+        "profile_linear.csv": Table(PROFILE_LINEAR_HEADER, linear),
+        # Log-scale profile with the rate line -n I(u) / log 10.
+        "profile_log.csv": Table(
+            PROFILE_LOG_HEADER,
+            [
+                (r.k, r.log_p_exact / LOG10, r.log_p_daniels / LOG10,
+                 r.log_p_gaussian / LOG10, -n * rate / LOG10)
+                for r, rate in zip(rows, line_rates)
+            ],
+        ),
+        "rate_scaling.csv": Table(
+            "u,I" + "".join(f",emp_{m}" for m in n_list),
+            list(zip(u_grid, u_rates, *columns)),
+        ),
+    }
+    plots = {}
+    if config.out_format == "svg":
+        ks = tuple(r.k for r in rows)
+        curves = [
+            Series(name, ks, tuple(row[i] for row in linear))
+            for name, i in (("exact", 1), ("gaussian", 3), ("daniels", 2))
+        ]
+        rate_series = [
+            Series(f"N={m}", tuple(u_grid), tuple(col)) for m, col in zip(n_list, columns)
+        ] + [Series("I(u)", tuple(u_grid), tuple(u_rates))]
+        plots = {
+            "profile_linear.svg": svg_plot(curves, "linear", "terminal-height profile"),
+            "profile_log.svg": svg_plot(
+                curves, "log10", "terminal-height profile (log scale)"
+            ),
+            "rate_scaling.svg": svg_plot(rate_series, "linear", "rate scaling"),
+        }
+
     out_dir = Path(config.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    n = config.n
-    n_list = config.n_list or [100, 200, 400, 800]
-    epsilon = config.epsilon
-
-    rows = profile(config.params, n, epsilon)
-    written = []
-
-    # Linear-scale profile.
-    linear_lines = ["k,p_exact,p_daniels,p_gaussian"]
-    for row in rows:
-        linear_lines.append(
-            f"{row.k},{_fmt(math.exp(row.log_p_exact))},"
-            f"{_fmt(math.exp(row.log_p_daniels))},{_fmt(math.exp(row.log_p_gaussian))}"
-        )
-    written.append(_write_text(out_dir / "profile_linear.csv", "\n".join(linear_lines) + "\n"))
-
-    # Log-scale profile with the rate line -n I(u) / log 10.
-    log_lines = [PROFILE_LOG_HEADER]
-    for row in rows:
-        u = row.k / n
-        rate = ldp.rate_function(config.params, u).rate
-        log_lines.append(
-            f"{row.k},{_fmt(row.log_p_exact / LOG10)},{_fmt(row.log_p_daniels / LOG10)},"
-            f"{_fmt(row.log_p_gaussian / LOG10)},{_fmt(-n * rate / LOG10)}"
-        )
-    written.append(_write_text(out_dir / "profile_log.csv", "\n".join(log_lines) + "\n"))
-
-    # Rate-scaling table.
-    u_grid = config.u_grid
-    columns = _empirical_columns(config.params, u_grid, n_list, config.threads)
-    header = "u,I" + "".join(f",emp_{m}" for m in n_list)
-    scale_lines = [header]
-    for i, u in enumerate(u_grid):
-        rate = ldp.rate_function(config.params, u).rate
-        emp = [columns[j][i] for j in range(len(n_list))]
-        scale_lines.append(
-            ",".join([_fmt(u), _fmt(rate)] + [_fmt(v) for v in emp])
-        )
-    written.append(_write_text(out_dir / "rate_scaling.csv", "\n".join(scale_lines) + "\n"))
-
-    if config.out_format == "svg":
-        ks = [row.k for row in rows]
-        linear = svg_plot(
-            [
-                Series("exact", tuple(ks), tuple(math.exp(r.log_p_exact) for r in rows)),
-                Series("gaussian", tuple(ks), tuple(math.exp(r.log_p_gaussian) for r in rows)),
-                Series("daniels", tuple(ks), tuple(math.exp(r.log_p_daniels) for r in rows)),
-            ],
-            scale="linear",
-            title="terminal-height profile",
-        )
-        written.append(_write_text(out_dir / "profile_linear.svg", linear.document))
-        logplot = svg_plot(
-            [
-                Series("exact", tuple(ks), tuple(math.exp(r.log_p_exact) for r in rows)),
-                Series("gaussian", tuple(ks), tuple(math.exp(r.log_p_gaussian) for r in rows)),
-                Series("daniels", tuple(ks), tuple(math.exp(r.log_p_daniels) for r in rows)),
-            ],
-            scale="log10",
-            title="terminal-height profile (log scale)",
-        )
-        written.append(_write_text(out_dir / "profile_log.svg", logplot.document))
-        series = [
-            Series(
-                f"N={m}",
-                tuple(u_grid),
-                tuple(columns[j][i] for i in range(len(u_grid))),
-            )
-            for j, m in enumerate(n_list)
-        ] + [
-            Series(
-                "I(u)",
-                tuple(u_grid),
-                tuple(ldp.rate_function(config.params, u).rate for u in u_grid),
-            )
-        ]
-        rate_plot = svg_plot(series, scale="linear", title="rate scaling")
-        written.append(_write_text(out_dir / "rate_scaling.svg", rate_plot.document))
-    return written
-
-
-def _write_text(path: Path, text: str) -> Path:
-    path.write_text(text)
-    return path
+    for name, table in tables.items():
+        _write_csv(table, out_dir / name)
+    for name, plot in plots.items():
+        (out_dir / name).write_text(plot.document)
+    return [out_dir / name for name in [*tables, *plots]]
 
 
 def run(config: RunConfig) -> int:
@@ -574,17 +470,13 @@ def run(config: RunConfig) -> int:
         return 0
     if config.subcommand not in handlers:
         raise ConfigError(f"unknown subcommand {config.subcommand!r}")
-    if config.out_format == "svg" and config.subcommand != "figures":
+    if config.out_format == "svg":
         raise ConfigError("--format svg is only available for the figures subcommand")
-    csv_text, payload = handlers[config.subcommand](config)
+    table = handlers[config.subcommand](config)
     if config.out_format == "json":
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        _write_json(table, config.params, config.out)
     else:
-        text = csv_text
-    if config.out:
-        Path(config.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+        _write_csv(table, config.out)
     return 0
 
 
@@ -652,7 +544,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         params=params,
         out_format=args.format,
         out=args.out,
-        threads=_worker_count(),
     )
     if hasattr(args, "n") and args.n is not None:
         if args.subcommand == "egf-check":
@@ -687,13 +578,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (
-        DomainError,
-        RegimeError,
-        BoundaryError,
-        ConvergenceError,
-        AccuracyError,
-    ) as exc:
+    except (DomainError, RegimeError, BoundaryError, ConvergenceError, AccuracyError) as exc:
         print(f"numeric-domain error: {exc}", file=sys.stderr)
         return 3
     except CapacityError as exc:

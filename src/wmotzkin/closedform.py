@@ -163,8 +163,8 @@ class EgfEvaluator:
     def _eval_complex(self, x: float, t: complex) -> complex:
         """w(x, t) for complex t with |t| inside the singular radius.
 
-        Principal-branch powers are safe here: on such circles the power
-        base stays off the negative real axis (checked per regime).
+        Powers take the principal branch; nothing here checks that the
+        power base stays off the negative real axis on the contour.
         """
         params = self.params
         regime = self.regime

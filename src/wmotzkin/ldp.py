@@ -35,7 +35,7 @@ class CgfValues:
 def _require_quadratic_balanced(params: ModelParams) -> Regime:
     if params.is_degenerate:
         raise DomainError(
-            "degenerate model (alpha0 = a = 0): height is a point mass at 0"
+            "degenerate model (alpha0 = 0): height is a point mass at 0"
         )
     if not is_balanced(params):
         raise RegimeError(
@@ -217,19 +217,29 @@ class EmpiricalRateRow:
     rate: float
 
 
+def empirical_rates(params: ModelParams, u_grid, n_list) -> list[list[float]]:
+    """Exact finite-N decay rates -(1/N) log p_{N, floor(uN)}.
+
+    Returns one list over `u_grid` per N, in the order of `n_list`.
+    """
+    columns = []
+    for n in n_list:
+        log_row = final_log_row(params, n)
+        log_total = log_sum_exp(log_row)
+        columns.append(
+            [-(float(log_row[math.floor(u * n)]) - log_total) / n for u in u_grid]
+        )
+    return columns
+
+
 def empirical_rate_check(params: ModelParams, u_grid, n_list) -> list[EmpiricalRateRow]:
     """Exact finite-n decay rates against I(u) on a (u, n) grid."""
     _require_quadratic_balanced(params)
-    rates = {float(u): rate_function(params, float(u)).rate for u in u_grid}
-    rows = []
-    for n in sorted(int(n) for n in n_list):
-        log_row = final_log_row(params, n)
-        log_total = log_sum_exp(log_row)
-        for u in u_grid:
-            u = float(u)
-            k = math.floor(u * n)
-            log_p = float(log_row[k]) - log_total
-            rows.append(
-                EmpiricalRateRow(u=u, n=n, empirical=-log_p / n, rate=rates[u])
-            )
-    return rows
+    u_grid = [float(u) for u in u_grid]
+    rates = [rate_function(params, u).rate for u in u_grid]
+    n_list = sorted(int(n) for n in n_list)
+    return [
+        EmpiricalRateRow(u=u, n=n, empirical=empirical, rate=rate)
+        for n, column in zip(n_list, empirical_rates(params, u_grid, n_list))
+        for u, empirical, rate in zip(u_grid, column, rates)
+    ]

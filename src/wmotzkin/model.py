@@ -46,12 +46,13 @@ class ModelParams:
 
     @property
     def is_degenerate(self) -> bool:
-        """True when no up-step ever carries positive weight.
+        """True when the up-step leaving height 0 has zero weight.
 
-        The walk is then stuck at height 0 (point mass).  The exact engine
-        accepts this; asymptotic and large-deviation routines refuse it.
+        The walk then never leaves height 0 (point mass), whatever `a` is.
+        The exact engine accepts this; asymptotic and large-deviation
+        routines refuse it.
         """
-        return self.alpha0 == 0 and self.a == 0
+        return self.alpha0 == 0
 
     def up_weight(self, k: int) -> int:
         return self.a * k + self.alpha0

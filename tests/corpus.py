@@ -48,6 +48,10 @@ CONSTANT_BALANCED = ModelParams(0, 2, 0, 3, 2, 1)
 
 # Accepted but refused by asymptotics/LDP: no up-step ever has weight.
 DEGENERATE = ModelParams(0, 1, 0, 0, 1, 2)
+# Balanced quadratic drift (A = 1) with alpha0 = 0: the up-step leaving
+# height 0 has zero weight, so the walk never leaves 0 although a > 0.
+# Kept out of CORPUS, whose entries all have a nondegenerate law.
+DEGENERATE_QUADRATIC = ModelParams(1, 1, 0, 0, 1, 1)
 
 
 def balanced_corpus():

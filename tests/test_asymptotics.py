@@ -22,6 +22,7 @@ from wmotzkin.model import DriftKind, classify
 from corpus import (
     CONSTANT_BALANCED,
     DEGENERATE,
+    DEGENERATE_QUADRATIC,
     DOUBLE_ROOT,
     LINEAR_BALANCED,
     SHOWCASE,
@@ -90,6 +91,16 @@ def test_regime_and_balance_errors():
         log_pn_linear_drift(SHOWCASE, 1.0, 50)
     with pytest.raises(DomainError):
         log_pn_linear_drift(DEGENERATE, 1.0, 50)
+
+
+def test_quadratic_with_alpha0_zero_is_degenerate():
+    # a > 0 does not help: the walk cannot leave height 0.
+    assert DEGENERATE_QUADRATIC.is_degenerate
+    assert height_distribution(DEGENERATE_QUADRATIC, 50).mean == 0
+    with pytest.raises(DomainError):
+        asymptotic_moments(DEGENERATE_QUADRATIC, 50)
+    with pytest.raises(DomainError):
+        log_pn_quadratic(DEGENERATE_QUADRATIC, 1.0, 50)
 
 
 def test_moment_examples():

@@ -2,9 +2,11 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
+from wmotzkin import ModelParams
 from wmotzkin.cli import (
     ASYM_HEADER,
     DIST_HEADER,
@@ -159,18 +161,13 @@ def test_figures_svg(tmp_path, capsys):
     assert doc.count("<polyline") == 3  # exact, gaussian, daniels
 
 
-def test_exit_codes(capsys, monkeypatch, tmp_path):
+def test_exit_codes(capsys):
     # config error: triangle too large for exact representation
     code, _, err = run_main(["triangle", "--n", "501"], capsys)
     assert code == 2 and "log_space" in err
     # numeric-domain error: LDP outside the quadratic balanced class
     code, _, err = run_main(["ldp", "--u-grid", "0.5", "--N-list", "10"], capsys)
     assert code == 3
-    # capacity error is exit 4
-    monkeypatch.setenv("MOTZKIN_THREADS", "not-a-number")
-    code, _, err = run_main(["dist", "--n", "5"], capsys)
-    assert code == 2 and "MOTZKIN_THREADS" in err
-    monkeypatch.delenv("MOTZKIN_THREADS")
 
 
 def test_capacity_exit_code(capsys, monkeypatch):
@@ -185,22 +182,6 @@ def test_capacity_exit_code(capsys, monkeypatch):
     assert code == 4 and "too big" in err
 
 
-def test_threads_env_matches_serial(tmp_path, monkeypatch):
-    args = [
-        "ldp",
-        "--params", SHOWCASE_ARG,
-        "--u-grid", "0.3,0.5,0.7",
-        "--N-list", "40,80,120",
-    ]
-    monkeypatch.setenv("MOTZKIN_THREADS", "1")
-    assert main(args + ["--out", str(tmp_path / "serial.csv")]) == 0
-    monkeypatch.setenv("MOTZKIN_THREADS", "3")
-    assert main(args + ["--out", str(tmp_path / "threaded.csv")]) == 0
-    assert (tmp_path / "serial.csv").read_bytes() == (
-        tmp_path / "threaded.csv"
-    ).read_bytes()
-
-
 def test_console_entry_point(tmp_path):
     result = subprocess.run(
         [sys.executable, "-m", "wmotzkin.cli", "dist", "--n", "3"],
@@ -209,6 +190,68 @@ def test_console_entry_point(tmp_path):
     )
     assert result.returncode == 0
     assert result.stdout.splitlines()[0] == DIST_HEADER
+
+
+# ----- one table model: CSV and JSON agree, rows stream, failures write nothing ----- #
+
+TABLE_CASES = {
+    "triangle_exact": ["triangle", "--params", SHOWCASE_ARG, "--n", "6"],
+    "triangle_log": ["triangle", "--params", SHOWCASE_ARG, "--n", "6",
+                     "--representation", "log_space"],
+    "dist": ["dist", "--params", SHOWCASE_ARG, "--n", "12"],
+    "asym": ["asym", "--params", SHOWCASE_ARG, "--N-list", "20,40", "--x", "0.7"],
+    "saddle": ["saddle", "--params", SHOWCASE_ARG, "--n", "30", "--epsilon", "0.1"],
+    "ldp": ["ldp", "--params", SHOWCASE_ARG, "--u-grid", "0.3,0.6", "--N-list", "40,80"],
+    "egf-check": ["egf-check", "--params", "a=1 b=1 c=2 alpha0=1 beta0=1 gamma0=0",
+                  "--n", "6", "--x", "0.5,1"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(TABLE_CASES))
+def test_json_rows_match_csv(case, capsys):
+    code, csv_text, _ = run_main(TABLE_CASES[case], capsys)
+    assert code == 0
+    code, json_text, _ = run_main(TABLE_CASES[case] + ["--format", "json"], capsys)
+    assert code == 0
+    header, *lines = csv_text.splitlines()
+    columns = header.split(",")
+    payload = json.loads(json_text)
+    assert payload["params"] == ModelParams.parse(TABLE_CASES[case][2]).to_dict()
+    assert len(payload["rows"]) == len(lines) > 0
+    for line, row in zip(lines, payload["rows"]):
+        assert sorted(row) == sorted(columns)
+        for column, cell in zip(columns, line.split(",")):
+            value = row[column]
+            if isinstance(value, str):
+                assert cell == value
+            else:
+                assert float(cell) == value, (column, cell, value)
+
+
+def test_log_space_triangle_streams(tmp_path):
+    out = tmp_path / "tri.csv"
+    tracemalloc.start()
+    try:
+        code = main(["triangle", "--n", "600", "--representation", "log_space",
+                     "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert len(out.read_text().splitlines()) == 1 + 601 * 602 // 2
+    assert peak < 5 * 2**20
+
+
+def test_failing_run_writes_nothing(tmp_path, capsys):
+    # Contour extraction misses its 1e-10 agreement at n = 30 on this model.
+    args = ["egf-check", "--params", "a=1 b=1 c=2 alpha0=1 beta0=1 gamma0=0",
+            "--n", "30", "--x", "1"]
+    code, out, err = run_main(args, capsys)
+    assert code == 3 and out == "" and "numeric-domain error" in err
+    target = tmp_path / "egf.csv"
+    code, out, _ = run_main(args + ["--out", str(target)], capsys)
+    assert code == 3 and out == ""
+    assert not target.exists()
 
 
 # ----- svg_plot unit behaviour ----- #

@@ -19,6 +19,7 @@ from wmotzkin import (
 )
 from corpus import (
     CLASSIC,
+    DEGENERATE_QUADRATIC,
     DOUBLE_ROOT,
     LINEAR_BALANCED,
     SHOWCASE,
@@ -218,3 +219,10 @@ def test_empirical_rate_at_typical_value():
     for n in (200, 400):
         rows = empirical_rate_check(SHOWCASE, [u0], [n])
         assert rows[0].empirical <= 2.0 * math.log(n) / n
+
+
+def test_degenerate_quadratic_has_no_rate():
+    with pytest.raises(DomainError):
+        limit_cgf(DEGENERATE_QUADRATIC, 0.0)
+    with pytest.raises(DomainError):
+        rate_function(DEGENERATE_QUADRATIC, 0.5)
