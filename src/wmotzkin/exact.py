@@ -8,7 +8,8 @@ The triangle row recurrence is
 with w[0][0] = 1 and out-of-range entries zero.  Two representations are
 supported: exact arbitrary-precision integers (weights grow factorially for
 height-linear multiplicities) and log-space doubles, which carry n into the
-tens of thousands.  Zero weights map to -inf in log space.
+tens of thousands.  Log-space rows are computed in linear space under
+per-column scales (see `iter_log_rows`); zero weights map to -inf.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Iterator, Literal
 
 import numpy as np
 
-from .errors import CapacityError, DomainError
+from .errors import AccuracyError, CapacityError, DomainError
 from .model import ModelParams
 from .specfun import LOG_ZERO, log_sum_exp
 
@@ -58,28 +59,137 @@ class Triangle:
             raise DomainError(f"row {n} outside built range 0..{self.n_max}")
 
 
-def _log_weight_tables(params: ModelParams, n_max: int):
-    k = np.arange(n_max + 2, dtype=float)
-    with np.errstate(divide="ignore"):
-        la = np.log(params.a * k + params.alpha0)
-        lb = np.log(params.b * k + params.beta0)
-        lg = np.log(params.c * k + params.gamma0)
-    return la, lb, lg
+# One column scale serves a block of steps; every scaled entry must stay
+# within e^{+-_BLOCK_BUDGET} of the row maximum over the block.
+_BLOCK_BUDGET = 600.0
+# Smallest scaled nonzero entry accepted.  2^-960 lies far above the
+# subnormal range (2^-1022), so no nonzero weight loses precision unseen.
+_TINY = 2.0**-960
+_LOG2 = math.log(2.0)
+
+
+def _support_size(params: ModelParams, n: int) -> int:
+    """Number of structurally nonzero entries of row n.
+
+    alpha0 = 0 pins the walk at height 0.  Otherwise row n >= 1 holds the
+    heights n, n - step, ... down to the lowest reachable height lo, where
+    step is 2 without level steps (c = gamma0 = 0) and 1 with them.  Height
+    0 is reached by staying (gamma0 > 0) or by returning (beta0 > 0,
+    n >= 2); otherwise lo is 1, or n when there are neither level nor down
+    steps.
+    """
+    if n == 0:
+        return 1
+    if params.alpha0 == 0:
+        return 1 if params.gamma0 else 0
+    step = 1 if params.c or params.gamma0 else 2
+    if params.gamma0 or (params.beta0 and n >= 2):
+        lo = 0
+    elif step == 1 or params.b:
+        lo = 1
+    else:
+        lo = n
+    return len(range(n, lo - 1, -step))
+
+
+def _block_size(params: ModelParams, n_max: int) -> int:
+    """Steps per column scale, from the step weights alone.
+
+    W, the largest total weight of the three steps at a height up to n_max,
+    bounds the growth of a row per step, and (n_max + 1) * W is taken as
+    the largest ratio of neighbouring entries, so one step is taken to move
+    a log entry by at most D = log(3 W^2 (n_max + 1)).  Blocks of
+    _BLOCK_BUDGET / D steps keep every scaled entry inside a double's range;
+    `iter_log_rows` still checks every row.
+    """
+    p = params
+    w = (p.a + p.b + p.c) * (n_max + 1) + p.alpha0 + p.beta0 + p.gamma0
+    per_step = math.log(3.0 * max(w, 1) ** 2 * (n_max + 1))
+    return max(1, int(_BLOCK_BUDGET / per_step))
+
+
+def _precision_lost(params: ModelParams, n: int) -> AccuracyError:
+    return AccuracyError(
+        f"log-space row {n} of {params.as_tuple()}: a nonzero weight left "
+        "the range of its column scale"
+    )
 
 
 def iter_log_rows(params: ModelParams, n_max: int) -> Iterator[np.ndarray]:
-    """Yield log-space rows 0..n_max keeping O(n) memory."""
+    """Yield log-space rows 0..n_max keeping O(n) memory.
+
+    Rows advance in linear space, block by block.  At the start of a block
+    the column scale s is the last log row (interpolated across its -inf
+    columns, extrapolated linearly over the columns the block adds), so
+    the stored row u = exp(L - s - c) is 1 on every nonzero entry and
+    c = 0.  A step is three multiply-adds with the scale ratios folded into
+    the weights, alpha_{k-1} e^{s_{k-1}-s_k}, gamma_k and
+    beta_k e^{s_{k+1}-s_k}, then a division of u by the power of two that
+    puts its maximum in [1/2, 1), which c records.  Structural zeros stay
+    exactly 0 (-inf).  A nonzero entry that falls below 2^-960 of the row
+    maximum raises AccuracyError rather than yield a wrong row.
+    """
     if n_max < 0:
         raise DomainError(f"n_max must be nonnegative, got {n_max}")
-    la, lb, lg = _log_weight_tables(params, n_max)
+    k = np.arange(n_max + 1, dtype=float)
+    with np.errstate(divide="ignore"):
+        log_up = np.log(params.a * k + params.alpha0)
+        log_down = np.log(params.b * k + params.beta0)
+    level = params.c * k + params.gamma0
+    block = _block_size(params, n_max)
     row = np.zeros(1)
     yield row
-    for n in range(n_max):
-        up = np.concatenate(([LOG_ZERO], la[: n + 1] + row))
-        stay = np.concatenate((lg[: n + 1] + row, [LOG_ZERO]))
-        down = np.concatenate((lb[:n] + row[1:], [LOG_ZERO, LOG_ZERO]))
-        row = np.logaddexp(np.logaddexp(up, stay), down)
-        yield row
+    n = 0
+    while n < n_max:
+        steps = min(block, n_max - n)
+        width = n + steps + 1  # columns of the block's last row
+        cols = np.arange(width + 1, dtype=float)
+        finite = row > LOG_ZERO
+        nonzero = np.flatnonzero(finite)
+        s = np.zeros(width + 1)
+        if nonzero.size:
+            s[: n + 1] = np.interp(cols[: n + 1], nonzero, row[nonzero])
+        slope = s[n] - s[n - 1] if n else 0.0
+        s[n + 1 :] = s[n] + slope * (cols[n + 1 :] - n)
+        ds = np.diff(s)
+        lift = np.zeros(width)  # lift[0] multiplies the zero below column 0
+        with np.errstate(over="ignore"):  # an inf weight fails the row check
+            lift[1:] = np.exp(log_up[: width - 1] - ds[:-1])
+            drop = np.exp(log_down[:width] + ds)
+        stay = level[:width]
+
+        # cur[1 + k] holds u_k; cur[0] and cur[-1] stay 0.
+        cur, nxt = np.zeros(width + 2), np.zeros(width + 2)
+        cur[1 : n + 2] = finite
+        term = np.empty(width)
+        exponent = 0
+        for _ in range(steps):
+            new = nxt[1:-1]
+            np.multiply(stay, cur[1:-1], out=new)
+            np.multiply(lift, cur[:-2], out=term)
+            new += term
+            np.multiply(drop, cur[2:], out=term)
+            new += term
+            n += 1
+            support = _support_size(params, n)
+            if support:
+                peak = new.max()
+                if not _TINY < peak < math.inf:
+                    raise _precision_lost(params, n)
+                shift = math.frexp(peak)[1]
+                exponent += shift
+                new *= 2.0**-shift
+            if np.count_nonzero(new > _TINY) != support:
+                raise _precision_lost(params, n)
+            if support == n + 1:
+                row = np.log(new[: n + 1])
+            else:  # structural zeros become -inf
+                with np.errstate(divide="ignore"):
+                    row = np.log(new[: n + 1])
+            row += s[: n + 1]
+            row += exponent * _LOG2
+            cur, nxt = nxt, cur
+            yield row
 
 
 def final_log_row(params: ModelParams, n: int) -> np.ndarray:

@@ -3,8 +3,8 @@
 
 All cumulants are taken directly from the exact log-space row, so the
 machinery works for unbalanced parameters too; the uniform O(1/n) interior
-error guarantee is only established for balanced A > 0 models, and
-`CumulantEvaluator.uniform_error_applies` reports that.
+error guarantee is only established for balanced A > 0 models outside the
+complex-roots c = 0 family, and `uniform_error_applies` decides that.
 """
 
 from __future__ import annotations
@@ -17,8 +17,19 @@ import numpy as np
 from . import asymptotics
 from .errors import BoundaryError, ConvergenceError, DomainError
 from .exact import _distribution_from_log_row, final_log_row
-from .model import ModelParams, classify, is_balanced
+from .model import DriftKind, ModelParams, classify, is_balanced
 from .specfun import LOG_ZERO
+
+
+def uniform_error_applies(params: ModelParams) -> bool:
+    """Whether Daniels' uniform O(1/n) interior error bound covers the model:
+    balanced, A > 0 and alpha0 > 0, but not complex roots with c = 0, whose
+    law oscillates in k (relative error 0.1-1.1 on [0.2n, 0.8n] at every n).
+    """
+    regime = classify(params)
+    if params.is_degenerate or not (is_balanced(params) and regime.is_quadratic):
+        return False
+    return not (regime.kind is DriftKind.COMPLEX_ROOTS and params.c == 0)
 
 
 @dataclass(frozen=True)
@@ -61,7 +72,7 @@ class CumulantEvaluator:
 
     @classmethod
     def from_params(cls, params: ModelParams, n: int) -> "CumulantEvaluator":
-        applies = is_balanced(params) and classify(params).is_quadratic
+        applies = uniform_error_applies(params)
         return cls(final_log_row(params, n), uniform_error_applies=applies)
 
     def kappa(self, theta: float, order: int = 2) -> KappaValues:
@@ -172,10 +183,7 @@ def profile(params: ModelParams, n: int, epsilon: float) -> list[ProfileRow]:
         raise DomainError(f"epsilon must be in (0, 1/2), got {epsilon}")
     log_row = final_log_row(params, n)
     dist = _distribution_from_log_row(n, log_row)
-    ev = CumulantEvaluator(
-        log_row,
-        uniform_error_applies=is_balanced(params) and classify(params).is_quadratic,
-    )
+    ev = CumulantEvaluator(log_row, uniform_error_applies=uniform_error_applies(params))
     k_lo = math.ceil(epsilon * n)
     k_hi = math.floor((1.0 - epsilon) * n)
     rows = []

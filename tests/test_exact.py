@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wmotzkin import (
+    AccuracyError,
     CapacityError,
     DomainError,
     LOG_ZERO,
@@ -16,8 +17,16 @@ from wmotzkin import (
     height_distribution,
     polynomial_eval,
 )
+from wmotzkin import exact
 from wmotzkin.closedform import SingularityMap
-from corpus import CORPUS, CLASSIC, DOUBLE_ROOT, SHOWCASE
+from corpus import (
+    CORPUS,
+    CLASSIC,
+    DEGENERATE,
+    DEGENERATE_QUADRATIC,
+    DOUBLE_ROOT,
+    SHOWCASE,
+)
 
 
 def test_row_zero_and_boundary():
@@ -177,3 +186,104 @@ def test_streaming_matches_full_build():
     logs = build_triangle(SHOWCASE, 50, "log_space")
     streamed = final_log_row(SHOWCASE, 50)
     assert np.array_equal(logs.rows[50], streamed)
+
+
+# ----- log-space rows: zero structure, accuracy, reach ----- #
+
+
+def _assert_log_rows_match_exact(params, n_max, rel_tol):
+    """Every log-space row equals the logs of the big-int row: zeros exactly
+    -inf, every other entry finite and within rel_tol * max(1, |L|)."""
+    exact_tri = build_triangle(params, n_max)
+    logs = build_triangle(params, n_max, "log_space")
+    for n in range(n_max + 1):
+        got = logs.rows[n]
+        zero = np.array([w == 0 for w in exact_tri.row(n)])
+        assert np.all(got[zero] == LOG_ZERO), (params, n)
+        assert np.all(np.isfinite(got[~zero])), (params, n)
+        ref = exact_tri.log_row(n)[~zero]
+        err = np.abs(got[~zero] - ref) / np.maximum(1.0, np.abs(ref))
+        assert err.size == 0 or err.max() <= rel_tol, (params, n, err.max())
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        ModelParams(1, 1, 2, 0, 1, 1),  # alpha0 = 0: point mass at 0
+        ModelParams(1, 1, 2, 0, 1, 0),  # alpha0 = gamma0 = 0: empty rows
+        ModelParams(1, 0, 2, 3, 0, 1),  # b = beta0 = 0: no down steps
+        ModelParams(2, 0, 0, 1, 0, 0),  # up steps only: one entry per row
+        ModelParams(0, 1, 0, 2, 2, 0),  # c = gamma0 = 0: parity zeros
+        ModelParams(1, 2, 0, 1, 0, 0),  # parity zeros, height 0 never regained
+        DEGENERATE,
+        DEGENERATE_QUADRATIC,
+    ],
+    ids=lambda p: ",".join(map(str, p.as_tuple())),
+)
+def test_log_space_zero_structure(params):
+    _assert_log_rows_match_exact(params, 120, 1e-12)
+    n = 3001
+    row = final_log_row(params, n)
+    assert not np.any(np.isnan(row)) and not np.any(row == np.inf)
+    k = np.arange(n + 1)
+    finite = np.isfinite(row)
+    if params.alpha0 == 0:
+        assert np.array_equal(finite, (k == 0) & (params.gamma0 > 0))
+    elif params.b == params.beta0 == 0 and params.c == params.gamma0 == 0:
+        assert np.array_equal(finite, k == n)
+    elif params.c == params.gamma0 == 0:
+        assert np.array_equal(finite, (k % 2 == n % 2) & (k >= 1 - min(params.beta0, 1)))
+    else:
+        assert finite.all()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.builds(
+        ModelParams, *[st.integers(min_value=0, max_value=5) for _ in range(6)]
+    ),
+    st.integers(min_value=0, max_value=60),
+)
+def test_log_space_matches_exact_random(params, n):
+    _assert_log_rows_match_exact(params, n, 1e-12)
+
+
+def _logaddexp_rows(params, n_max):
+    """The earlier log-space recurrence, two logaddexp passes per row."""
+    k = np.arange(n_max + 2, dtype=float)
+    with np.errstate(divide="ignore"):
+        la = np.log(params.a * k + params.alpha0)
+        lb = np.log(params.b * k + params.beta0)
+        lg = np.log(params.c * k + params.gamma0)
+    row = np.zeros(1)
+    for n in range(n_max):
+        up = np.concatenate(([LOG_ZERO], la[: n + 1] + row))
+        stay = np.concatenate((lg[: n + 1] + row, [LOG_ZERO]))
+        down = np.concatenate((lb[:n] + row[1:], [LOG_ZERO, LOG_ZERO]))
+        row = np.logaddexp(np.logaddexp(up, stay), down)
+    return row
+
+
+def test_final_row_matches_logaddexp_reference():
+    n = 3000
+    for params in CORPUS:
+        ref = _logaddexp_rows(params, n)
+        got = final_log_row(params, n)
+        finite = np.isfinite(ref)
+        assert np.array_equal(finite, np.isfinite(got)), params
+        err = np.abs(got[finite] - ref[finite]) / np.maximum(1.0, np.abs(ref[finite]))
+        assert err.max() <= 1e-11, (params, err.max())
+
+
+def test_log_space_cap_is_finite():
+    row = final_log_row(SHOWCASE, 20000)
+    assert row.size == 20001
+    assert np.all(np.isfinite(row))
+
+
+def test_lost_precision_raises(monkeypatch):
+    # Blocks ten times too long let the tail fall out of a double's range
+    # under one column scale; the row check must refuse, not yield -inf.
+    monkeypatch.setattr(exact, "_BLOCK_BUDGET", 6000.0)
+    with pytest.raises(AccuracyError):
+        final_log_row(SHOWCASE, 400)

@@ -14,7 +14,8 @@ from wmotzkin import (
     height_distribution,
     profile,
 )
-from corpus import CLASSIC, DEGENERATE, SHOWCASE
+from wmotzkin.saddlepoint import uniform_error_applies
+from corpus import CLASSIC, DEGENERATE, DEGENERATE_QUADRATIC, SHOWCASE
 
 
 def test_untilted_cumulants_match_distribution():
@@ -127,6 +128,25 @@ def test_uniform_error_flag():
     unbalanced = ModelParams(1, 5, 6, 8, 3, 1)
     assert not CumulantEvaluator.from_params(unbalanced, 20).uniform_error_applies
     assert not CumulantEvaluator.from_params(CLASSIC, 20).uniform_error_applies
+
+
+def _max_daniels_rel_err(params, n):
+    rows = profile(params, n, 0.2)
+    return max(abs(math.exp(r.log_p_daniels - r.log_p_exact) - 1.0) for r in rows)
+
+
+def test_uniform_error_flag_complex_roots_c0():
+    # With c = 0 the complex-roots law oscillates in k, so the Daniels
+    # error stays put as n doubles and the O(1/n) bound is not claimed.
+    for t in [(1, 1, 0, 1, 1, 1), (1, 3, 0, 2, 3, 1), (2, 1, 0, 1, 1, 3), (1, 2, 0, 1, 2, 2)]:
+        params = ModelParams(*t)
+        assert not uniform_error_applies(params), t
+        assert not CumulantEvaluator.from_params(params, 20).uniform_error_applies
+        assert _max_daniels_rel_err(params, 200) > 0.9 * _max_daniels_rel_err(params, 100)
+    complex_c1 = ModelParams(1, 2, 1, 2, 2, 1)
+    assert uniform_error_applies(complex_c1)
+    assert _max_daniels_rel_err(complex_c1, 200) < 0.6 * _max_daniels_rel_err(complex_c1, 100)
+    assert not uniform_error_applies(DEGENERATE_QUADRATIC)
 
 
 def test_profile_shape_and_finiteness():
