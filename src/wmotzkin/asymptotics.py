@@ -12,9 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .closedform import SingularityMap
-from .errors import ConvergenceError, DomainError, RegimeError
-from .model import DriftKind, ModelParams, Regime, classify, is_balanced
+from .closedform import SingularityMap, modulus_saddle
+from .errors import DomainError
+from .model import QUADRATIC, DriftKind, ModelParams, Regime, require
 from .specfun import hermite_kdf_sequence, lambert_w0, log_gamma
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -40,29 +40,9 @@ class LinearDriftEstimate(AsymptoticEstimate):
     t_star_seed: float = 0.0
 
 
-def _require(params: ModelParams, kinds: tuple[DriftKind, ...]) -> Regime:
-    if params.is_degenerate:
-        raise DomainError(
-            "degenerate model (alpha0 = 0): height is a point mass at 0"
-        )
-    if not is_balanced(params):
-        raise RegimeError(
-            f"asymptotic formulas require balanced parameters; "
-            f"beta0={params.beta0} != b={params.b}"
-        )
-    regime = classify(params)
-    if regime.kind not in kinds:
-        expected = "/".join(k.value for k in kinds)
-        raise RegimeError(f"expected {expected} drift, got {regime.kind.value}")
-    return regime
-
-
 def log_pn_quadratic(params: ModelParams, x: float, n: int) -> AsymptoticEstimate:
     """Master estimate of log P_n(x) for A > 0, any quadratic sub-regime."""
-    regime = _require(
-        params,
-        (DriftKind.TWO_REAL_ROOTS, DriftKind.DOUBLE_ROOT, DriftKind.COMPLEX_ROOTS),
-    )
+    regime = require(params, QUADRATIC)
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     smap = SingularityMap(params)
@@ -105,10 +85,7 @@ def asymptotic_moments(params: ModelParams, n: int) -> tuple[float, float]:
 
     mu_n = n*chi(1),  sigma2_n = mu_n + n*(chi(1)^2 - tau''(1)/tau(1)).
     """
-    _require(
-        params,
-        (DriftKind.TWO_REAL_ROOTS, DriftKind.DOUBLE_ROOT, DriftKind.COMPLEX_ROOTS),
-    )
+    require(params, QUADRATIC)
     der = SingularityMap(params).derivatives(1.0)
     chi = der.chi
     mu = n * chi
@@ -130,24 +107,12 @@ def log_pn_constant_drift(params: ModelParams, x: float, n: int) -> AsymptoticEs
     The saddle solves Y t^2 + X t - (n+1) = 0 with X = alpha0*x + gamma0 and
     Y = alpha0*C.  Moments come from the exact Hermite-ratio identities.
     """
-    regime = classify(params)
-    if regime.kind is not DriftKind.CONSTANT:
-        raise RegimeError(f"expected constant drift, got {regime.kind.value}")
-    if not is_balanced(params):
-        raise RegimeError(
-            f"constant-drift closed form requires balance; "
-            f"beta0={params.beta0} != b={params.b}"
-        )
-    if params.alpha0 == 0 and params.gamma0 == 0:
-        raise DomainError("degenerate constant drift: alpha0 = gamma0 = 0")
+    regime = require(params, (DriftKind.CONSTANT,), degenerate="weighted")
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     X = params.alpha0 * x + params.gamma0
     Y = params.alpha0 * regime.coeffs.C
-    if Y == 0.0:
-        t_star = (n + 1) / X
-    else:
-        t_star = (-X + math.sqrt(X * X + 4.0 * Y * (n + 1))) / (2.0 * Y)
+    t_star, _ = modulus_saddle(params, x, n)
     curvature = Y + (n + 1) / (t_star * t_star)
     log_pn = (
         log_gamma(n + 1)
@@ -165,17 +130,11 @@ def log_pn_constant_drift_exact(params: ModelParams, x: float, n: int) -> float:
 
     With Y = 0 this is the closed power form n*log(alpha0*x + gamma0).
     """
-    regime = classify(params)
-    if regime.kind is not DriftKind.CONSTANT:
-        raise RegimeError(f"expected constant drift, got {regime.kind.value}")
-    if not is_balanced(params):
-        raise RegimeError("constant-drift identity requires balanced parameters")
+    regime = require(params, (DriftKind.CONSTANT,), degenerate="weighted")
     if not x > 0:
         raise DomainError(f"x must be positive, got {x}")
     X = params.alpha0 * x + params.gamma0
     Y = params.alpha0 * regime.coeffs.C
-    if X == 0.0 and Y == 0.0:
-        raise DomainError("degenerate constant drift: alpha0 = gamma0 = 0")
     if Y == 0.0:
         return n * math.log(X)
     log_mag, sign = hermite_kdf_sequence(X, Y, n)[n]
@@ -186,9 +145,7 @@ def log_pn_constant_drift_exact(params: ModelParams, x: float, n: int) -> float:
 
 def constant_drift_moments(params: ModelParams, n: int) -> tuple[float, float]:
     """Mean/variance at length n from the Hermite-ratio identities (exact)."""
-    regime = classify(params)
-    if regime.kind is not DriftKind.CONSTANT:
-        raise RegimeError(f"expected constant drift, got {regime.kind.value}")
+    regime = require(params, (DriftKind.CONSTANT,), balanced=False, degenerate="accept")
     if params.is_degenerate:
         return (0.0, 0.0)
     X1 = params.alpha0 + params.gamma0
@@ -211,10 +168,10 @@ def log_pn_linear_drift(params: ModelParams, x: float, n: int) -> LinearDriftEst
     """Saddlepoint estimate of log P_n(x) for linear drift (A = 0, B > 0).
 
     The saddle t* > 0 solves (n+1)/t = a_lin + B*y(x)*e^{B t} with
-    a_lin = gamma0 - alpha0*C/B and y(x) = (alpha0/B)(x + C/B); Newton is
-    seeded with t = W(n/y(x))/B and safeguarded by bisection.
+    a_lin = gamma0 - alpha0*C/B and y(x) = (alpha0/B)(x + C/B); see
+    `closedform.modulus_saddle`, which starts from t = W(n/y(x))/B.
     """
-    regime = _require(params, (DriftKind.LINEAR,))
+    regime = require(params, (DriftKind.LINEAR,))
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     if not x > 0:
@@ -223,8 +180,7 @@ def log_pn_linear_drift(params: ModelParams, x: float, n: int) -> LinearDriftEst
     C = regime.coeffs.C
     y_x = (params.alpha0 / B) * (x + C / B)
     a_lin = params.gamma0 - params.alpha0 * C / B
-    seed = lambert_w0(n / y_x) / B
-    t_star = _solve_linear_saddle(a_lin, B, y_x, n, seed)
+    t_star, seed = modulus_saddle(params, x, n)
     lam = (params.alpha0 / B) * math.expm1(B * t_star)
     curvature = B * B * y_x * math.exp(B * t_star) + (n + 1) / (t_star * t_star)
     log_pn = (
@@ -241,38 +197,3 @@ def log_pn_linear_drift(params: ModelParams, x: float, n: int) -> LinearDriftEst
     return LinearDriftEstimate(
         log_pn, mu, sigma2, regime, n, x, t_star=t_star, t_star_seed=seed
     )
-
-
-def _solve_linear_saddle(
-    a_lin: float, B: float, y_x: float, n: int, seed: float
-) -> float:
-    """Root of f(t) = a_lin + B*y*e^{Bt} - (n+1)/t on t > 0 (f is increasing)."""
-
-    def f(t: float) -> float:
-        return a_lin + B * y_x * math.exp(B * t) - (n + 1) / t
-
-    def fprime(t: float) -> float:
-        return B * B * y_x * math.exp(B * t) + (n + 1) / (t * t)
-
-    lo = 1e-12
-    hi = max(seed, 1.0)
-    while f(hi) < 0.0:
-        hi *= 2.0
-        if hi > 1e9:
-            raise ConvergenceError("linear-drift saddle bracket blew up")
-    t = min(max(seed, lo), hi)
-    for _ in range(100):
-        val = f(t)
-        if val < 0.0:
-            lo = t
-        else:
-            hi = t
-        # Relative residual on the (n+1)/t scale.
-        if abs(val) * t <= 1e-12 * (n + 1):
-            return t
-        step = val / fprime(t)
-        t_next = t - step
-        if not lo < t_next < hi:
-            t_next = 0.5 * (lo + hi)
-        t = t_next
-    raise ConvergenceError("linear-drift saddle did not reach 1e-12 residual")

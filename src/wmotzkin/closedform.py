@@ -18,19 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AccuracyError, DomainError, RegimeError
-from .model import DriftKind, ModelParams, Regime, classify, is_balanced
+from .errors import AccuracyError, DomainError
+from .model import QUADRATIC, DriftKind, ModelParams, classify, require
+from .specfun import lambert_w0, safeguarded_root
 
 _TWO_PI = 2.0 * math.pi
-
-
-def _require_balanced(params: ModelParams) -> Regime:
-    if not is_balanced(params):
-        raise RegimeError(
-            f"closed forms require balanced parameters (beta0 == b); "
-            f"got beta0={params.beta0}, b={params.b}"
-        )
-    return classify(params)
 
 
 @dataclass(frozen=True)
@@ -53,14 +45,8 @@ class SingularityMap:
     """
 
     def __init__(self, params: ModelParams):
-        regime = classify(params)
-        if not regime.is_quadratic:
-            raise RegimeError(
-                "no moving singularity when A = 0; "
-                f"drift regime is {regime.kind.value}"
-            )
         self.params = params
-        self.regime = regime
+        self.regime = require(params, QUADRATIC, balanced=False, degenerate="accept")
 
     @property
     def domain_low(self) -> float:
@@ -105,7 +91,7 @@ class EgfEvaluator:
     """Evaluates the balanced generating function w(x, t) in its regime."""
 
     def __init__(self, params: ModelParams):
-        self.regime = _require_balanced(params)
+        self.regime = require(params, degenerate="accept")
         self.params = params
         self.singularities = SingularityMap(params) if self.regime.is_quadratic else None
 
@@ -114,54 +100,26 @@ class EgfEvaluator:
 
         Quadratic regimes require t < tau(x) (and, for complex roots, the
         cosine phase inside (-pi/2, pi/2)); for A = 0 the function is entire
-        in t.  Bases stay positive here, so only real powers are needed.
+        in t.  The value is the real part of the contour's closed form.
         """
-        params = self.params
         regime = self.regime
-        kind = regime.kind
-        if kind is DriftKind.CONSTANT:
-            C = regime.coeffs.C
-            return math.exp(
-                params.alpha0 * x * t
-                + 0.5 * params.alpha0 * C * t * t
-                + params.gamma0 * t
-            )
-        if kind is DriftKind.LINEAR:
-            B = regime.coeffs.B
-            C = regime.coeffs.C
-            lam = (params.alpha0 / B) * math.expm1(B * t)
-            return math.exp(lam * (x + C / B) + (params.gamma0 - params.alpha0 * C / B) * t)
-
-        self.singularities._check_domain(x)
-        A = regime.coeffs.A
-        nu = regime.nu
-        if kind is DriftKind.COMPLEX_ROOTS:
-            phase = A * regime.q * t + math.atan((x - regime.p) / regime.q)
+        if regime.kind is DriftKind.COMPLEX_ROOTS:
+            self.singularities._check_domain(x)
+            phase = regime.coeffs.A * regime.q * t + math.atan((x - regime.p) / regime.q)
             if not -0.5 * math.pi < phase < 0.5 * math.pi:
                 raise DomainError(
                     f"(x={x}, t={t}) beyond the first cosine zero of the "
                     "complex-root closed form"
                 )
-            base = regime.q / (
-                math.hypot(x - regime.p, regime.q) * math.cos(phase)
-            )
-            return math.exp(regime.c0 * t) * base**nu
-        tau = self.singularities.tau(x)
-        if t >= tau:
-            raise DomainError(f"t={t} is at or past the singular time tau({x})={tau}")
-        if kind is DriftKind.DOUBLE_ROOT:
-            g = 1.0 - A * t * (x - regime.r)
-            return math.exp(regime.c0 * t) * g ** (-nu)
-        grow = math.exp(A * (regime.r1 - regime.r2) * t)
-        denom = (x - regime.r2) - (x - regime.r1) * grow
-        base = (regime.r1 - regime.r2) / denom
-        if params.alpha0 == A:
-            # nu == 1: plain ratio, no power needed.
-            return base * math.exp(regime.c0 * t)
-        return math.exp(regime.c0 * t) * base**nu
+        elif regime.is_quadratic:
+            tau = self.singularities.tau(x)
+            if t >= tau:
+                raise DomainError(f"t={t} is at or past the singular time tau({x})={tau}")
+        return self._eval_complex(x, t).real
 
     def _eval_complex(self, x: float, t: complex) -> complex:
-        """w(x, t) for complex t with |t| inside the singular radius.
+        """w(x, t) for complex t with |t| inside the singular radius: the one
+        closed form per regime.
 
         Powers take the principal branch; nothing here checks that the
         power base stays off the negative real axis on the contour.
@@ -214,7 +172,7 @@ class EgfEvaluator:
             return self._contour_coefficients(x, rho, n_terms)
         out = np.empty(n_terms)
         for n in range(n_terms):
-            rho = self._entire_radius(x, n)
+            rho, _ = modulus_saddle(self.params, x, n)
             out[n] = self._contour_coefficients(x, rho, n + 1)[n]
         return out
 
@@ -241,40 +199,44 @@ class EgfEvaluator:
             "stabilize to 1e-10"
         )
 
-    def _entire_radius(self, x: float, n: int) -> float:
-        """Radius matching the modulus saddle of w(x,t)/t^{n+1} (A = 0 only)."""
-        params = self.params
-        regime = self.regime
-        if regime.kind is DriftKind.CONSTANT:
-            X = params.alpha0 * x + params.gamma0
-            Y = params.alpha0 * regime.coeffs.C
-            if X == 0.0 and Y == 0.0:
-                return 1.0  # w is constant; any radius works
-            if Y == 0.0:
-                return (n + 1) / X
-            return (-X + math.sqrt(X * X + 4.0 * Y * (n + 1))) / (2.0 * Y)
-        B = regime.coeffs.B
-        C = regime.coeffs.C
-        y_x = (params.alpha0 / B) * (x + C / B)
-        a_lin = params.gamma0 - params.alpha0 * C / B
-        if y_x == 0.0:
-            return (n + 1) / a_lin if a_lin > 0 else 1.0
 
-        def slope(t: float) -> float:
-            return t * (a_lin + B * y_x * math.exp(B * t)) - (n + 1)
+def modulus_saddle(params: ModelParams, x: float, n: int) -> tuple[float, float]:
+    """(t*, seed) for A = 0, where t* > 0 solves t * d/dt log w(x, t) = n + 1:
+    the modulus saddle of w(x, t)/t^{n+1} on the positive axis.
 
-        lo, hi = 0.0, 1.0
-        while slope(hi) < 0.0:
-            hi *= 2.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if slope(mid) < 0.0:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= 1e-12 * hi:
-                break
-        return 0.5 * (lo + hi)
+    Constant drift: Y t^2 + X t = n + 1 with X = alpha0*x + gamma0 and
+    Y = alpha0*C, in closed form.  Linear drift: t*(a_lin + B*y*e^{B t}) =
+    n + 1 with a_lin = gamma0 - alpha0*C/B and y = (alpha0/B)(x + C/B), by
+    `safeguarded_root` from the seed W(n/y)/B.  With alpha0 = 0 the saddle
+    is (n+1)/gamma0, or 1.0 when w is constant (gamma0 = 0).  The seed is
+    t* itself except in the linear case.
+    """
+    if params.alpha0 == 0:
+        t = (n + 1) / params.gamma0 if params.gamma0 else 1.0
+        return t, t
+    regime = classify(params)
+    B, C = regime.coeffs.B, regime.coeffs.C
+    if regime.kind is DriftKind.CONSTANT:
+        X = params.alpha0 * x + params.gamma0
+        Y = params.alpha0 * C
+        if Y == 0:
+            t = (n + 1) / X
+        else:
+            t = (-X + math.sqrt(X * X + 4.0 * Y * (n + 1))) / (2.0 * Y)
+        return t, t
+    y = (params.alpha0 / B) * (x + C / B)
+    a_lin = params.gamma0 - params.alpha0 * C / B
+    seed = lambert_w0(n / y) / B
+
+    def excess(t: float) -> tuple[float, float]:
+        grow = B * y * math.exp(B * t)
+        return t * (a_lin + grow) - (n + 1), a_lin + grow * (1.0 + B * t)
+
+    # excess(seed) = a_lin*seed - 1, so the bracket reaches t <= 0 only when
+    # a_lin > 0, and then excess < 0 there: the root found is the positive one.
+    # The tolerance keeps the residual a decade inside 1e-12 * (n + 1).
+    t, _ = safeguarded_root(excess, seed, tol=1e-13 * (n + 1), limit=1e9)
+    return t, seed
 
 
 def _principal_pow(base: complex, exponent: float) -> complex:

@@ -307,20 +307,9 @@ def _distribution_from_log_row(n: int, log_row: np.ndarray) -> HeightDistributio
     log_p = log_row - log_total
     k = np.arange(n + 1, dtype=float)
     with np.errstate(divide="ignore"):
-        log_k = np.log(k)
-        log_kk1 = np.log(k) + np.log(np.maximum(k - 1.0, 0.0))
-    mean = math.exp(log_sum_exp(log_p + log_k)) if n >= 1 else 0.0
-    if n >= 2:
-        ekk1 = math.exp(log_sum_exp((log_p + log_kk1)[2:]))
-    else:
-        ekk1 = 0.0
-    variance = ekk1 + mean - mean * mean
-    if mean > 0 and variance < 1e-6 * mean:
-        # Factorial-moment form cancels catastrophically for near-degenerate
-        # laws; fall back to a compensated direct second central moment.
-        p = np.exp(log_p)
-        variance = math.fsum(p * (k - mean) ** 2)
-    variance = max(variance, 0.0)
+        mean = math.exp(log_sum_exp(log_p + np.log(k))) if n >= 1 else 0.0
+    # Compensated second central moment: no cancellation between moments.
+    variance = math.fsum(np.exp(log_p) * (k - mean) ** 2)
     return HeightDistribution(n, log_p, mean, variance, log_total)
 
 

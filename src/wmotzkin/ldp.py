@@ -15,10 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closedform import SingularityMap
-from .errors import ConvergenceError, DomainError, RegimeError
+from .errors import DomainError
 from .exact import final_log_row
-from .model import ModelParams, Regime, classify, is_balanced
-from .specfun import log_sum_exp
+from .model import QUADRATIC, ModelParams, Regime, require
+from .specfun import log_sum_exp, safeguarded_root
 
 THETA_LIMIT = 60.0  # |theta| beyond this saturates F' in double precision
 
@@ -32,32 +32,13 @@ class CgfValues:
     deriv2: float
 
 
-def _require_quadratic_balanced(params: ModelParams) -> Regime:
-    if params.is_degenerate:
-        raise DomainError(
-            "degenerate model (alpha0 = 0): height is a point mass at 0"
-        )
-    if not is_balanced(params):
-        raise RegimeError(
-            f"limit CGF requires balanced parameters; beta0={params.beta0} "
-            f"!= b={params.b}"
-        )
-    regime = classify(params)
-    if not regime.is_quadratic:
-        raise RegimeError(
-            "no speed-n large-deviation scale when A = 0 "
-            f"(drift regime {regime.kind.value})"
-        )
-    return regime
-
-
 def limit_cgf(params: ModelParams, theta: float) -> CgfValues:
     """F(theta) = log(tau(1)/tau(e^theta)) with F' and F''.
 
     F'(theta) = x*chi(x) and F''(theta) = x*chi(x) + x^2*chi'(x) at
     x = e^theta, where chi = -tau'/tau and chi' = chi^2 - tau''/tau.
     """
-    _require_quadratic_balanced(params)
+    require(params, QUADRATIC)
     smap = SingularityMap(params)
     x = math.exp(theta)
     der = smap.derivatives(x)
@@ -81,67 +62,20 @@ class RatePoint:
 def rate_function(params: ModelParams, u: float) -> RatePoint:
     """I(u) = u*theta(u) - F(theta(u)) with F'(theta(u)) = u, 0 < u < 1.
 
-    Solved by safeguarded Newton; a ConvergenceError signals that u is
-    numerically indistinguishable from 0 or 1 within |theta| <= 60.
+    Solved by `safeguarded_root` from theta = 0; a ConvergenceError signals
+    that u is numerically indistinguishable from 0 or 1 within |theta| <= 60.
     """
-    _require_quadratic_balanced(params)
+    require(params, QUADRATIC)
     if not 0.0 < u < 1.0:
         raise DomainError(f"u must be in (0, 1), got {u}")
+    vals = None
 
-    lo, hi = None, None
-    theta = 0.0
-    step = 1.0
-    g0 = limit_cgf(params, 0.0).deriv1 - u
-    if g0 == 0.0:
-        return RatePoint(u, 0.0, 0.0)
-    if g0 > 0:
-        hi = 0.0
-        probe = -step
-        while probe >= -THETA_LIMIT:
-            if limit_cgf(params, probe).deriv1 - u <= 0:
-                lo = probe
-                break
-            hi = probe
-            probe -= step
-            step *= 2.0
-        if lo is None:
-            raise ConvergenceError(
-                f"F'(theta) stays above u={u} down to theta={-THETA_LIMIT}"
-            )
-    else:
-        lo = 0.0
-        probe = step
-        while probe <= THETA_LIMIT:
-            if limit_cgf(params, probe).deriv1 - u >= 0:
-                hi = probe
-                break
-            lo = probe
-            probe += step
-            step *= 2.0
-        if hi is None:
-            raise ConvergenceError(
-                f"F'(theta) stays below u={u} up to theta={THETA_LIMIT}"
-            )
-
-    theta = 0.5 * (lo + hi)
-    for _ in range(100):
+    def excess(theta: float) -> tuple[float, float]:
+        nonlocal vals
         vals = limit_cgf(params, theta)
-        resid = vals.deriv1 - u
-        if abs(resid) <= 1e-13:
-            break
-        if resid > 0:
-            hi = theta
-        else:
-            lo = theta
-        theta_next = theta - resid / vals.deriv2 if vals.deriv2 > 0 else 0.5 * (lo + hi)
-        if not lo < theta_next < hi:
-            theta_next = 0.5 * (lo + hi)
-        if theta_next == theta:
-            break
-        theta = theta_next
-    else:
-        raise ConvergenceError(f"rate solve for u={u} did not converge")
-    vals = limit_cgf(params, theta)
+        return vals.deriv1 - u, vals.deriv2
+
+    theta, _ = safeguarded_root(excess, 0.0, tol=1e-13, limit=THETA_LIMIT)
     return RatePoint(u, theta, u * theta - vals.value)
 
 
@@ -175,7 +109,7 @@ class RateProfile:
 
 def rate_profile(params: ModelParams, u_grid) -> RateProfile:
     """Rate profile via the Legendre transform at each u in u_grid."""
-    regime = _require_quadratic_balanced(params)
+    regime = require(params, QUADRATIC)
     points = [rate_function(params, float(u)) for u in u_grid]
     return RateProfile(
         regime=regime,
@@ -188,7 +122,7 @@ def rate_profile(params: ModelParams, u_grid) -> RateProfile:
 def parametrized_profile(params: ModelParams, x_grid) -> RateProfile:
     """Rate profile via the x-parametrization u = x*chi(x),
     I = u*log x - log(tau(1)/tau(x)); theta(u) = log x."""
-    regime = _require_quadratic_balanced(params)
+    regime = require(params, QUADRATIC)
     smap = SingularityMap(params)
     tau1 = smap.tau(1.0)
     us, thetas, rates = [], [], []
@@ -234,7 +168,7 @@ def empirical_rates(params: ModelParams, u_grid, n_list) -> list[list[float]]:
 
 def empirical_rate_check(params: ModelParams, u_grid, n_list) -> list[EmpiricalRateRow]:
     """Exact finite-n decay rates against I(u) on a (u, n) grid."""
-    _require_quadratic_balanced(params)
+    require(params, QUADRATIC)
     u_grid = [float(u) for u in u_grid]
     rates = [rate_function(params, u).rate for u in u_grid]
     n_list = sorted(int(n) for n in n_list)

@@ -19,8 +19,9 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import Iterable, Literal
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, RegimeError
 
 PARAM_NAMES = ("a", "b", "c", "alpha0", "beta0", "gamma0")
 
@@ -151,6 +152,9 @@ class DriftKind(Enum):
     COMPLEX_ROOTS = "complex_roots"
 
 
+QUADRATIC = (DriftKind.TWO_REAL_ROOTS, DriftKind.DOUBLE_ROOT, DriftKind.COMPLEX_ROOTS)
+
+
 @dataclass(frozen=True)
 class Regime:
     """Drift classification plus the constants used by the closed forms.
@@ -173,11 +177,7 @@ class Regime:
 
     @property
     def is_quadratic(self) -> bool:
-        return self.kind in (
-            DriftKind.TWO_REAL_ROOTS,
-            DriftKind.DOUBLE_ROOT,
-            DriftKind.COMPLEX_ROOTS,
-        )
+        return self.kind in QUADRATIC
 
     def describe(self) -> str:
         if self.kind is DriftKind.TWO_REAL_ROOTS:
@@ -239,3 +239,35 @@ def classify(params: ModelParams) -> Regime:
         nu_exact=nu_exact,
         c0=params.alpha0 * p + params.gamma0,
     )
+
+
+def require(
+    params: ModelParams,
+    kinds: Iterable[DriftKind] = DriftKind,
+    *,
+    balanced: bool = True,
+    degenerate: Literal["refuse", "weighted", "accept"] = "refuse",
+) -> Regime:
+    """The regime of `params`, or the error of a routine defined on `kinds`.
+
+    Balance (beta0 == b) and a drift kind outside `kinds` raise RegimeError.
+    `degenerate` rules on alpha0 = 0, where the walk never leaves height 0:
+    "refuse" raises DomainError before any regime check; "weighted" accepts
+    it, after the regime checks, when the level weight gamma0 > 0 carries
+    P_n = gamma0^n; "accept" takes every model.
+    """
+    if degenerate == "refuse" and params.is_degenerate:
+        raise DomainError("degenerate model (alpha0 = 0): height is a point mass at 0")
+    if balanced and not is_balanced(params):
+        raise RegimeError(
+            f"requires balanced parameters (beta0 == b); "
+            f"got beta0={params.beta0}, b={params.b}"
+        )
+    regime = classify(params)
+    kinds = tuple(kinds)
+    if regime.kind not in kinds:
+        expected = "/".join(k.value for k in kinds)
+        raise RegimeError(f"expected {expected} drift, got {regime.kind.value}")
+    if degenerate == "weighted" and params.alpha0 == 0 and params.gamma0 == 0:
+        raise DomainError("degenerate constant drift: alpha0 = gamma0 = 0")
+    return regime

@@ -15,19 +15,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import asymptotics
-from .errors import BoundaryError, ConvergenceError, DomainError
+from .errors import BoundaryError, DomainError, RegimeError
 from .exact import _distribution_from_log_row, final_log_row
-from .model import DriftKind, ModelParams, classify, is_balanced
-from .specfun import LOG_ZERO
+from .model import QUADRATIC, DriftKind, ModelParams, require
+from .specfun import LOG_ZERO, safeguarded_root
 
 
 def uniform_error_applies(params: ModelParams) -> bool:
     """Whether Daniels' uniform O(1/n) interior error bound covers the model:
-    balanced, A > 0 and alpha0 > 0, but not complex roots with c = 0, whose
-    law oscillates in k (relative error 0.1-1.1 on [0.2n, 0.8n] at every n).
+    the domain of the quadratic asymptotics (balanced, A > 0, alpha0 > 0),
+    but not complex roots with c = 0, whose law oscillates in k (relative
+    error 0.1-1.1 on [0.2n, 0.8n] at every n).
     """
-    regime = classify(params)
-    if params.is_degenerate or not (is_balanced(params) and regime.is_quadratic):
+    try:
+        regime = require(params, QUADRATIC)
+    except (DomainError, RegimeError):
         return False
     return not (regime.kind is DriftKind.COMPLEX_ROOTS and params.c == 0)
 
@@ -69,6 +71,8 @@ class CumulantEvaluator:
         finite = np.nonzero(log_row > LOG_ZERO)[0]
         self.k_min = int(finite[0])
         self.k_max = int(finite[-1])
+        # Untilted log normaliser and mean, shared by every saddle solve.
+        self.at_zero = self.kappa(0.0, order=2)
 
     @classmethod
     def from_params(cls, params: ModelParams, n: int) -> "CumulantEvaluator":
@@ -113,52 +117,27 @@ class CumulantEvaluator:
             raise BoundaryError(
                 f"no mass beyond k={k}: support is [{self.k_min}, {self.k_max}]"
             )
-        tol = 1e-9 * max(1.0, float(k))
+        vals = self.at_zero
 
-        lo, hi = 0.0, 0.0
-        step = 1.0
-        start = self.kappa(0.0, order=1).mean
-        if start > k:
-            while True:
-                lo -= step
-                if self.kappa(lo, order=1).mean <= k:
-                    hi = lo + step
-                    break
-                step *= 2.0
-        else:
-            while True:
-                hi += step
-                if self.kappa(hi, order=1).mean >= k:
-                    lo = hi - step
-                    break
-                step *= 2.0
-
-        theta = 0.5 * (lo + hi)
-        for iteration in range(1, 81):
+        def excess(theta: float) -> tuple[float, float]:
+            nonlocal vals
             vals = self.kappa(theta, order=2)
-            resid = vals.mean - k
-            if abs(resid) <= tol:
-                log_p = (
-                    -0.5 * math.log(2.0 * math.pi * vals.variance)
-                    + vals.kappa
-                    - self.kappa(0.0, order=0).kappa
-                    - k * theta
-                )
-                return SaddleResult(
-                    theta, vals.kappa, vals.mean, vals.variance, log_p, iteration
-                )
-            if resid > 0:
-                hi = theta
-            else:
-                lo = theta
-            if vals.variance > 0:
-                theta_next = theta - resid / vals.variance
-            else:
-                theta_next = 0.5 * (lo + hi)
-            if not lo < theta_next < hi:
-                theta_next = 0.5 * (lo + hi)
-            theta = theta_next
-        raise ConvergenceError(f"saddle solve for k={k} did not converge")
+            return vals.mean - k, vals.variance
+
+        theta, iterations = safeguarded_root(
+            excess,
+            0.0,
+            tol=1e-9 * max(1.0, float(k)),
+            f_start=self.at_zero.mean - k,
+            max_iter=80,
+        )
+        log_p = (
+            -0.5 * math.log(2.0 * math.pi * vals.variance)
+            + vals.kappa
+            - self.at_zero.kappa
+            - k * theta
+        )
+        return SaddleResult(theta, vals.kappa, vals.mean, vals.variance, log_p, iterations)
 
     def daniels_log_pmf(self, k: int) -> float:
         """Daniels lattice saddlepoint log probability at interior k."""

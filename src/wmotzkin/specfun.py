@@ -1,8 +1,10 @@
-"""Numerical special functions and sign-aware log-space accumulation.
+"""Numerical special functions, sign-aware log-space accumulation, and the
+safeguarded root finder.
 
 Everything downstream (exact rows, cumulants, two-variable Hermite values)
 funnels its cancellation-prone sums through the signed log-sum-exp here, so
-there is a single audited code path for them.
+there is a single audited code path for them; likewise every saddle and
+Legendre solve goes through `safeguarded_root`.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import ConvergenceError, DomainError
 
 LOG_ZERO = float("-inf")
 
@@ -110,6 +112,51 @@ def lambert_w0(z: float) -> float:
         if abs(dw) <= 1e-16 * (1.0 + abs(w)):
             break
     return w
+
+
+def safeguarded_root(f, start, *, tol, limit=math.inf, f_start=None, max_iter=100):
+    """Root of an increasing function, given f(x) -> (f(x), f'(x)).
+
+    A bracket grows from `start` toward the root in steps of 1, 2, 4, ...
+    (probes start -+ 1, 3, 7, ..., the last one clamped to start -+ limit);
+    ConvergenceError if f has not changed sign by the limit.  Newton
+    then runs from the bracket's midpoint, bisecting whenever a step leaves
+    the shrinking bracket or the slope is not positive, and stops when
+    |f(x)| <= tol or x stops moving.  `f_start`, if known, spares the
+    evaluation at `start`.  Returns (x, Newton steps), where x is the point
+    of the last evaluation of f.
+    """
+    value = f(start)[0] if f_start is None else f_start
+    if value == 0.0:
+        return start, 0
+    sign = -1.0 if value > 0 else 1.0  # direction of the root
+    near, step = start, 1.0
+    while abs(near - start) < limit:
+        probe = start + sign * min(abs(near - start) + step, limit)
+        if sign * f(probe)[0] >= 0:
+            break
+        near, step = probe, 2.0 * step
+    else:
+        raise ConvergenceError(
+            f"no root between {start:g} and {start + sign * limit:g}: f keeps its sign"
+        )
+    lo, hi = min(near, probe), max(near, probe)
+    x = 0.5 * (lo + hi)
+    for steps in range(1, max_iter + 1):
+        value, slope = f(x)
+        if abs(value) <= tol:
+            return x, steps
+        if value > 0:
+            hi = x
+        else:
+            lo = x
+        x_next = x - value / slope if slope > 0 else 0.5 * (lo + hi)
+        if not lo < x_next < hi:
+            x_next = 0.5 * (lo + hi)
+        if x_next == x:
+            return x, steps
+        x = x_next
+    raise ConvergenceError(f"root not within |f| <= {tol:g} after {max_iter} steps")
 
 
 def hermite_kdf(x_coeff: float, y_coeff: float, n: int) -> tuple[float, int]:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from wmotzkin import (
     AccuracyError,
@@ -12,6 +13,7 @@ from wmotzkin import (
     SingularityMap,
     build_triangle,
 )
+from wmotzkin.closedform import modulus_saddle
 from corpus import (
     COMPLEX_UNIT,
     DOUBLE_ROOT,
@@ -141,17 +143,42 @@ def test_taylor_rejects_bad_order():
 
 
 def test_special_case_power_one_matches_general_path():
-    # alpha0 == A: the direct-ratio branch must agree with the generic
-    # principal-power evaluation used on contours.
-    params = ModelParams(1, 2, 5, 1, 2, 0)
+    # alpha0 == A gives nu = 1, where w is the plain ratio
+    # e^{c0 t} (r1 - r2) / ((x - r2) - (x - r1) e^{A (r1 - r2) t}); eval's
+    # general principal-power formula must reproduce it.
+    params = ModelParams(1, 2, 5, 1, 2, 0)  # Q = x^2 + 5x + 2, gamma0 = 0
+    r1, r2 = (-5.0 - math.sqrt(17.0)) / 2.0, (-5.0 + math.sqrt(17.0)) / 2.0
     ev = EgfEvaluator(params)
     tau = SingularityMap(params).tau(1.0)
     for frac in (0.1, 0.5, 0.9):
         t = frac * tau
-        direct = ev.eval(1.0, t)
-        generic = ev._eval_complex(1.0, complex(t, 0.0))
-        assert abs(generic.imag) <= 1e-12 * abs(direct)
-        assert math.isclose(generic.real, direct, rel_tol=1e-12)
+        denom = (1.0 - r2) - (1.0 - r1) * math.exp((r1 - r2) * t)
+        ratio = math.exp(r1 * t) * (r1 - r2) / denom
+        assert math.isclose(ev.eval(1.0, t), ratio, rel_tol=1e-12)
+
+
+small = st.integers(min_value=0, max_value=5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    small, small, small, small,
+    st.floats(min_value=0.05, max_value=5.0),
+    st.integers(min_value=0, max_value=400),
+)
+def test_modulus_saddle_residual(b, c, alpha0, gamma0, x, n):
+    # A = 0 and balanced: log w = alpha0*x*t + alpha0*C*t^2/2 + gamma0*t
+    # (c = 0), or (alpha0/B)(e^{Bt} - 1)(x + C/B) + (gamma0 - alpha0*C/B)*t.
+    assume(alpha0 + gamma0 > 0)
+    t, _ = modulus_saddle(ModelParams(0, b, c, alpha0, b, gamma0), x, n)
+    if alpha0 == 0:
+        slope = gamma0  # w = e^{gamma0 t}: the walk stays at height 0
+    elif c == 0:
+        slope = alpha0 * x + alpha0 * b * t + gamma0
+    else:
+        slope = alpha0 * math.exp(c * t) * (x + b / c) + gamma0 - alpha0 * b / c
+    assert t > 0
+    assert abs(t * slope - (n + 1)) <= 1e-12 * (n + 1)
 
 
 def test_blowup_rate_near_singularity():

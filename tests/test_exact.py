@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -175,6 +176,18 @@ def test_degenerate_point_mass():
     assert dist.variance == 0.0
     assert dist.log_p[0] == 0.0
     assert all(v == LOG_ZERO for v in dist.log_p[1:])
+
+
+def test_variance_matches_big_int_moment():
+    # The variance is the compensated second central moment of the row; the
+    # factorial-moment form E[k(k-1)] + mean - mean^2 lost 2e-11 here.
+    params = ModelParams(3, 1, 4, 2, 1, 2)
+    row = build_triangle(params, 300).row(300)
+    total = sum(row)
+    mean = Fraction(sum(k * w for k, w in enumerate(row)), total)
+    exact = float(Fraction(sum(k * k * w for k, w in enumerate(row)), total) - mean * mean)
+    assert math.isclose(exact, 67.83225389749464, rel_tol=1e-15)
+    assert math.isclose(height_distribution(params, 300).variance, exact, rel_tol=1e-12)
 
 
 def test_capacity_budget():

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wmotzkin import (
     ConvergenceError,
     CumulantEvaluator,
     DomainError,
+    ModelParams,
     RegimeError,
     empirical_rate_check,
     final_log_row,
@@ -114,8 +116,6 @@ def test_rate_closed_form_reference():
 
 
 def test_rate_matches_closed_form_all_r():
-    from wmotzkin import ModelParams
-
     cases = {-1.0: DOUBLE_ROOT, -2.0: ModelParams(1, 4, 4, 2, 4, 1),
              -0.5: ModelParams(4, 1, 4, 3, 1, 1)}
     for r, params in cases.items():
@@ -138,6 +138,21 @@ def test_parametrized_profile_matches_legendre():
             direct = rate_function(params, float(u))
             assert abs(direct.rate - rate) <= 1e-8
             assert abs(direct.theta - theta) <= 1e-7
+
+
+coefficient = st.integers(min_value=1, max_value=5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(coefficient, coefficient, coefficient, coefficient, coefficient)
+def test_parametrized_profile_matches_rate_profile_random(a, b, c, alpha0, gamma0):
+    # Balanced (beta0 = b) with A = a >= 1: every quadratic sub-regime, and
+    # C = b >= 1 keeps the roots off 0.
+    params = ModelParams(a, b, c, alpha0, b, gamma0)
+    prof = parametrized_profile(params, [0.5, 1.0, 2.0])
+    legendre = rate_profile(params, prof.u)
+    assert np.all(np.abs(legendre.rate - prof.rate) <= 1e-8)
+    assert np.all(np.abs(legendre.theta - prof.theta) <= 1e-7)
 
 
 def test_parametrized_profile_examples():

@@ -1,18 +1,22 @@
 import json
+import math
 
 import pytest
 from hypothesis import given, strategies as st
 
+import wmotzkin as wm
 from wmotzkin import (
     ConfigError,
     DomainError,
     DriftKind,
     ModelParams,
+    RegimeError,
     classify,
     is_balanced,
     step_weights,
 )
-from corpus import CORPUS, DEGENERATE, SHOWCASE
+from wmotzkin.saddlepoint import uniform_error_applies
+from corpus import CORPUS, DEGENERATE, DEGENERATE_QUADRATIC, SHOWCASE
 
 nonneg = st.integers(min_value=0, max_value=9)
 params_strategy = st.builds(ModelParams, nonneg, nonneg, nonneg, nonneg, nonneg, nonneg)
@@ -146,3 +150,63 @@ def test_parse_errors():
         ModelParams.parse("")
     with pytest.raises(ConfigError):
         ModelParams.parse("{not json")
+
+
+# Every public routine behind the regime guard, in the column order of
+# GUARD_TABLE below.
+GUARDED = [
+    wm.EgfEvaluator,
+    wm.SingularityMap,
+    lambda p: wm.log_pn_quadratic(p, 1.0, 20),
+    lambda p: wm.asymptotic_moments(p, 20),
+    lambda p: wm.log_pn_constant_drift(p, 1.0, 20),
+    lambda p: wm.log_pn_constant_drift_exact(p, 1.0, 20),
+    lambda p: wm.constant_drift_moments(p, 20),
+    lambda p: wm.log_pn_linear_drift(p, 1.0, 20),
+    lambda p: wm.limit_cgf(p, 0.3),
+    lambda p: wm.rate_function(p, 0.4),
+    lambda p: wm.rate_profile(p, [0.4]),
+    lambda p: wm.parametrized_profile(p, [2.0]),
+    lambda p: wm.empirical_rate_check(p, [0.4], [20]),
+]
+OUTCOME = {".": None, "R": RegimeError, "D": DomainError}
+
+# (model, outcome per GUARDED routine: "." returns, "R" RegimeError,
+# "D" DomainError, uniform_error_applies); balanced then unbalanced per regime.
+GUARD_TABLE = [
+    ((0, 2, 0, 3, 2, 1), ".RRR...RRRRRR", False),  # constant
+    ((0, 0, 0, 1, 1, 1), "RRRRRR.RRRRRR", False),  # constant_drift_moments skips balance
+    ((0, 1, 1, 1, 1, 1), ".RRRRRR.RRRRR", False),  # linear
+    ((0, 1, 2, 1, 0, 1), "RRRRRRRRRRRRR", False),
+    ((1, 5, 6, 8, 5, 1), "....RRRR.....", True),  # two real roots
+    ((1, 5, 6, 8, 3, 1), "R.RRRRRRRRRRR", False),  # SingularityMap skips balance
+    ((1, 1, 2, 1, 1, 0), "....RRRR.....", True),  # double root
+    ((1, 1, 2, 2, 0, 1), "R.RRRRRRRRRRR", False),
+    ((1, 1, 0, 1, 1, 1), "....RRRR.....", False),  # complex roots, c = 0
+    ((1, 1, 1, 1, 0, 2), "R.RRRRRRRRRRR", False),
+    (DEGENERATE.as_tuple(), ".RDD...DDDDDD", False),  # alpha0 = 0, gamma0 > 0
+    (DEGENERATE_QUADRATIC.as_tuple(), "..DDRRRDDDDDD", False),
+    ((0, 1, 0, 0, 1, 0), ".RDDDD.DDDDDD", False),  # alpha0 = gamma0 = 0
+]
+
+
+@pytest.mark.parametrize("model, outcomes, uniform", GUARD_TABLE)
+def test_guarded_routine_outcomes(model, outcomes, uniform):
+    params = ModelParams(*model)
+    assert len(outcomes) == len(GUARDED)
+    for routine, outcome in zip(GUARDED, outcomes):
+        error = OUTCOME[outcome]
+        if error is None:
+            routine(params)
+        else:
+            with pytest.raises(error):
+                routine(params)
+    assert uniform_error_applies(params) is uniform
+
+
+def test_constant_drift_point_mass_answers():
+    # alpha0 = 0 with gamma0 > 0: P_n(x) = gamma0^n, a point mass at height 0.
+    assert math.isclose(
+        wm.log_pn_constant_drift_exact(DEGENERATE, 1.0, 50), 50 * math.log(2.0), rel_tol=1e-15
+    )
+    assert wm.constant_drift_moments(DEGENERATE, 50) == (0.0, 0.0)

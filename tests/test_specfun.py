@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from wmotzkin import (
+    ConvergenceError,
     DomainError,
     LOG_ZERO,
     hermite_kdf,
@@ -14,7 +15,7 @@ from wmotzkin import (
     log_sum_exp,
     signed_log_sum_exp,
 )
-from wmotzkin.specfun import OMEGA
+from wmotzkin.specfun import OMEGA, safeguarded_root
 
 
 def test_log_sum_exp_basics():
@@ -134,3 +135,32 @@ def test_hermite_matches_taylor_of_generating_exponential():
         h = sign * math.exp(mag)
         expected = coeffs[n] * math.factorial(n)
         assert math.isclose(h, expected, rel_tol=1e-9)
+
+
+def test_safeguarded_root_bracket_and_newton():
+    probes = []
+
+    def cube(x):
+        probes.append(x)
+        return x**3 - 2.0, 3.0 * x * x
+
+    x, steps = safeguarded_root(cube, 0.0, tol=1e-14)
+    assert abs(x - 2.0 ** (1.0 / 3.0)) <= 1e-14
+    assert probes[:4] == [0.0, 1.0, 3.0, 2.0]  # start, probes, bracket midpoint
+    assert steps == len(probes) - 3 and x == probes[-1]
+    # A known value at the start spares that evaluation; a root there ends it.
+    probes.clear()
+    assert safeguarded_root(cube, 0.0, tol=1e-14, f_start=-2.0)[0] == x
+    assert probes[0] == 1.0
+    assert safeguarded_root(cube, 5.0, tol=1e-14, f_start=0.0) == (5.0, 0)
+
+
+def test_safeguarded_root_limit():
+    def saturating(x):
+        return math.tanh(x) - 1.5, 1.0 / math.cosh(x) ** 2
+
+    with pytest.raises(ConvergenceError):
+        safeguarded_root(saturating, 0.0, tol=1e-12, limit=60.0)
+    # The last probe is clamped to the limit: a root at 50 is still found.
+    x, _ = safeguarded_root(lambda x: (x - 50.0, 1.0), 0.0, tol=1e-12, limit=60.0)
+    assert x == 50.0
