@@ -145,7 +145,7 @@ def log_pn_constant_drift_exact(params: ModelParams, x: float, n: int) -> float:
 
 def constant_drift_moments(params: ModelParams, n: int) -> tuple[float, float]:
     """Mean/variance at length n from the Hermite-ratio identities (exact)."""
-    regime = require(params, (DriftKind.CONSTANT,), balanced=False, degenerate="accept")
+    regime = require(params, (DriftKind.CONSTANT,), degenerate="weighted")
     if params.is_degenerate:
         return (0.0, 0.0)
     X1 = params.alpha0 + params.gamma0

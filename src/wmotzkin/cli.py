@@ -1,18 +1,18 @@
 """Command-line front end: parameter ingestion, one subcommand per
 analysis, and CSV/JSON/SVG artifact emission.
 
-Each tabular subcommand returns one `Table`, which `_write_csv` or
-`_write_json` renders.  Exit codes: 0 success, 2 configuration error,
-3 numeric-domain error, 4 capacity error.  All floats print with 17
-significant digits so that identical configurations produce
-byte-identical artifacts.
+The argparse namespace is the run configuration: each subparser holds its
+defaults, parses its list flags, and names its handler.  Each tabular
+handler returns one `Table`, which `_write_csv` or `_write_json` streams.
+Exit codes: 0 success, 2 configuration error, 3 numeric-domain error,
+4 capacity error.  All floats print with 17 significant digits so that
+identical configurations produce byte-identical artifacts.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import io
 import itertools
 import json
 import math
@@ -24,16 +24,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import asymptotics, exact, ldp
-from .errors import (
-    AccuracyError,
-    BoundaryError,
-    CapacityError,
-    ConfigError,
-    ConvergenceError,
-    DomainError,
-    MotzkinError,
-    RegimeError,
-)
+from .closedform import EgfEvaluator
+from .errors import CapacityError, ConfigError, MotzkinError
 from .exact import build_triangle, final_log_row, _distribution_from_log_row
 from .model import DriftKind, ModelParams, classify
 from .saddlepoint import profile
@@ -43,6 +35,7 @@ LOG10 = math.log(10.0)
 
 CLASSIC_PARAMS = "a=0 b=0 c=0 alpha0=1 beta0=1 gamma0=1"
 SHOWCASE_PARAMS = "a=1 b=5 c=6 alpha0=8 beta0=5 gamma0=1"
+DEFAULT_U_GRID = [i / 20 for i in range(1, 20)]
 
 TRIANGLE_EXACT_MAX_N = 500
 TRIANGLE_LOG_MAX_N = 20000
@@ -51,61 +44,46 @@ TRIANGLE_LOG_MAX_N = 20000
 TRIANGLE_HEADER_EXACT = "n,k,log_weight,weight_decimal"
 TRIANGLE_HEADER_LOG = "n,k,log_weight"
 DIST_HEADER = "k,log_p,p"
-ASYM_HEADER = (
-    "n,log_pn_exact,log_pn_asym,mu_exact,mu_asym,sigma2_exact,sigma2_asym"
-)
+ASYM_HEADER = "n,log_pn_exact,log_pn_asym,mu_exact,mu_asym,sigma2_exact,sigma2_asym"
 PROFILE_HEADER = "k,log10_exact,log10_daniels,log10_gaussian"
 PROFILE_LINEAR_HEADER = "k,p_exact,p_daniels,p_gaussian"
 PROFILE_LOG_HEADER = "k,log10_exact,log10_daniels,log10_gaussian,log10_ldp_line"
 LDP_HEADER_BASE = "u,theta,I"
 EGF_HEADER = "x,n,coeff_exact,coeff_egf,rel_err"
 
-@dataclass
-class RunConfig:
-    subcommand: str
-    params: ModelParams
-    n: int = 100
-    representation: str = "exact"
-    epsilon: float = 0.01
-    x: float = 1.0
-    x_list: list[float] = field(default_factory=lambda: [0.5, 1.0, 2.0])
-    n_terms: int = 9
-    u_grid: list[float] = field(default_factory=lambda: [i / 20 for i in range(1, 20)])
-    n_list: list[int] = field(default_factory=list)
-    out_format: str = "csv"
-    out: str | None = None
+# Rows per json.dumps call when streaming JSON: large enough to amortise
+# the call, small enough that a chunk's dicts and text stay near a megabyte.
+JSON_CHUNK_ROWS = 1024
 
 
 def _load_params(source: str) -> ModelParams:
     path = Path(source)
-    if path.is_file():
-        return ModelParams.parse(path.read_text())
-    return ModelParams.parse(source)
+    return ModelParams.parse(path.read_text() if path.is_file() else source)
 
 
-def _parse_float_list(raw: str, flag: str) -> list[float]:
-    try:
-        values = [float(tok) for tok in raw.replace(",", " ").split()]
-    except ValueError as exc:
-        raise ConfigError(f"{flag} must be a comma-separated float list: {exc}")
-    if not values:
-        raise ConfigError(f"{flag} must be nonempty")
-    return values
+def _list_of(kind):
+    """argparse `type=`: a nonempty comma- or space-separated list of `kind`."""
+
+    def parse(raw: str) -> list:
+        values = [kind(token) for token in raw.replace(",", " ").split()]
+        if not values:
+            raise argparse.ArgumentTypeError("must be a nonempty list")
+        return values
+
+    parse.__name__ = f"{kind.__name__} list"  # argparse names it in its errors
+    return parse
 
 
-def _parse_int_list(raw: str, flag: str) -> list[int]:
-    try:
-        values = [int(tok) for tok in raw.replace(",", " ").split()]
-    except ValueError as exc:
-        raise ConfigError(f"{flag} must be a comma-separated integer list: {exc}")
-    if not values:
-        raise ConfigError(f"{flag} must be nonempty")
-    return values
+def _check_range(flag: str, values: Iterable, lo, hi, *, open_ends: bool = False) -> None:
+    """Raise ConfigError unless every value lies in [lo, hi], or in (lo, hi)
+    with `open_ends`; nan lies in neither."""
+    for value in values:
+        if not (lo < value < hi if open_ends else lo <= value <= hi):
+            interval = f"({lo}, {hi})" if open_ends else f"[{lo}, {hi}]"
+            raise ConfigError(f"{flag} must lie in {interval}, got {value}")
 
 
-# --------------------------------------------------------------------- #
-# SVG emission                                                           #
-# --------------------------------------------------------------------- #
+# ----- SVG emission ----- #
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
@@ -123,6 +101,14 @@ class SvgPlot:
     dropped_points: int
 
 
+def _svg_text(x, y, anchor: str, body, size: int = 10, fill: str = "") -> str:
+    fill_attr = f' fill="{fill}"' if fill else ""
+    return (
+        f'<text x="{x}" y="{y}" text-anchor="{anchor}" font-family="sans-serif" '
+        f'font-size="{size}"{fill_attr}>{body}</text>'
+    )
+
+
 def svg_plot(series: list[Series], scale: str = "linear", title: str = "") -> SvgPlot:
     """Render named series as polylines in a standalone deterministic SVG.
 
@@ -131,34 +117,25 @@ def svg_plot(series: list[Series], scale: str = "linear", title: str = "") -> Sv
     """
     if scale not in ("linear", "log10"):
         raise ConfigError(f"scale must be linear or log10, got {scale!r}")
-    if not series:
-        raise ConfigError("svg_plot requires at least one series")
     dropped = 0
-    cleaned: list[tuple[str, list[float], list[float]]] = []
+    cleaned: list[tuple[str, list[tuple[float, float]]]] = []
     for s in series:
         if len(s.x) != len(s.y):
             raise ConfigError(f"series {s.name!r} has mismatched x/y lengths")
-        xs, ys = [], []
+        points = []
         for xv, yv in zip(s.x, s.y):
             yv = float(yv)
-            if scale == "log10":
-                if not (math.isfinite(yv) and yv > 0.0):
-                    dropped += 1
-                    continue
-                yv = math.log10(yv)
-            elif not math.isfinite(yv):
+            if not math.isfinite(yv) or (scale == "log10" and yv <= 0.0):
                 dropped += 1
                 continue
-            xs.append(float(xv))
-            ys.append(yv)
-        cleaned.append((s.name, xs, ys))
-    if not any(xs for _, xs, _ in cleaned):
-        raise ConfigError("svg_plot received only empty or dropped series")
+            points.append((float(xv), math.log10(yv) if scale == "log10" else yv))
+        cleaned.append((s.name, points))
+    all_points = [p for _, points in cleaned for p in points]
+    if not all_points:
+        raise ConfigError("svg_plot received no plottable point")
 
-    all_x = [v for _, xs, _ in cleaned for v in xs]
-    all_y = [v for _, _, ys in cleaned for v in ys]
-    x_lo, x_hi = min(all_x), max(all_x)
-    y_lo, y_hi = min(all_y), max(all_y)
+    x_lo, x_hi = min(x for x, _ in all_points), max(x for x, _ in all_points)
+    y_lo, y_hi = min(y for _, y in all_points), max(y for _, y in all_points)
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
     if y_hi == y_lo:
@@ -166,64 +143,45 @@ def svg_plot(series: list[Series], scale: str = "linear", title: str = "") -> Sv
 
     width, height = 640, 480
     left, right, top, bottom = 60, 20, 30, 40
+    base = height - bottom  # y of the x axis
 
     def px(xv: float) -> float:
         return left + (xv - x_lo) / (x_hi - x_lo) * (width - left - right)
 
     def py(yv: float) -> float:
-        return height - bottom - (yv - y_lo) / (y_hi - y_lo) * (height - top - bottom)
+        return base - (yv - y_lo) / (y_hi - y_lo) * (height - top - bottom)
 
-    out = io.StringIO()
-    out.write(
+    lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">\n'
-    )
-    out.write(f'<rect width="{width}" height="{height}" fill="white"/>\n')
+        f'height="{height}" viewBox="0 0 {width} {height}">',
+        f'<rect width="{width}" height="{height}" fill="white"/>',
+    ]
     if title:
-        out.write(
-            f'<text x="{width // 2}" y="18" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="13">{title}</text>\n'
-        )
-    # axes
-    out.write(
-        f'<line x1="{left}" y1="{height - bottom}" x2="{width - right}" '
-        f'y2="{height - bottom}" stroke="black"/>\n'
-    )
-    out.write(
-        f'<line x1="{left}" y1="{top}" x2="{left}" y2="{height - bottom}" '
-        f'stroke="black"/>\n'
-    )
+        lines.append(_svg_text(width // 2, 18, "middle", title, size=13))
+    lines += [  # axes
+        f'<line x1="{left}" y1="{base}" x2="{width - right}" y2="{base}" stroke="black"/>',
+        f'<line x1="{left}" y1="{top}" x2="{left}" y2="{base}" stroke="black"/>',
+    ]
     for i in range(5):
         fx = x_lo + (x_hi - x_lo) * i / 4
         fy = y_lo + (y_hi - y_lo) * i / 4
-        out.write(
-            f'<text x="{px(fx):.2f}" y="{height - bottom + 16}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="10">{fx:.4g}</text>\n'
-        )
-        out.write(
-            f'<text x="{left - 6}" y="{py(fy):.2f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="10">{fy:.4g}</text>\n'
-        )
-    for idx, (name, xs, ys) in enumerate(cleaned):
+        lines.append(_svg_text(f"{px(fx):.2f}", base + 16, "middle", f"{fx:.4g}"))
+        lines.append(_svg_text(left - 6, f"{py(fy):.2f}", "end", f"{fy:.4g}"))
+    for idx, (name, points) in enumerate(cleaned):
         color = _PALETTE[idx % len(_PALETTE)]
-        if xs:
-            points = " ".join(f"{px(a):.2f},{py(b):.2f}" for a, b in zip(xs, ys))
-            out.write(
+        if points:
+            coords = " ".join(f"{px(a):.2f},{py(b):.2f}" for a, b in points)
+            lines.append(
                 f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
-                f'points="{points}"/>\n'
+                f'points="{coords}"/>'
             )
-        out.write(
-            f'<text x="{width - right - 8}" y="{top + 14 + 14 * idx}" '
-            f'text-anchor="end" font-family="sans-serif" font-size="11" '
-            f'fill="{color}">{name}</text>\n'
-        )
-    out.write("</svg>\n")
-    return SvgPlot(out.getvalue(), dropped)
+        legend_y = top + 14 + 14 * idx
+        lines.append(_svg_text(width - right - 8, legend_y, "end", name, 11, color))
+    lines.append("</svg>")
+    return SvgPlot("\n".join(lines) + "\n", dropped)
 
 
-# --------------------------------------------------------------------- #
-# Tabular results and their writers                                      #
-# --------------------------------------------------------------------- #
+# ----- tabular results and their writers ----- #
 
 
 @dataclass
@@ -265,64 +223,60 @@ def _write_csv(table: Table, path=None) -> None:
 
 
 def _write_json(table: Table, params: ModelParams, path=None) -> None:
-    """Write `table` as one sort-keyed JSON object: `params`, the table's
-    metadata, and `rows` keyed by the CSV header."""
+    """Stream `table` as one sort-keyed JSON object: `params`, the table's
+    metadata, and `rows` keyed by the CSV header.
+
+    The bytes are those of one `json.dumps(..., sort_keys=True, indent=2)`
+    of the whole object.  The head is dumped with an empty row list and
+    split there; the rows go in between, JSON_CHUNK_ROWS per dump, each
+    chunk's list brackets stripped and its lines indented one level more.
+    """
     columns = table.header.split(",")
-    payload = {
-        "params": params.to_dict(),
-        **table.meta,
-        "rows": [dict(zip(columns, row)) for row in table.rows],
-    }
+    head = {"params": params.to_dict(), **table.meta, "rows": []}
+    before, after = json.dumps(head, sort_keys=True, indent=2).split('"rows": []')
+    rows = (dict(zip(columns, row)) for row in table.rows)
+    chunks = iter(lambda: list(itertools.islice(rows, JSON_CHUNK_ROWS)), [])
     with _open_out(path) as out:
-        out.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        out.write(before + '"rows": [')
+        separator = "\n"
+        for chunk in chunks:
+            body = json.dumps(chunk, sort_keys=True, indent=2)[2:-2]  # drop "[\n", "\n]"
+            out.write(separator + "  " + body.replace("\n", "\n  "))
+            separator = ",\n"
+        out.write(("]" if separator == "\n" else "\n  ]") + after + "\n")
 
 
-# --------------------------------------------------------------------- #
-# Subcommand implementations: each returns one Table                     #
-# --------------------------------------------------------------------- #
+# ----- subcommand handlers: each takes the parsed arguments ----- #
 
 
-def _run_triangle(config: RunConfig) -> Table:
-    if config.n < 0:
-        raise ConfigError(f"--n must be nonnegative, got {config.n}")
-    if config.representation == "exact":
-        if config.n > TRIANGLE_EXACT_MAX_N:
-            raise ConfigError(
-                f"exact triangles are limited to n <= {TRIANGLE_EXACT_MAX_N}; "
-                "use --representation log_space"
-            )
-        tri = build_triangle(config.params, config.n, "exact")
+def _run_triangle(args) -> Table:
+    if args.representation == "exact":
+        flag = "--n (use --representation log_space for larger n)"
+        _check_range(flag, [args.n], 0, TRIANGLE_EXACT_MAX_N)
+        tri = build_triangle(args.params, args.n, "exact")
         rows = (
             (n, k, lw, str(w))
-            for n in range(config.n + 1)
+            for n in range(args.n + 1)
             for k, (lw, w) in enumerate(zip(tri.log_row(n).tolist(), tri.row(n)))
         )
         return Table(TRIANGLE_HEADER_EXACT, rows)
-    if config.representation == "log_space":
-        if config.n > TRIANGLE_LOG_MAX_N:
-            raise ConfigError(
-                f"log-space triangles are limited to n <= {TRIANGLE_LOG_MAX_N}"
-            )
-        # Looked up on the module so that wrappers installed there see the build.
-        log_rows = exact.iter_log_rows(config.params, config.n)
-        rows = (
-            (n, k, lw)
-            for n, log_row in enumerate(log_rows)
-            for k, lw in enumerate(log_row.tolist())
-        )
-        return Table(TRIANGLE_HEADER_LOG, rows)
-    raise ConfigError(f"unknown representation {config.representation!r}")
+    _check_range("--n", [args.n], 0, TRIANGLE_LOG_MAX_N)
+    # Looked up on the module so that wrappers installed there see the build.
+    log_rows = exact.iter_log_rows(args.params, args.n)
+    rows = (
+        (n, k, lw)
+        for n, log_row in enumerate(log_rows)
+        for k, lw in enumerate(log_row.tolist())
+    )
+    return Table(TRIANGLE_HEADER_LOG, rows)
 
 
-def _run_dist(config: RunConfig) -> Table:
-    if config.n < 0:
-        raise ConfigError(f"--n must be nonnegative, got {config.n}")
-    if config.n > TRIANGLE_LOG_MAX_N:
-        raise ConfigError(f"--n is limited to {TRIANGLE_LOG_MAX_N}")
-    dist = _distribution_from_log_row(config.n, final_log_row(config.params, config.n))
+def _run_dist(args) -> Table:
+    _check_range("--n", [args.n], 0, TRIANGLE_LOG_MAX_N)
+    dist = _distribution_from_log_row(args.n, final_log_row(args.params, args.n))
     log_p = dist.log_p.tolist()
     meta = {
-        "n": config.n,
+        "n": args.n,
         "mean": dist.mean,
         "variance": dist.variance,
         "log_normalizer": dist.log_total,
@@ -340,71 +294,71 @@ def _asym_estimate(params: ModelParams, x: float, n: int):
     return asymptotics.log_pn_quadratic(params, x, n)
 
 
-def _run_asym(config: RunConfig) -> Table:
+def _run_asym(args) -> Table:
+    _check_range("--N-list", args.n_list, 1, TRIANGLE_LOG_MAX_N)
+    _check_range("--x", [args.x], 0.0, math.inf, open_ends=True)
     rows = []
-    for n in config.n_list or [50, 100, 200, 400]:
-        if not 1 <= n <= TRIANGLE_LOG_MAX_N:
-            raise ConfigError(f"asym n must be in 1..{TRIANGLE_LOG_MAX_N}, got {n}")
-        log_row = final_log_row(config.params, n)
+    for n in args.n_list:
+        log_row = final_log_row(args.params, n)
         k = np.arange(n + 1, dtype=float)
-        log_exact = log_sum_exp(log_row + k * math.log(config.x))
+        log_exact = log_sum_exp(log_row + k * math.log(args.x))
         dist = _distribution_from_log_row(n, log_row)
-        est = _asym_estimate(config.params, config.x, n)
+        est = _asym_estimate(args.params, args.x, n)
         rows.append(
             (n, log_exact, est.log_pn, dist.mean, est.mu, dist.variance, est.sigma2)
         )
-    return Table(ASYM_HEADER, rows, {"x": config.x})
+    return Table(ASYM_HEADER, rows, {"x": args.x})
 
 
-def _run_saddle(config: RunConfig) -> Table:
-    if not 1 <= config.n <= TRIANGLE_LOG_MAX_N:
-        raise ConfigError(f"--n must be in 1..{TRIANGLE_LOG_MAX_N}, got {config.n}")
-    rows = [
+def _profile_log10(rows) -> list[tuple]:
+    """(k, log10 exact, log10 Daniels, log10 Gaussian) of each profile row."""
+    return [
         (r.k, r.log_p_exact / LOG10, r.log_p_daniels / LOG10, r.log_p_gaussian / LOG10)
-        for r in profile(config.params, config.n, config.epsilon)
+        for r in rows
     ]
-    return Table(PROFILE_HEADER, rows, {"n": config.n, "epsilon": config.epsilon})
 
 
-def _run_ldp(config: RunConfig) -> Table:
-    for u in config.u_grid:
-        if not 0.0 < u < 1.0:
-            raise ConfigError(f"--u-grid entries must be in (0, 1), got {u}")
-    for n in config.n_list:
-        if not 1 <= n <= TRIANGLE_LOG_MAX_N:
-            raise ConfigError(f"--N-list entries must be in 1..{TRIANGLE_LOG_MAX_N}")
-    prof = ldp.rate_profile(config.params, config.u_grid)
-    columns = ldp.empirical_rates(config.params, config.u_grid, config.n_list)
-    header = LDP_HEADER_BASE + "".join(f",emp_{n}" for n in config.n_list)
-    rows = list(zip(config.u_grid, prof.theta.tolist(), prof.rate.tolist(), *columns))
-    return Table(header, rows, {"N_list": config.n_list})
+def _run_saddle(args) -> Table:
+    _check_range("--n", [args.n], 1, TRIANGLE_LOG_MAX_N)
+    rows = _profile_log10(profile(args.params, args.n, args.epsilon))
+    return Table(PROFILE_HEADER, rows, {"n": args.n, "epsilon": args.epsilon})
 
 
-def _run_egf_check(config: RunConfig) -> Table:
-    from .closedform import EgfEvaluator
+def _run_ldp(args) -> Table:
+    _check_range("--u-grid", args.u_grid, 0.0, 1.0, open_ends=True)
+    _check_range("--N-list", args.n_list, 1, TRIANGLE_LOG_MAX_N)
+    prof = ldp.rate_profile(args.params, args.u_grid)
+    columns = ldp.empirical_rates(args.params, args.u_grid, args.n_list)
+    header = LDP_HEADER_BASE + "".join(f",emp_{n}" for n in args.n_list)
+    rows = list(zip(args.u_grid, prof.theta.tolist(), prof.rate.tolist(), *columns))
+    return Table(header, rows, {"N_list": args.n_list})
 
-    if not 1 <= config.n_terms <= 30:
-        raise ConfigError(f"--n must be in 1..30 for egf-check, got {config.n_terms}")
-    ev = EgfEvaluator(config.params)
-    tri = build_triangle(config.params, config.n_terms - 1)
+
+def _run_egf_check(args) -> Table:
+    _check_range("--n", [args.n], 1, 30)
+    ev = EgfEvaluator(args.params)
+    tri = build_triangle(args.params, args.n - 1)
     rows = []
-    for x in config.x_list:
-        coeffs = ev.taylor_coefficients(x, config.n_terms)
-        for n in range(config.n_terms):
+    for x in args.x:
+        coeffs = ev.taylor_coefficients(x, args.n)
+        for n in range(args.n):
             exact_coeff = sum(w * x**k for k, w in enumerate(tri.row(n))) / math.factorial(n)
             rel = abs(coeffs[n] - exact_coeff) / max(abs(exact_coeff), 1e-300)
             rows.append((x, n, exact_coeff, float(coeffs[n]), rel))
     return Table(EGF_HEADER, rows)
 
 
-def _run_figures(config: RunConfig) -> list[Path]:
-    if config.out is None:
+def _run_figures(args) -> None:
+    """Compute every figure table (and plot, with --format svg), then write
+    them under --out and print their paths."""
+    if args.out is None:
         raise ConfigError("figures requires --out DIRECTORY")
-    params, n, u_grid = config.params, config.n, config.u_grid
-    n_list = config.n_list or [100, 200, 400, 800]
+    _check_range("--u-grid", args.u_grid, 0.0, 1.0, open_ends=True)
+    _check_range("--N-list", args.n_list, 1, TRIANGLE_LOG_MAX_N)
+    params, n, u_grid, n_list = args.params, args.n, args.u_grid, args.n_list
 
-    rows = profile(params, n, config.epsilon)
-    line_rates = [ldp.rate_function(params, r.k / n).rate for r in rows]
+    rows = profile(params, n, args.epsilon)
+    line = [-n * ldp.rate_function(params, r.k / n).rate / LOG10 for r in rows]
     u_rates = [ldp.rate_function(params, u).rate for u in u_grid]
     columns = ldp.empirical_rates(params, u_grid, n_list)
     linear = [
@@ -415,12 +369,7 @@ def _run_figures(config: RunConfig) -> list[Path]:
         "profile_linear.csv": Table(PROFILE_LINEAR_HEADER, linear),
         # Log-scale profile with the rate line -n I(u) / log 10.
         "profile_log.csv": Table(
-            PROFILE_LOG_HEADER,
-            [
-                (r.k, r.log_p_exact / LOG10, r.log_p_daniels / LOG10,
-                 r.log_p_gaussian / LOG10, -n * rate / LOG10)
-                for r, rate in zip(rows, line_rates)
-            ],
+            PROFILE_LOG_HEADER, [(*row, y) for row, y in zip(_profile_log10(rows), line)]
         ),
         "rate_scaling.csv": Table(
             "u,I" + "".join(f",emp_{m}" for m in n_list),
@@ -428,7 +377,7 @@ def _run_figures(config: RunConfig) -> list[Path]:
         ),
     }
     plots = {}
-    if config.out_format == "svg":
+    if args.format == "svg":
         ks = tuple(r.k for r in rows)
         curves = [
             Series(name, ks, tuple(row[i] for row in linear))
@@ -445,39 +394,13 @@ def _run_figures(config: RunConfig) -> list[Path]:
             "rate_scaling.svg": svg_plot(rate_series, "linear", "rate scaling"),
         }
 
-    out_dir = Path(config.out)
+    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, table in tables.items():
         _write_csv(table, out_dir / name)
     for name, plot in plots.items():
         (out_dir / name).write_text(plot.document)
-    return [out_dir / name for name in [*tables, *plots]]
-
-
-def run(config: RunConfig) -> int:
-    """Execute a validated run configuration; returns the exit status."""
-    handlers = {
-        "triangle": _run_triangle,
-        "dist": _run_dist,
-        "asym": _run_asym,
-        "saddle": _run_saddle,
-        "ldp": _run_ldp,
-        "egf-check": _run_egf_check,
-    }
-    if config.subcommand == "figures":
-        paths = _run_figures(config)
-        print("\n".join(str(p) for p in paths))
-        return 0
-    if config.subcommand not in handlers:
-        raise ConfigError(f"unknown subcommand {config.subcommand!r}")
-    if config.out_format == "svg":
-        raise ConfigError("--format svg is only available for the figures subcommand")
-    table = handlers[config.subcommand](config)
-    if config.out_format == "json":
-        _write_json(table, config.params, config.out)
-    else:
-        _write_csv(table, config.out)
-    return 0
+    print("\n".join(str(out_dir / name) for name in [*tables, *plots]))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -487,105 +410,79 @@ def _build_parser() -> argparse.ArgumentParser:
         "height-linear step weights.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    ints, floats = _list_of(int), _list_of(float)
 
-    def add_common(sp, default_params=CLASSIC_PARAMS):
+    # Handlers are read from the module globals when the parser is built,
+    # which main() does on every call, so a replaced handler is the one run.
+    def add(name, handler, help, params=CLASSIC_PARAMS, formats=("csv", "json")):
+        sp = sub.add_parser(name, help=help)
+        sp.set_defaults(handler=handler)
         sp.add_argument(
             "--params",
-            default=default_params,
+            default=params,
             help="inline `a=.. b=..` / JSON string, or a file containing either",
         )
-        sp.add_argument("--format", default="csv", choices=("csv", "json", "svg"))
+        sp.add_argument("--format", default="csv", choices=formats)
         sp.add_argument("--out", default=None, help="output file (default stdout)")
+        return sp
 
-    sp = sub.add_parser("triangle", help="emit weight triangle rows")
-    add_common(sp)
+    sp = add("triangle", _run_triangle, "emit weight triangle rows")
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument(
-        "--representation", default="exact", choices=("exact", "log_space")
-    )
+    sp.add_argument("--representation", default="exact", choices=("exact", "log_space"))
 
-    sp = sub.add_parser("dist", help="emit the terminal-height distribution")
-    add_common(sp)
+    sp = add("dist", _run_dist, "emit the terminal-height distribution")
     sp.add_argument("--n", type=int, required=True)
 
-    sp = sub.add_parser("asym", help="exact-vs-asymptotic table")
-    add_common(sp)
-    sp.add_argument("--N-list", dest="n_list", default="50,100,200,400")
+    sp = add("asym", _run_asym, "exact-vs-asymptotic table")
+    sp.add_argument("--N-list", dest="n_list", type=ints, default=[50, 100, 200, 400])
     sp.add_argument("--x", type=float, default=1.0)
 
-    sp = sub.add_parser("saddle", help="exact/Daniels/Gaussian profile")
-    add_common(sp)
+    sp = add("saddle", _run_saddle, "exact/Daniels/Gaussian profile")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--epsilon", type=float, default=0.01)
 
-    sp = sub.add_parser("ldp", help="rate function and empirical scaling")
-    add_common(sp)
-    sp.add_argument("--u-grid", dest="u_grid", default=None)
-    sp.add_argument("--N-list", dest="n_list", default="")
+    sp = add("ldp", _run_ldp, "rate function and empirical scaling")
+    sp.add_argument("--u-grid", dest="u_grid", type=floats, default=DEFAULT_U_GRID)
+    sp.add_argument("--N-list", dest="n_list", type=ints, default=[])
 
-    sp = sub.add_parser("egf-check", help="closed form vs exact coefficients")
-    add_common(sp)
+    sp = add("egf-check", _run_egf_check, "closed form vs exact coefficients")
     sp.add_argument("--n", type=int, default=9, help="number of coefficients (<= 30)")
-    sp.add_argument("--x", dest="x_list", default="0.5,1,2")
+    sp.add_argument("--x", type=floats, default=[0.5, 1.0, 2.0])
 
-    sp = sub.add_parser("figures", help="reproduce the showcase figure data")
-    add_common(sp, default_params=SHOWCASE_PARAMS)
+    sp = add(
+        "figures", _run_figures, "reproduce the showcase figure data",
+        params=SHOWCASE_PARAMS, formats=("csv", "json", "svg"),
+    )
     sp.add_argument("--n", type=int, default=100)
     sp.add_argument("--epsilon", type=float, default=0.01)
-    sp.add_argument("--N-list", dest="n_list", default="100,200,400,800")
-    sp.add_argument("--u-grid", dest="u_grid", default=None)
+    sp.add_argument("--N-list", dest="n_list", type=ints, default=[100, 200, 400, 800])
+    sp.add_argument("--u-grid", dest="u_grid", type=floats, default=DEFAULT_U_GRID)
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    params = _load_params(args.params)
-    config = RunConfig(
-        subcommand=args.subcommand,
-        params=params,
-        out_format=args.format,
-        out=args.out,
-    )
-    if hasattr(args, "n") and args.n is not None:
-        if args.subcommand == "egf-check":
-            config.n_terms = args.n
-        else:
-            config.n = args.n
-    if getattr(args, "representation", None):
-        config.representation = args.representation
-    if getattr(args, "epsilon", None) is not None:
-        config.epsilon = args.epsilon
-    if getattr(args, "x", None) is not None and args.subcommand == "asym":
-        config.x = args.x
-    if getattr(args, "x_list", None):
-        config.x_list = _parse_float_list(args.x_list, "--x")
-    if getattr(args, "u_grid", None):
-        config.u_grid = _parse_float_list(args.u_grid, "--u-grid")
-    raw_n_list = getattr(args, "n_list", "")
-    if raw_n_list:
-        config.n_list = _parse_int_list(raw_n_list, "--N-list")
-    return config
-
-
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        config = _config_from_args(args)
-        return run(config)
+        args.params = _load_params(args.params)
+        table = args.handler(args)
+        if table is None:  # figures writes its own files
+            return 0
+        if args.format == "json":
+            _write_json(table, args.params, args.out)
+        else:
+            _write_csv(table, args.out)
+        return 0
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (DomainError, RegimeError, BoundaryError, ConvergenceError, AccuracyError) as exc:
-        print(f"numeric-domain error: {exc}", file=sys.stderr)
-        return 3
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return 4
     except MotzkinError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"numeric-domain error: {exc}", file=sys.stderr)
         return 3
 
 

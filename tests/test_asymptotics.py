@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wmotzkin import (
     DomainError,
@@ -200,6 +201,26 @@ def test_constant_moments_match_exact():
 def test_constant_degenerate_error():
     with pytest.raises(DomainError):
         log_pn_constant_drift(ModelParams(0, 1, 0, 0, 1, 0), 1.0, 10)
+
+
+coefficient = st.integers(min_value=0, max_value=5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(coefficient, coefficient, coefficient, coefficient, st.integers(min_value=0, max_value=40))
+def test_constant_moments_oracle(b, alpha0, beta0, gamma0, n):
+    # Moment oracle over constant drift (a = c = 0): either the exact law's
+    # mean and variance, or a refusal; never a confident wrong number.
+    params = ModelParams(0, b, 0, alpha0, beta0, gamma0)
+    try:
+        mu, sigma2 = constant_drift_moments(params, n)
+    except (RegimeError, DomainError):
+        return
+    dist = height_distribution(params, n)
+    # Relative, floored at 1: a point mass has variance 0 here and about
+    # 1e-31 from the exact law's rounding.
+    for got, want in ((mu, dist.mean), (sigma2, dist.variance)):
+        assert abs(got - want) <= 1e-10 * max(abs(want), 1.0), (params, n, got, want)
 
 
 # ----- linear drift ----- #

@@ -161,13 +161,27 @@ def test_figures_svg(tmp_path, capsys):
     assert doc.count("<polyline") == 3  # exact, gaussian, daniels
 
 
-def test_exit_codes(capsys):
+def test_exit_codes(tmp_path, capsys):
     # config error: triangle too large for exact representation
     code, _, err = run_main(["triangle", "--n", "501"], capsys)
     assert code == 2 and "log_space" in err
     # numeric-domain error: LDP outside the quadratic balanced class
     code, _, err = run_main(["ldp", "--u-grid", "0.5", "--N-list", "10"], capsys)
     assert code == 3
+    # config errors: --x of asym must be positive and finite
+    for x in ("0", "-1", "inf", "nan"):
+        code, out, _ = run_main(["asym", "--params", SHOWCASE_ARG, "--x", x], capsys)
+        assert (code, out) == (2, ""), x
+    # config errors: figures checks --N-list and --u-grid as ldp does
+    for flag, value in (("--N-list", "0"), ("--N-list", "30000"), ("--u-grid", "0")):
+        args = ["figures", flag, value, "--out", str(tmp_path / "figs")]
+        code, out, _ = run_main(args, capsys)
+        assert (code, out) == (2, ""), (flag, value)
+        assert not (tmp_path / "figs").exists()
+    # config errors: an explicitly empty list value
+    for args in (["asym", "--N-list", ""], ["ldp", "--N-list", ""],
+                 ["ldp", "--u-grid", " "], ["egf-check", "--x", ""]):
+        assert run_main(args, capsys)[0] == 2, args
 
 
 def test_capacity_exit_code(capsys, monkeypatch):
@@ -228,17 +242,61 @@ def test_json_rows_match_csv(case, capsys):
                 assert float(cell) == value, (column, cell, value)
 
 
-def test_log_space_triangle_streams(tmp_path):
-    out = tmp_path / "tri.csv"
+# Column types of the CSV cells; every other column holds floats.
+CELL_TYPES = {"n": int, "k": int, "weight_decimal": str}
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 1024])
+@pytest.mark.parametrize(
+    "argv", [*TABLE_CASES.values(), ["saddle", "--params", SHOWCASE_ARG, "--n", "1",
+                                     "--epsilon", "0.4"]],
+    ids=[*TABLE_CASES, "saddle_no_rows"],
+)
+def test_json_is_one_document(argv, chunk_rows, capsys, monkeypatch):
+    # The streamed JSON equals, byte for byte, one json.dumps of the whole
+    # object built here from the CSV rows and the metadata.
+    import wmotzkin.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod, "JSON_CHUNK_ROWS", chunk_rows)
+    code, csv_text, _ = run_main(argv, capsys)
+    assert code == 0
+    code, json_text, _ = run_main(argv + ["--format", "json"], capsys)
+    assert code == 0
+    header, *lines = csv_text.splitlines()
+    columns = header.split(",")
+    rows = [
+        {c: CELL_TYPES.get(c, float)(cell) for c, cell in zip(columns, line.split(","))}
+        for line in lines
+    ]
+    meta = {k: v for k, v in json.loads(json_text).items() if k not in ("params", "rows")}
+    document = {"params": ModelParams.parse(argv[2]).to_dict(), **meta, "rows": rows}
+    assert json_text == json.dumps(document, sort_keys=True, indent=2) + "\n"
+
+
+def _traced_peak(argv):
     tracemalloc.start()
     try:
-        code = main(["triangle", "--n", "600", "--representation", "log_space",
-                     "--out", str(out)])
-        peak = tracemalloc.get_traced_memory()[1]
+        code = main(argv)
+        return code, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_log_space_triangle_streams(tmp_path):
+    out = tmp_path / "tri.csv"
+    code, peak = _traced_peak(["triangle", "--n", "600", "--representation", "log_space",
+                               "--out", str(out)])
     assert code == 0
     assert len(out.read_text().splitlines()) == 1 + 601 * 602 // 2
+    assert peak < 5 * 2**20
+
+
+def test_log_space_triangle_json_streams(tmp_path):
+    out = tmp_path / "tri.json"
+    code, peak = _traced_peak(["triangle", "--n", "600", "--representation", "log_space",
+                               "--format", "json", "--out", str(out)])
+    assert code == 0
+    assert len(json.loads(out.read_text())["rows"]) == 601 * 602 // 2
     assert peak < 5 * 2**20
 
 

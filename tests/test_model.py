@@ -175,7 +175,7 @@ OUTCOME = {".": None, "R": RegimeError, "D": DomainError}
 # "D" DomainError, uniform_error_applies); balanced then unbalanced per regime.
 GUARD_TABLE = [
     ((0, 2, 0, 3, 2, 1), ".RRR...RRRRRR", False),  # constant
-    ((0, 0, 0, 1, 1, 1), "RRRRRR.RRRRRR", False),  # constant_drift_moments skips balance
+    ((0, 0, 0, 1, 1, 1), "RRRRRRRRRRRRR", False),
     ((0, 1, 1, 1, 1, 1), ".RRRRRR.RRRRR", False),  # linear
     ((0, 1, 2, 1, 0, 1), "RRRRRRRRRRRRR", False),
     ((1, 5, 6, 8, 5, 1), "....RRRR.....", True),  # two real roots
@@ -186,7 +186,7 @@ GUARD_TABLE = [
     ((1, 1, 1, 1, 0, 2), "R.RRRRRRRRRRR", False),
     (DEGENERATE.as_tuple(), ".RDD...DDDDDD", False),  # alpha0 = 0, gamma0 > 0
     (DEGENERATE_QUADRATIC.as_tuple(), "..DDRRRDDDDDD", False),
-    ((0, 1, 0, 0, 1, 0), ".RDDDD.DDDDDD", False),  # alpha0 = gamma0 = 0
+    ((0, 1, 0, 0, 1, 0), ".RDDDDDDDDDDD", False),  # alpha0 = gamma0 = 0
 ]
 
 
