@@ -13,7 +13,7 @@ from .asymptotics import (
     log_pn_linear_drift,
     log_pn_quadratic,
 )
-from .closedform import EgfEvaluator, SingularityMap, TauDerivatives
+from .closedform import CgfValues, EgfEvaluator, SingularityMap, TauDerivatives
 from .errors import (
     AccuracyError,
     BoundaryError,
@@ -36,7 +36,6 @@ from .exact import (
     polynomial_eval,
 )
 from .ldp import (
-    CgfValues,
     EmpiricalRateRow,
     RatePoint,
     RateProfile,

@@ -48,7 +48,7 @@ def log_pn_quadratic(params: ModelParams, x: float, n: int) -> AsymptoticEstimat
     smap = SingularityMap(params)
     tau = smap.tau(x)
     nu = regime.nu
-    log_amp = _log_amplitude(regime, x, tau)
+    log_amp = _log_amplitude(smap, x, tau)
     # sqrt(2 pi)/Gamma(nu) * amp(x) * e^{c0 tau} * n^{nu-1/2} * (n/(e tau))^n
     log_pn = (
         _LOG_SQRT_2PI
@@ -62,35 +62,28 @@ def log_pn_quadratic(params: ModelParams, x: float, n: int) -> AsymptoticEstimat
     return AsymptoticEstimate(log_pn, mu, sigma2, regime, n, x)
 
 
-def _log_amplitude(regime: Regime, x: float, tau: float) -> float:
+def _log_amplitude(smap: SingularityMap, x: float, tau: float) -> float:
     """Local amplitude of the blow-up, w ~ amp * e^{c0 t} (1 - t/tau)^{-nu}.
 
     Expanding each closed form at its singular time gives the unified value
     amp(x) = (A * tau(x) * R(x))^{-nu} with R = x - r2 (two real roots),
-    x - r (double root; amp is then exactly 1), or hypot(x-p, q).
+    x - r (double root; amp is then 1 up to rounding), or hypot(x-p, q):
+    the distance from x to the root that bounds the singularity domain.
     """
-    nu = regime.nu
-    A = regime.coeffs.A
-    if regime.kind is DriftKind.TWO_REAL_ROOTS:
-        radial = x - regime.r2
-    elif regime.kind is DriftKind.DOUBLE_ROOT:
-        return 0.0
-    else:
+    regime = smap.regime
+    if regime.kind is DriftKind.COMPLEX_ROOTS:
         radial = math.hypot(x - regime.p, regime.q)
-    return -nu * (math.log(A) + math.log(tau) + math.log(radial))
+    else:
+        radial = x - smap.domain_low
+    return -regime.nu * (math.log(regime.coeffs.A) + math.log(tau) + math.log(radial))
 
 
 def asymptotic_moments(params: ModelParams, n: int) -> tuple[float, float]:
-    """Leading-order mean and variance for A > 0:
-
-    mu_n = n*chi(1),  sigma2_n = mu_n + n*(chi(1)^2 - tau''(1)/tau(1)).
-    """
+    """Leading-order mean and variance for A > 0: n*F'(0) and n*F''(0),
+    with F the limit cumulant generating function (`SingularityMap.cgf`)."""
     require(params, QUADRATIC)
-    der = SingularityMap(params).derivatives(1.0)
-    chi = der.chi
-    mu = n * chi
-    sigma2 = mu + n * (chi * chi - der.tau2 / der.tau)
-    return mu, sigma2
+    cgf = SingularityMap(params).cgf(0.0)
+    return n * cgf.deriv1, n * cgf.deriv2
 
 
 def gaussian_local_law(mu: float, sigma2: float, k: float) -> float:
@@ -99,6 +92,19 @@ def gaussian_local_law(mu: float, sigma2: float, k: float) -> float:
         raise DomainError(f"sigma2 must be positive, got {sigma2}")
     z = (k - mu) ** 2 / (2.0 * sigma2)
     return math.exp(-z) / math.sqrt(2.0 * math.pi * sigma2)
+
+
+def _laplace_tail(n: int, curvature: float, log_w: float, t_star: float) -> float:
+    """Laplace estimate of log P_n(x) = log(n! [t^n] w(x, t)) for A = 0:
+    log n! - log sqrt(2 pi curvature) + log w(x, t*) - (n+1) log t*, where
+    t* is the modulus saddle and curvature the t-curvature of
+    log w(x, t) - (n+1) log t there."""
+    return (
+        log_gamma(n + 1)
+        - 0.5 * math.log(2.0 * math.pi * curvature)
+        + log_w
+        - (n + 1) * math.log(t_star)
+    )
 
 
 def log_pn_constant_drift(params: ModelParams, x: float, n: int) -> AsymptoticEstimate:
@@ -114,13 +120,8 @@ def log_pn_constant_drift(params: ModelParams, x: float, n: int) -> AsymptoticEs
     Y = params.alpha0 * regime.coeffs.C
     t_star, _ = modulus_saddle(params, x, n)
     curvature = Y + (n + 1) / (t_star * t_star)
-    log_pn = (
-        log_gamma(n + 1)
-        - 0.5 * math.log(2.0 * math.pi * curvature)
-        + X * t_star
-        + 0.5 * Y * t_star * t_star
-        - (n + 1) * math.log(t_star)
-    )
+    log_w = X * t_star + 0.5 * Y * t_star * t_star
+    log_pn = _laplace_tail(n, curvature, log_w, t_star)
     mu, sigma2 = constant_drift_moments(params, n)
     return AsymptoticEstimate(log_pn, mu, sigma2, regime, n, x)
 
@@ -183,13 +184,7 @@ def log_pn_linear_drift(params: ModelParams, x: float, n: int) -> LinearDriftEst
     t_star, seed = modulus_saddle(params, x, n)
     lam = (params.alpha0 / B) * math.expm1(B * t_star)
     curvature = B * B * y_x * math.exp(B * t_star) + (n + 1) / (t_star * t_star)
-    log_pn = (
-        log_gamma(n + 1)
-        - 0.5 * math.log(2.0 * math.pi * curvature)
-        + a_lin * t_star
-        + (C / B + x) * lam
-        - (n + 1) * math.log(t_star)
-    )
+    log_pn = _laplace_tail(n, curvature, a_lin * t_star + (C / B + x) * lam, t_star)
     frac_up = B / (B + C)
     w_s = lambert_w0(n / ((params.alpha0 / B) * (1.0 + C / B)))
     mu = frac_up * n / w_s

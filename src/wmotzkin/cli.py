@@ -353,6 +353,7 @@ def _run_figures(args) -> None:
     them under --out and print their paths."""
     if args.out is None:
         raise ConfigError("figures requires --out DIRECTORY")
+    _check_range("--n", [args.n], 1, TRIANGLE_LOG_MAX_N)
     _check_range("--u-grid", args.u_grid, 0.0, 1.0, open_ends=True)
     _check_range("--N-list", args.n_list, 1, TRIANGLE_LOG_MAX_N)
     params, n, u_grid, n_list = args.params, args.n, args.u_grid, args.n_list

@@ -7,7 +7,9 @@ the smallest positive singularity; for A = 0 it is entire in t.
 
 Derivatives of tau reuse one identity: along the drift flow dx/dt = -Q(x)
 the time to blow-up satisfies tau'(x) = -1/Q(x), hence
-tau''(x) = Q'(x)/Q(x)^2, the same in all three quadratic regimes.
+tau''(x) = Q'(x)/Q(x)^2, the same in all three quadratic regimes.  The
+limit cumulant generating function F(theta) = log(tau(1)/tau(e^theta)) of
+the scaled terminal height is read off the same map.
 """
 
 from __future__ import annotations
@@ -35,6 +37,13 @@ class TauDerivatives:
     def chi(self) -> float:
         """Logarithmic sensitivity -tau'/tau of the singular time."""
         return -self.tau1 / self.tau
+
+
+@dataclass(frozen=True)
+class CgfValues:
+    value: float
+    deriv1: float
+    deriv2: float
 
 
 class SingularityMap:
@@ -85,6 +94,22 @@ class SingularityMap:
         tau1 = -1.0 / q_val
         tau2 = self.regime.coeffs.poly_deriv(x) / (q_val * q_val)
         return TauDerivatives(tau=tau, tau1=tau1, tau2=tau2)
+
+    def cgf(self, theta: float) -> CgfValues:
+        """F(theta) = log(tau(1)/tau(e^theta)) with F' and F''.
+
+        F'(theta) = x*chi(x) and F''(theta) = x*chi(x) + x^2*chi'(x) at
+        x = e^theta, where chi = -tau'/tau and chi' = chi^2 - tau''/tau.
+        """
+        x = math.exp(theta)
+        der = self.derivatives(x)
+        chi = der.chi
+        chi_prime = chi * chi - der.tau2 / der.tau
+        return CgfValues(
+            value=math.log(self.tau(1.0)) - math.log(der.tau),
+            deriv1=x * chi,
+            deriv2=x * chi + x * x * chi_prime,
+        )
 
 
 class EgfEvaluator:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closedform import SingularityMap
+from .closedform import CgfValues, SingularityMap
 from .errors import DomainError
 from .exact import final_log_row
 from .model import QUADRATIC, ModelParams, Regime, require
@@ -25,31 +25,11 @@ THETA_LIMIT = 60.0  # |theta| beyond this saturates F' in double precision
 INFINITE_RATE = math.inf
 
 
-@dataclass(frozen=True)
-class CgfValues:
-    value: float
-    deriv1: float
-    deriv2: float
-
-
 def limit_cgf(params: ModelParams, theta: float) -> CgfValues:
-    """F(theta) = log(tau(1)/tau(e^theta)) with F' and F''.
-
-    F'(theta) = x*chi(x) and F''(theta) = x*chi(x) + x^2*chi'(x) at
-    x = e^theta, where chi = -tau'/tau and chi' = chi^2 - tau''/tau.
-    """
+    """F(theta) = log(tau(1)/tau(e^theta)) with F' and F'' (see
+    `SingularityMap.cgf`)."""
     require(params, QUADRATIC)
-    smap = SingularityMap(params)
-    x = math.exp(theta)
-    der = smap.derivatives(x)
-    tau1 = smap.tau(1.0)
-    chi = der.chi
-    chi_prime = chi * chi - der.tau2 / der.tau
-    return CgfValues(
-        value=math.log(tau1) - math.log(der.tau),
-        deriv1=x * chi,
-        deriv2=x * chi + x * x * chi_prime,
-    )
+    return SingularityMap(params).cgf(theta)
 
 
 @dataclass(frozen=True)
@@ -68,11 +48,12 @@ def rate_function(params: ModelParams, u: float) -> RatePoint:
     require(params, QUADRATIC)
     if not 0.0 < u < 1.0:
         raise DomainError(f"u must be in (0, 1), got {u}")
+    smap = SingularityMap(params)
     vals = None
 
     def excess(theta: float) -> tuple[float, float]:
         nonlocal vals
-        vals = limit_cgf(params, theta)
+        vals = smap.cgf(theta)
         return vals.deriv1 - u, vals.deriv2
 
     theta, _ = safeguarded_root(excess, 0.0, tol=1e-13, limit=THETA_LIMIT)
@@ -107,40 +88,33 @@ class RateProfile:
     rate: np.ndarray
 
 
+def _profile(regime: Regime, points) -> RateProfile:
+    """RateProfile from a list of (u, theta, rate) triples."""
+    u, theta, rate = np.array(points, dtype=float).reshape(-1, 3).T
+    return RateProfile(regime=regime, u=u, theta=theta, rate=rate)
+
+
 def rate_profile(params: ModelParams, u_grid) -> RateProfile:
     """Rate profile via the Legendre transform at each u in u_grid."""
     regime = require(params, QUADRATIC)
     points = [rate_function(params, float(u)) for u in u_grid]
-    return RateProfile(
-        regime=regime,
-        u=np.array([pt.u for pt in points]),
-        theta=np.array([pt.theta for pt in points]),
-        rate=np.array([pt.rate for pt in points]),
-    )
+    return _profile(regime, [(pt.u, pt.theta, pt.rate) for pt in points])
 
 
 def parametrized_profile(params: ModelParams, x_grid) -> RateProfile:
-    """Rate profile via the x-parametrization u = x*chi(x),
-    I = u*log x - log(tau(1)/tau(x)); theta(u) = log x."""
+    """Rate profile via the x-parametrization u = F'(log x) = x*chi(x),
+    I = u*log x - F(log x); theta(u) = log x."""
     regime = require(params, QUADRATIC)
     smap = SingularityMap(params)
-    tau1 = smap.tau(1.0)
-    us, thetas, rates = [], [], []
+    points = []
     for x in x_grid:
         x = float(x)
         if not x > 0:
             raise DomainError(f"x grid must be positive, got {x}")
-        der = smap.derivatives(x)
-        u = x * der.chi
-        us.append(u)
-        thetas.append(math.log(x))
-        rates.append(u * math.log(x) - (math.log(tau1) - math.log(der.tau)))
-    return RateProfile(
-        regime=regime,
-        u=np.array(us),
-        theta=np.array(thetas),
-        rate=np.array(rates),
-    )
+        theta = math.log(x)
+        vals = smap.cgf(theta)
+        points.append((vals.deriv1, theta, vals.deriv1 * theta - vals.value))
+    return _profile(regime, points)
 
 
 @dataclass(frozen=True)

@@ -197,48 +197,28 @@ def classify(params: ModelParams) -> Regime:
     constants are double precision.
     """
     coeffs = DriftCoefficients(A=params.a, B=params.c, C=params.b)
-    if coeffs.A == 0:
-        if coeffs.B == 0:
-            return Regime(kind=DriftKind.CONSTANT, coeffs=coeffs)
-        return Regime(kind=DriftKind.LINEAR, coeffs=coeffs)
-
-    nu_exact = Fraction(params.alpha0, coeffs.A)
-    nu = float(nu_exact)
-    delta = coeffs.delta
-    if delta > 0:
-        sqrt_delta = math.sqrt(delta)
-        r1 = (-coeffs.B - sqrt_delta) / (2 * coeffs.A)
-        r2 = (-coeffs.B + sqrt_delta) / (2 * coeffs.A)
-        return Regime(
-            kind=DriftKind.TWO_REAL_ROOTS,
-            coeffs=coeffs,
-            r1=r1,
-            r2=r2,
-            nu=nu,
-            nu_exact=nu_exact,
-            c0=params.alpha0 * r1 + params.gamma0,
-        )
-    if delta == 0:
-        r = -coeffs.B / (2 * coeffs.A)
-        return Regime(
-            kind=DriftKind.DOUBLE_ROOT,
-            coeffs=coeffs,
-            r=r,
-            nu=nu,
-            nu_exact=nu_exact,
-            c0=params.alpha0 * r + params.gamma0,
-        )
-    p = -coeffs.B / (2 * coeffs.A)
-    q = math.sqrt(-delta) / (2 * coeffs.A)
-    return Regime(
-        kind=DriftKind.COMPLEX_ROOTS,
-        coeffs=coeffs,
-        p=p,
-        q=q,
-        nu=nu,
-        nu_exact=nu_exact,
-        c0=params.alpha0 * p + params.gamma0,
-    )
+    A, B, delta = coeffs.A, coeffs.B, coeffs.delta
+    fields = {}
+    if A == 0:
+        kind = DriftKind.LINEAR if B else DriftKind.CONSTANT
+    else:
+        # Each quadratic kind stores its roots and names the lead one
+        # (r1, r or p) that sets the prefactor rate c0.
+        if delta > 0:
+            sqrt_delta = math.sqrt(delta)
+            kind = DriftKind.TWO_REAL_ROOTS
+            fields = {"r1": (-B - sqrt_delta) / (2 * A), "r2": (-B + sqrt_delta) / (2 * A)}
+            lead = fields["r1"]
+        elif delta == 0:
+            kind, lead = DriftKind.DOUBLE_ROOT, -B / (2 * A)
+            fields = {"r": lead}
+        else:
+            kind, lead = DriftKind.COMPLEX_ROOTS, -B / (2 * A)
+            fields = {"p": lead, "q": math.sqrt(-delta) / (2 * A)}
+        nu_exact = Fraction(params.alpha0, A)
+        c0 = params.alpha0 * lead + params.gamma0
+        fields.update(nu=float(nu_exact), nu_exact=nu_exact, c0=c0)
+    return Regime(kind=kind, coeffs=coeffs, **fields)
 
 
 def require(

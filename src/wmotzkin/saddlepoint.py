@@ -100,13 +100,6 @@ class CumulantEvaluator:
         fourth = float(np.dot(p, d**4)) - 3.0 * variance**2 if order >= 4 else 0.0
         return KappaValues(kappa, mean, variance, third, fourth)
 
-    def tilted_log_pmf(self, theta: float) -> np.ndarray:
-        """Log probabilities of the theta-tilted law."""
-        shifted = self.log_row + theta * self.k
-        m = float(np.max(shifted))
-        norm = m + math.log(float(np.sum(np.exp(shifted - m))))
-        return shifted - norm
-
     def solve_saddle(self, k: int) -> SaddleResult:
         """Tilt theta with tilted mean k, by safeguarded Newton on kappa'."""
         if k <= 0 or k >= self.n:

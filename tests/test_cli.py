@@ -172,8 +172,10 @@ def test_exit_codes(tmp_path, capsys):
     for x in ("0", "-1", "inf", "nan"):
         code, out, _ = run_main(["asym", "--params", SHOWCASE_ARG, "--x", x], capsys)
         assert (code, out) == (2, ""), x
-    # config errors: figures checks --N-list and --u-grid as ldp does
-    for flag, value in (("--N-list", "0"), ("--N-list", "30000"), ("--u-grid", "0")):
+    # config errors: figures checks --n as saddle does, --N-list and --u-grid
+    # as ldp does
+    for flag, value in (("--n", "0"), ("--n", "-3"), ("--n", "30000"), ("--N-list", "0"),
+                        ("--N-list", "30000"), ("--u-grid", "0")):
         args = ["figures", flag, value, "--out", str(tmp_path / "figs")]
         code, out, _ = run_main(args, capsys)
         assert (code, out) == (2, ""), (flag, value)

@@ -241,3 +241,23 @@ def test_degenerate_quadratic_has_no_rate():
         limit_cgf(DEGENERATE_QUADRATIC, 0.0)
     with pytest.raises(DomainError):
         rate_function(DEGENERATE_QUADRATIC, 0.5)
+
+
+def test_rate_profile_classifies_once_per_solve(monkeypatch):
+    # The profile guards once, and each rate solve guards once and builds one
+    # SingularityMap; its Newton steps read F from the map and never classify.
+    import wmotzkin.model as model
+    from wmotzkin.cli import DEFAULT_U_GRID
+
+    calls = 0
+    classify = model.classify
+
+    def counted(params):
+        nonlocal calls
+        calls += 1
+        return classify(params)
+
+    monkeypatch.setattr(model, "classify", counted)
+    prof = rate_profile(SHOWCASE, DEFAULT_U_GRID)
+    assert prof.rate.size == len(DEFAULT_U_GRID) == 19
+    assert calls <= 1 + 2 * len(DEFAULT_U_GRID)
