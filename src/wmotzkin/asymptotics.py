@@ -58,8 +58,8 @@ def log_pn_quadratic(params: ModelParams, x: float, n: int) -> AsymptoticEstimat
         + (nu - 0.5) * math.log(n)
         + n * (math.log(n) - 1.0 - math.log(tau))
     )
-    mu, sigma2 = asymptotic_moments(params, n)
-    return AsymptoticEstimate(log_pn, mu, sigma2, regime, n, x)
+    cgf = smap.cgf(0.0)  # the moments of `asymptotic_moments`, from this map
+    return AsymptoticEstimate(log_pn, n * cgf.deriv1, n * cgf.deriv2, regime, n, x)
 
 
 def _log_amplitude(smap: SingularityMap, x: float, tau: float) -> float:

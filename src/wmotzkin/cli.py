@@ -359,7 +359,8 @@ def _run_figures(args) -> None:
     params, n, u_grid, n_list = args.params, args.n, args.u_grid, args.n_list
 
     rows = profile(params, n, args.epsilon)
-    line = [-n * ldp.rate_function(params, r.k / n).rate / LOG10 for r in rows]
+    rates = ldp.rate_profile(params, [r.k / n for r in rows]).rate.tolist()
+    line = [-n * rate / LOG10 for rate in rates]
     u_rates = [ldp.rate_function(params, u).rate for u in u_grid]
     columns = ldp.empirical_rates(params, u_grid, n_list)
     linear = [

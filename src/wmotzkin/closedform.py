@@ -15,6 +15,7 @@ the scaled terminal height is read off the same map.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -56,6 +57,11 @@ class SingularityMap:
     def __init__(self, params: ModelParams):
         self.params = params
         self.regime = require(params, QUADRATIC, balanced=False, degenerate="accept")
+
+    @functools.cached_property
+    def _log_tau_one(self) -> float:
+        """log tau(1), the normaliser of F, computed on first use."""
+        return math.log(self.tau(1.0))
 
     @property
     def domain_low(self) -> float:
@@ -106,7 +112,7 @@ class SingularityMap:
         chi = der.chi
         chi_prime = chi * chi - der.tau2 / der.tau
         return CgfValues(
-            value=math.log(self.tau(1.0)) - math.log(der.tau),
+            value=self._log_tau_one - math.log(der.tau),
             deriv1=x * chi,
             deriv2=x * chi + x * x * chi_prime,
         )

@@ -46,18 +46,37 @@ def rate_function(params: ModelParams, u: float) -> RatePoint:
     that u is numerically indistinguishable from 0 or 1 within |theta| <= 60.
     """
     require(params, QUADRATIC)
+    return _legendre(SingularityMap(params), u)[0]
+
+
+def _legendre(
+    smap: SingularityMap, u: float, near: tuple[RatePoint, CgfValues] | None = None
+) -> tuple[RatePoint, CgfValues]:
+    """The rate point at u and F at its theta: cold from theta = 0, or warm
+    from `near`, a neighbouring solve, with a first bracket step of twice
+    its Newton step.  Either way the bracket reaches |theta| = THETA_LIMIT.
+    """
     if not 0.0 < u < 1.0:
         raise DomainError(f"u must be in (0, 1), got {u}")
-    smap = SingularityMap(params)
-    vals = None
+    if near is None:
+        start, vals, step = 0.0, smap.cgf(0.0), 1.0
+    else:
+        # F'' rounds to zero or below where F' saturates (u near 1).
+        start, vals = near[0].theta, near[1]
+        step = 2.0 * abs(vals.deriv1 - u) / vals.deriv2 if vals.deriv2 > 0 else 1.0
+    f_start = vals.deriv1 - u
 
     def excess(theta: float) -> tuple[float, float]:
         nonlocal vals
         vals = smap.cgf(theta)
         return vals.deriv1 - u, vals.deriv2
 
-    theta, _ = safeguarded_root(excess, 0.0, tol=1e-13, limit=THETA_LIMIT)
-    return RatePoint(u, theta, u * theta - vals.value)
+    # Distance from start to the wall |theta| = THETA_LIMIT on the root's side.
+    reach = THETA_LIMIT + (start if f_start > 0 else -start)
+    theta, _ = safeguarded_root(
+        excess, start, tol=1e-13, limit=reach, f_start=f_start, step=step
+    )
+    return RatePoint(u, theta, u * theta - vals.value), vals
 
 
 def rate_closed_form_double_root(r: float, u: float) -> float:
@@ -95,9 +114,14 @@ def _profile(regime: Regime, points) -> RateProfile:
 
 
 def rate_profile(params: ModelParams, u_grid) -> RateProfile:
-    """Rate profile via the Legendre transform at each u in u_grid."""
+    """Rate profile via the Legendre transform at each u in u_grid, in grid
+    order, each solve starting from the previous one's theta."""
     regime = require(params, QUADRATIC)
-    points = [rate_function(params, float(u)) for u in u_grid]
+    smap = SingularityMap(params)
+    points, near = [], None
+    for u in u_grid:
+        near = _legendre(smap, float(u), near)
+        points.append(near[0])
     return _profile(regime, [(pt.u, pt.theta, pt.rate) for pt in points])
 
 

@@ -83,25 +83,32 @@ class CumulantEvaluator:
         """Tilted cumulants at theta; orders above `order` are returned as 0."""
         if not 0 <= order <= 4:
             raise DomainError(f"order must be in 0..4, got {order}")
-        shifted = self.log_row + theta * self.k
-        m = float(np.max(shifted))
-        z = np.exp(shifted - m)
+        z = self.k * theta
+        z += self.log_row
+        m = float(np.max(z))
+        z -= m
+        np.exp(z, out=z)
         total = float(np.sum(z))
         kappa = m + math.log(total)
         if order == 0:
             return KappaValues(kappa, 0.0, 0.0, 0.0, 0.0)
-        p = z / total
-        mean = float(np.dot(p, self.k))
+        # Moments of the tilted law z / total, dividing each dot by total.
+        mean = float(np.dot(z, self.k)) / total
         if order == 1:
             return KappaValues(kappa, mean, 0.0, 0.0, 0.0)
         d = self.k - mean
-        variance = max(float(np.dot(p, d * d)), 0.0)
-        third = float(np.dot(p, d**3)) if order >= 3 else 0.0
-        fourth = float(np.dot(p, d**4)) - 3.0 * variance**2 if order >= 4 else 0.0
+        variance = max(float(np.dot(z, d * d)) / total, 0.0)
+        third = float(np.dot(z, d**3)) / total if order >= 3 else 0.0
+        fourth = float(np.dot(z, d**4)) / total - 3.0 * variance**2 if order >= 4 else 0.0
         return KappaValues(kappa, mean, variance, third, fourth)
 
-    def solve_saddle(self, k: int) -> SaddleResult:
-        """Tilt theta with tilted mean k, by safeguarded Newton on kappa'."""
+    def solve_saddle(self, k: int, near: SaddleResult | None = None) -> SaddleResult:
+        """Tilt theta with tilted mean k, by safeguarded Newton on kappa'.
+
+        Cold from theta = 0, or warm from `near`, the solve at a nearby k:
+        the bracket then grows from its theta with a first step of twice
+        its Newton step toward k.
+        """
         if k <= 0 or k >= self.n:
             raise BoundaryError(
                 f"saddle diverges at the lattice boundary (k={k}, n={self.n})"
@@ -110,7 +117,12 @@ class CumulantEvaluator:
             raise BoundaryError(
                 f"no mass beyond k={k}: support is [{self.k_min}, {self.k_max}]"
             )
-        vals = self.at_zero
+        if near is None:
+            start, vals, step = 0.0, self.at_zero, 1.0
+        else:
+            start = near.theta
+            vals = KappaValues(near.kappa, near.kappa1, near.kappa2, 0.0, 0.0)
+            step = 2.0 * abs(near.kappa1 - k) / near.kappa2
 
         def excess(theta: float) -> tuple[float, float]:
             nonlocal vals
@@ -119,9 +131,10 @@ class CumulantEvaluator:
 
         theta, iterations = safeguarded_root(
             excess,
-            0.0,
+            start,
             tol=1e-9 * max(1.0, float(k)),
-            f_start=self.at_zero.mean - k,
+            f_start=vals.mean - k,
+            step=step,
             max_iter=80,
         )
         log_p = (
@@ -148,8 +161,9 @@ class ProfileRow:
 def profile(params: ModelParams, n: int, epsilon: float) -> list[ProfileRow]:
     """Exact / Daniels / Gaussian log probabilities for k in [eps*n, (1-eps)*n].
 
-    The Gaussian column evaluates the central window law at the exact row
-    mean and variance.
+    Each Daniels saddle solve starts from the previous k's saddle.  The
+    Gaussian column evaluates the central window law at the exact row mean
+    and variance.
     """
     if not 0.0 < epsilon < 0.5:
         raise DomainError(f"epsilon must be in (0, 1/2), got {epsilon}")
@@ -159,13 +173,15 @@ def profile(params: ModelParams, n: int, epsilon: float) -> list[ProfileRow]:
     k_lo = math.ceil(epsilon * n)
     k_hi = math.floor((1.0 - epsilon) * n)
     rows = []
+    saddle = None
     for k in range(k_lo, k_hi + 1):
         gauss = asymptotics.gaussian_local_law(dist.mean, dist.variance, k)
+        saddle = ev.solve_saddle(k, near=saddle)
         rows.append(
             ProfileRow(
                 k=k,
                 log_p_exact=float(dist.log_p[k]),
-                log_p_daniels=ev.daniels_log_pmf(k),
+                log_p_daniels=saddle.log_p_daniels,
                 log_p_gaussian=math.log(gauss) if gauss > 0 else LOG_ZERO,
             )
         )

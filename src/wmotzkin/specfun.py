@@ -114,23 +114,28 @@ def lambert_w0(z: float) -> float:
     return w
 
 
-def safeguarded_root(f, start, *, tol, limit=math.inf, f_start=None, max_iter=100):
+def safeguarded_root(
+    f, start, *, tol, limit=math.inf, f_start=None, step=1.0, max_iter=100
+):
     """Root of an increasing function, given f(x) -> (f(x), f'(x)).
 
-    A bracket grows from `start` toward the root in steps of 1, 2, 4, ...
-    (probes start -+ 1, 3, 7, ..., the last one clamped to start -+ limit);
-    ConvergenceError if f has not changed sign by the limit.  Newton
-    then runs from the bracket's midpoint, bisecting whenever a step leaves
-    the shrinking bracket or the slope is not positive, and stops when
-    |f(x)| <= tol or x stops moving.  `f_start`, if known, spares the
-    evaluation at `start`.  Returns (x, Newton steps), where x is the point
-    of the last evaluation of f.
+    A bracket grows from `start` toward the root in steps of `step`,
+    2*step, 4*step, ... (probes start -+ step, 3*step, 7*step, ..., the last
+    one clamped to start -+ limit); ConvergenceError if f has not changed
+    sign by the limit.  Newton then runs from the bracket's midpoint,
+    bisecting whenever a step leaves the shrinking bracket or the slope is
+    not positive, and stops when |f(x)| <= tol or x stops moving.
+    `f_start`, if known, spares the evaluation at `start`, and a start with
+    |f| <= tol is the root.  A warm start from a nearby root passes a first
+    `step` of twice its Newton step, so that the bracket's midpoint is the
+    Newton predictor.  Returns (x, Newton steps), where x is the point of
+    the last evaluation of f (`start` itself when it is the root).
     """
     value = f(start)[0] if f_start is None else f_start
-    if value == 0.0:
+    if abs(value) <= tol:
         return start, 0
     sign = -1.0 if value > 0 else 1.0  # direction of the root
-    near, step = start, 1.0
+    near = start
     while abs(near - start) < limit:
         probe = start + sign * min(abs(near - start) + step, limit)
         if sign * f(probe)[0] >= 0:

@@ -244,8 +244,8 @@ def test_degenerate_quadratic_has_no_rate():
 
 
 def test_rate_profile_classifies_once_per_solve(monkeypatch):
-    # The profile guards once, and each rate solve guards once and builds one
-    # SingularityMap; its Newton steps read F from the map and never classify.
+    # The profile guards once and builds one SingularityMap for the whole
+    # grid; its Newton steps read F from the map and never classify.
     import wmotzkin.model as model
     from wmotzkin.cli import DEFAULT_U_GRID
 
@@ -260,4 +260,34 @@ def test_rate_profile_classifies_once_per_solve(monkeypatch):
     monkeypatch.setattr(model, "classify", counted)
     prof = rate_profile(SHOWCASE, DEFAULT_U_GRID)
     assert prof.rate.size == len(DEFAULT_U_GRID) == 19
-    assert calls <= 1 + 2 * len(DEFAULT_U_GRID)
+    assert calls <= 2
+
+
+def _outcome(solve):
+    try:
+        return solve()
+    except (ConvergenceError, DomainError) as exc:
+        return type(exc)
+
+
+def test_rate_profile_matches_cold_solves_in_any_order():
+    # rate_profile continues each Legendre solve from the previous u; in any
+    # grid order it must reach the same outcome as cold rate_function calls.
+    # theta is not compared: near u = 1, F'' is about 1e-12, so a wide range
+    # of theta meets the solver's tolerance.
+    grid = [1e-300, 1e-12, 0.01, 0.3, 0.5, 0.7, 0.99, 1 - 1e-12, 1 - 1e-16]
+    for base in (grid, grid[1:]):
+        shuffled = list(base)
+        np.random.default_rng(3).shuffle(shuffled)
+        for order in (sorted(base), sorted(base, reverse=True), shuffled):
+            warm = _outcome(lambda: rate_profile(SHOWCASE, order))
+            cold = [_outcome(lambda u=u: rate_function(SHOWCASE, u)) for u in order]
+            failures = [c for c in cold if isinstance(c, type)]
+            if isinstance(warm, type):
+                assert failures and warm is failures[0], (order, warm, cold)
+                continue
+            assert not failures, order
+            for u, theta, rate, point in zip(order, warm.theta, warm.rate, cold):
+                assert abs(rate - point.rate) <= 1e-12, (order, u)
+                for th in (theta, point.theta):
+                    assert abs(limit_cgf(SHOWCASE, float(th)).deriv1 - u) <= 1e-13, (order, u)

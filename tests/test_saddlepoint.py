@@ -15,7 +15,7 @@ from wmotzkin import (
     profile,
 )
 from wmotzkin.saddlepoint import uniform_error_applies
-from corpus import CLASSIC, DEGENERATE, DEGENERATE_QUADRATIC, SHOWCASE
+from corpus import CLASSIC, CORPUS, DEGENERATE, DEGENERATE_QUADRATIC, SHOWCASE
 
 
 def test_untilted_cumulants_match_distribution():
@@ -163,3 +163,41 @@ def test_profile_deterministic():
     a = profile(SHOWCASE, 60, 0.05)
     b = profile(SHOWCASE, 60, 0.05)
     assert a == b
+
+
+def test_profile_warm_saddles_match_cold():
+    # profile continues each saddle solve from the previous k; every Daniels
+    # value must agree with a cold solve from theta = 0 at the same k.
+    for params in CORPUS:
+        rows = profile(params, 300, 0.05)
+        ev = CumulantEvaluator(final_log_row(params, 300))
+        for r in rows:
+            cold = ev.daniels_log_pmf(r.k)
+            assert abs(r.log_p_daniels - cold) <= 1e-9 * max(1.0, abs(cold)), (params, r.k)
+
+
+def test_profile_kappa_calls_per_k(monkeypatch):
+    # A cold solve costs about 6.3 kappa evaluations per k; continuation
+    # along k needs one bracket probe and about two Newton steps.
+    calls = 0
+    kappa = CumulantEvaluator.kappa
+
+    def counted(self, *args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return kappa(self, *args, **kwargs)
+
+    monkeypatch.setattr(CumulantEvaluator, "kappa", counted)
+    rows = profile(SHOWCASE, 1000, 0.01)
+    assert calls <= 3.5 * len(rows)
+
+
+def test_warm_saddle_at_its_own_root():
+    # A warm start already at the root returns it, built from kappa there.
+    ev = CumulantEvaluator.from_params(SHOWCASE, 100)
+    for k in (20, 60):
+        cold = ev.solve_saddle(k)
+        warm = ev.solve_saddle(k, near=cold)
+        assert (warm.theta, warm.kappa, warm.kappa2, warm.log_p_daniels) == (
+            cold.theta, cold.kappa, cold.kappa2, cold.log_p_daniels
+        )

@@ -155,6 +155,28 @@ def test_safeguarded_root_bracket_and_newton():
     assert safeguarded_root(cube, 5.0, tol=1e-14, f_start=0.0) == (5.0, 0)
 
 
+def test_safeguarded_root_warm_start_step():
+    probes = []
+
+    def line(x):
+        probes.append(x)
+        return x - 2.3, 1.0
+
+    # Probes start + step, + 3 step, + 7 step until f changes sign; Newton
+    # then starts at the bracket's midpoint.
+    x, steps = safeguarded_root(line, 1.0, tol=1e-14, f_start=-1.3, step=0.25)
+    assert probes[:4] == [1.25, 1.75, 2.75, 2.25]
+    assert math.isclose(x, 2.3, rel_tol=0, abs_tol=1e-14) and steps == len(probes) - 3
+    # Toward a root below the start the probes go down.
+    probes.clear()
+    safeguarded_root(line, 3.0, tol=1e-14, f_start=0.7, step=0.5)
+    assert probes[:2] == [2.5, 1.5]
+    # A start within tol is the root: nothing is evaluated.
+    probes.clear()
+    assert safeguarded_root(line, 2.3, tol=1e-9, f_start=1e-10, step=0.5) == (2.3, 0)
+    assert probes == []
+
+
 def test_safeguarded_root_limit():
     def saturating(x):
         return math.tanh(x) - 1.5, 1.0 / math.cosh(x) ** 2
