@@ -13,7 +13,7 @@ from .asymptotics import (
     log_pn_linear_drift,
     log_pn_quadratic,
 )
-from .closedform import CgfValues, EgfEvaluator, SingularityMap, TauDerivatives
+from .closedform import EgfEvaluator, SingularityMap, TauDerivatives
 from .errors import (
     AccuracyError,
     BoundaryError,
@@ -58,6 +58,7 @@ from .model import (
 from .saddlepoint import CumulantEvaluator, ProfileRow, SaddleResult, profile
 from .specfun import (
     LOG_ZERO,
+    CgfValues,
     hermite_kdf,
     hermite_kdf_sequence,
     lambert_w0,

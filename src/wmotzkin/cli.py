@@ -361,7 +361,7 @@ def _run_figures(args) -> None:
     rows = profile(params, n, args.epsilon)
     rates = ldp.rate_profile(params, [r.k / n for r in rows]).rate.tolist()
     line = [-n * rate / LOG10 for rate in rates]
-    u_rates = [ldp.rate_function(params, u).rate for u in u_grid]
+    u_rates = ldp.rate_profile(params, u_grid).rate.tolist()
     columns = ldp.empirical_rates(params, u_grid, n_list)
     linear = [
         (r.k, math.exp(r.log_p_exact), math.exp(r.log_p_daniels), math.exp(r.log_p_gaussian))
@@ -453,7 +453,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = add(
         "figures", _run_figures, "reproduce the showcase figure data",
-        params=SHOWCASE_PARAMS, formats=("csv", "json", "svg"),
+        params=SHOWCASE_PARAMS, formats=("csv", "svg"),
     )
     sp.add_argument("--n", type=int, default=100)
     sp.add_argument("--epsilon", type=float, default=0.01)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import AccuracyError, DomainError
 from .model import QUADRATIC, DriftKind, ModelParams, classify, require
-from .specfun import lambert_w0, safeguarded_root
+from .specfun import CgfValues, lambert_w0, safeguarded_root
 
 _TWO_PI = 2.0 * math.pi
 
@@ -38,13 +38,6 @@ class TauDerivatives:
     def chi(self) -> float:
         """Logarithmic sensitivity -tau'/tau of the singular time."""
         return -self.tau1 / self.tau
-
-
-@dataclass(frozen=True)
-class CgfValues:
-    value: float
-    deriv1: float
-    deriv2: float
 
 
 class SingularityMap:

@@ -14,11 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closedform import CgfValues, SingularityMap
+from .closedform import SingularityMap
 from .errors import DomainError
 from .exact import final_log_row
 from .model import QUADRATIC, ModelParams, Regime, require
-from .specfun import log_sum_exp, safeguarded_root
+from .specfun import CgfValues, conjugate_root, log_sum_exp
 
 THETA_LIMIT = 60.0  # |theta| beyond this saturates F' in double precision
 
@@ -42,41 +42,12 @@ class RatePoint:
 def rate_function(params: ModelParams, u: float) -> RatePoint:
     """I(u) = u*theta(u) - F(theta(u)) with F'(theta(u)) = u, 0 < u < 1.
 
-    Solved by `safeguarded_root` from theta = 0; a ConvergenceError signals
-    that u is numerically indistinguishable from 0 or 1 within |theta| <= 60.
+    The one-point `rate_profile`, solved cold from theta = 0; a
+    ConvergenceError signals that u is numerically indistinguishable from 0
+    or 1 within |theta| <= 60.
     """
-    require(params, QUADRATIC)
-    return _legendre(SingularityMap(params), u)[0]
-
-
-def _legendre(
-    smap: SingularityMap, u: float, near: tuple[RatePoint, CgfValues] | None = None
-) -> tuple[RatePoint, CgfValues]:
-    """The rate point at u and F at its theta: cold from theta = 0, or warm
-    from `near`, a neighbouring solve, with a first bracket step of twice
-    its Newton step.  Either way the bracket reaches |theta| = THETA_LIMIT.
-    """
-    if not 0.0 < u < 1.0:
-        raise DomainError(f"u must be in (0, 1), got {u}")
-    if near is None:
-        start, vals, step = 0.0, smap.cgf(0.0), 1.0
-    else:
-        # F'' rounds to zero or below where F' saturates (u near 1).
-        start, vals = near[0].theta, near[1]
-        step = 2.0 * abs(vals.deriv1 - u) / vals.deriv2 if vals.deriv2 > 0 else 1.0
-    f_start = vals.deriv1 - u
-
-    def excess(theta: float) -> tuple[float, float]:
-        nonlocal vals
-        vals = smap.cgf(theta)
-        return vals.deriv1 - u, vals.deriv2
-
-    # Distance from start to the wall |theta| = THETA_LIMIT on the root's side.
-    reach = THETA_LIMIT + (start if f_start > 0 else -start)
-    theta, _ = safeguarded_root(
-        excess, start, tol=1e-13, limit=reach, f_start=f_start, step=step
-    )
-    return RatePoint(u, theta, u * theta - vals.value), vals
+    prof = rate_profile(params, [u])
+    return RatePoint(float(prof.u[0]), float(prof.theta[0]), float(prof.rate[0]))
 
 
 def rate_closed_form_double_root(r: float, u: float) -> float:
@@ -115,14 +86,20 @@ def _profile(regime: Regime, points) -> RateProfile:
 
 def rate_profile(params: ModelParams, u_grid) -> RateProfile:
     """Rate profile via the Legendre transform at each u in u_grid, in grid
-    order, each solve starting from the previous one's theta."""
+    order: `conjugate_root` on F, cold at the first u and then warm from the
+    previous u's solve.  Every solve's bracket reaches |theta| = THETA_LIMIT.
+    """
     regime = require(params, QUADRATIC)
     smap = SingularityMap(params)
     points, near = [], None
     for u in u_grid:
-        near = _legendre(smap, float(u), near)
-        points.append(near[0])
-    return _profile(regime, [(pt.u, pt.theta, pt.rate) for pt in points])
+        u = float(u)
+        if not 0.0 < u < 1.0:
+            raise DomainError(f"u must be in (0, 1), got {u}")
+        theta, vals, _ = conjugate_root(smap.cgf, u, near, tol=1e-13, wall=THETA_LIMIT)
+        near = (theta, vals)
+        points.append((u, theta, u * theta - vals.value))
+    return _profile(regime, points)
 
 
 def parametrized_profile(params: ModelParams, x_grid) -> RateProfile:
@@ -166,9 +143,8 @@ def empirical_rates(params: ModelParams, u_grid, n_list) -> list[list[float]]:
 
 def empirical_rate_check(params: ModelParams, u_grid, n_list) -> list[EmpiricalRateRow]:
     """Exact finite-n decay rates against I(u) on a (u, n) grid."""
-    require(params, QUADRATIC)
     u_grid = [float(u) for u in u_grid]
-    rates = [rate_function(params, u).rate for u in u_grid]
+    rates = rate_profile(params, u_grid).rate.tolist()
     n_list = sorted(int(n) for n in n_list)
     return [
         EmpiricalRateRow(u=u, n=n, empirical=empirical, rate=rate)

@@ -1,15 +1,16 @@
-"""Numerical special functions, sign-aware log-space accumulation, and the
-safeguarded root finder.
+"""Numerical special functions, sign-aware log-space accumulation, the
+safeguarded root finder and the conjugate solve built on it.
 
 Everything downstream (exact rows, cumulants, two-variable Hermite values)
 funnels its cancellation-prone sums through the signed log-sum-exp here, so
-there is a single audited code path for them; likewise every saddle and
-Legendre solve goes through `safeguarded_root`.
+there is a single audited code path for them; likewise the Daniels saddle
+and the Legendre rate are both `conjugate_root` on their own CGF.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -126,10 +127,8 @@ def safeguarded_root(
     bisecting whenever a step leaves the shrinking bracket or the slope is
     not positive, and stops when |f(x)| <= tol or x stops moving.
     `f_start`, if known, spares the evaluation at `start`, and a start with
-    |f| <= tol is the root.  A warm start from a nearby root passes a first
-    `step` of twice its Newton step, so that the bracket's midpoint is the
-    Newton predictor.  Returns (x, Newton steps), where x is the point of
-    the last evaluation of f (`start` itself when it is the root).
+    |f| <= tol is the root.  Returns (x, Newton steps), where x is the point
+    of the last evaluation of f (`start` itself when it is the root).
     """
     value = f(start)[0] if f_start is None else f_start
     if abs(value) <= tol:
@@ -162,6 +161,47 @@ def safeguarded_root(
             return x, steps
         x = x_next
     raise ConvergenceError(f"root not within |f| <= {tol:g} after {max_iter} steps")
+
+
+@dataclass(frozen=True)
+class CgfValues:
+    """A CGF and its first two derivatives (tilted mean and variance)."""
+
+    value: float
+    deriv1: float
+    deriv2: float
+
+
+def conjugate_root(
+    cgf, target, near=None, *, at_zero=None, tol, wall=math.inf, max_iter=100
+):
+    """theta with F'(theta) = target for a convex cgf(theta) -> CgfValues F.
+
+    Cold, the bracket grows from theta = 0 (F there is `at_zero`, if known)
+    with a first step of 1.0.  Warm from `near` = (theta, F there), a solve
+    at a nearby target, the first step is twice the Newton step, so that the
+    bracket's midpoint is the Newton predictor; it is 1.0 where F'' is not
+    positive (F'' rounds to zero where F' saturates).  The bracket stops at
+    |theta| = `wall`.  Returns (theta, F at theta, Newton steps).
+    """
+    if near is None:
+        start, vals, step = 0.0, cgf(0.0) if at_zero is None else at_zero, 1.0
+    else:
+        start, vals = near
+        step = 2.0 * abs(vals.deriv1 - target) / vals.deriv2 if vals.deriv2 > 0 else 1.0
+    f_start = vals.deriv1 - target
+
+    def excess(theta: float) -> tuple[float, float]:
+        nonlocal vals
+        vals = cgf(theta)
+        return vals.deriv1 - target, vals.deriv2
+
+    # Distance from start to the wall on the root's side.
+    reach = wall + (start if f_start > 0 else -start)
+    theta, steps = safeguarded_root(
+        excess, start, tol=tol, limit=reach, f_start=f_start, step=step, max_iter=max_iter
+    )
+    return theta, vals, steps
 
 
 def hermite_kdf(x_coeff: float, y_coeff: float, n: int) -> tuple[float, int]:

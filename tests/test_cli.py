@@ -180,6 +180,11 @@ def test_exit_codes(tmp_path, capsys):
         code, out, _ = run_main(args, capsys)
         assert (code, out) == (2, ""), (flag, value)
         assert not (tmp_path / "figs").exists()
+    # config error: figures writes csv or svg, not json
+    code, out, _ = run_main(["figures", "--format", "json", "--out", str(tmp_path / "figs")],
+                            capsys)
+    assert (code, out) == (2, "")
+    assert not (tmp_path / "figs").exists()
     # config errors: an explicitly empty list value
     for args in (["asym", "--N-list", ""], ["ldp", "--N-list", ""],
                  ["ldp", "--u-grid", " "], ["egf-check", "--x", ""]):
@@ -294,11 +299,14 @@ def test_log_space_triangle_streams(tmp_path):
 
 
 def test_log_space_triangle_json_streams(tmp_path):
+    # n = 190 is the smallest n at which a writer that dumps the whole
+    # document at once peaks above 3x the bound (16.6 MB); streaming stays
+    # near 1.2 MB at any n.
     out = tmp_path / "tri.json"
-    code, peak = _traced_peak(["triangle", "--n", "600", "--representation", "log_space",
+    code, peak = _traced_peak(["triangle", "--n", "190", "--representation", "log_space",
                                "--format", "json", "--out", str(out)])
     assert code == 0
-    assert len(json.loads(out.read_text())["rows"]) == 601 * 602 // 2
+    assert len(json.loads(out.read_text())["rows"]) == 191 * 192 // 2
     assert peak < 5 * 2**20
 
 

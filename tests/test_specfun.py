@@ -15,7 +15,7 @@ from wmotzkin import (
     log_sum_exp,
     signed_log_sum_exp,
 )
-from wmotzkin.specfun import OMEGA, safeguarded_root
+from wmotzkin.specfun import OMEGA, CgfValues, conjugate_root, safeguarded_root
 
 
 def test_log_sum_exp_basics():
@@ -186,3 +186,69 @@ def test_safeguarded_root_limit():
     # The last probe is clamped to the limit: a root at 50 is still found.
     x, _ = safeguarded_root(lambda x: (x - 50.0, 1.0), 0.0, tol=1e-12, limit=60.0)
     assert x == 50.0
+
+
+def _double_root_cgf(probes):
+    # F(theta) = log((e^theta + 1)/2): F' is the logistic function, so the
+    # conjugate point of u is exactly log(u/(1 - u)).
+    def cgf(theta):
+        probes.append(theta)
+        s = 1.0 / (1.0 + math.exp(-theta))
+        return CgfValues(math.log1p(math.exp(theta)) - math.log(2.0), s, s * (1.0 - s))
+
+    return cgf
+
+
+def test_conjugate_root_cold_and_warm_agree():
+    probes = []
+    cgf = _double_root_cgf(probes)
+    tol = 1e-13
+    for u in (0.05, 0.3, 0.5, 0.7, 0.95):
+        probes.clear()
+        theta, vals, _ = conjugate_root(cgf, u, at_zero=cgf(0.0), tol=tol)
+        # Cold: the first probe is one step of 1.0 from theta = 0 (F'(0) = 1/2
+        # is itself the root at u = 1/2).
+        assert probes[1:2] == ([] if u == 0.5 else [math.copysign(1.0, u - 0.5)])
+        assert abs(vals.deriv1 - u) <= tol and vals == cgf(theta)
+        assert math.isclose(theta, math.log(u / (1.0 - u)), rel_tol=0, abs_tol=1e-12)
+        # Warm from the solve at a nearby target.
+        near_theta, near_vals, _ = conjugate_root(cgf, u + 0.01, tol=tol)
+        warm, warm_vals, _ = conjugate_root(cgf, u, (near_theta, near_vals), tol=tol)
+        assert abs(warm_vals.deriv1 - u) <= tol
+        assert abs(warm - theta) <= tol / vals.deriv2
+
+
+def test_conjugate_root_warm_at_its_own_root():
+    probes = []
+    cgf = _double_root_cgf(probes)
+    near = (math.log(3.0), cgf(math.log(3.0)))
+    probes.clear()
+    theta, vals, steps = conjugate_root(cgf, near[1].deriv1, near, tol=1e-13)
+    assert (theta, steps) == (near[0], 0) and vals is near[1]
+    assert probes == []
+
+
+def test_conjugate_root_flat_warm_start_steps_one():
+    # A warm start whose F'' rounded to zero takes a first step of 1.0.
+    probes = []
+    cgf = _double_root_cgf(probes)
+    near = (0.0, CgfValues(0.0, 0.5, 0.0))
+    theta, _, _ = conjugate_root(cgf, 0.8, near, tol=1e-13)
+    assert probes[:2] == [1.0, 3.0]
+    assert math.isclose(theta, math.log(4.0), rel_tol=0, abs_tol=1e-12)
+
+
+def test_conjugate_root_wall():
+    cgf = _double_root_cgf([])
+    # F'(5) < 0.999, so the root log(999) ~ 6.9 lies past a wall at 5.
+    with pytest.raises(ConvergenceError):
+        conjugate_root(cgf, 0.999, tol=1e-13, wall=5.0)
+    with pytest.raises(ConvergenceError):
+        conjugate_root(cgf, 0.001, (1.0, cgf(1.0)), tol=1e-13, wall=5.0)
+    # The wall is absolute, not a distance from the start: from theta = 3 a
+    # root at -3.5 is found inside a wall at 4.
+    u = 1.0 / (1.0 + math.exp(3.5))
+    theta, _, _ = conjugate_root(cgf, u, (3.0, cgf(3.0)), tol=1e-13, wall=4.0)
+    assert math.isclose(theta, -3.5, rel_tol=0, abs_tol=1e-11)
+    theta, _, _ = conjugate_root(cgf, 0.99, tol=1e-13, wall=5.0)
+    assert math.isclose(theta, math.log(99.0), rel_tol=0, abs_tol=1e-11)
