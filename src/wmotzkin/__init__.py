@@ -59,12 +59,10 @@ from .saddlepoint import CumulantEvaluator, ProfileRow, SaddleResult, profile
 from .specfun import (
     LOG_ZERO,
     CgfValues,
-    hermite_kdf,
     hermite_kdf_sequence,
     lambert_w0,
     log_gamma,
     log_sum_exp,
-    signed_log_sum_exp,
 )
 
 __version__ = "0.1.0"

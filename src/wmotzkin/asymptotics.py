@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .closedform import SingularityMap, modulus_saddle
 from .errors import DomainError
 from .model import QUADRATIC, DriftKind, ModelParams, Regime, require
-from .specfun import hermite_kdf_sequence, lambert_w0, log_gamma
+from .specfun import hermite_kdf_sequence, hermite_ratios, lambert_w0, log_gamma
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -138,27 +138,20 @@ def log_pn_constant_drift_exact(params: ModelParams, x: float, n: int) -> float:
     Y = params.alpha0 * regime.coeffs.C
     if Y == 0.0:
         return n * math.log(X)
-    log_mag, sign = hermite_kdf_sequence(X, Y, n)[n]
-    if sign <= 0:
-        raise DomainError(f"H_{n}({X}, {Y}) is not positive; no real log")
-    return log_mag
+    return hermite_kdf_sequence(X, Y, n)[n]
 
 
 def constant_drift_moments(params: ModelParams, n: int) -> tuple[float, float]:
     """Mean/variance at length n from the Hermite-ratio identities (exact)."""
     regime = require(params, (DriftKind.CONSTANT,), degenerate="weighted")
-    if params.is_degenerate:
-        return (0.0, 0.0)
+    if params.is_degenerate or n == 0:
+        return (0.0, 0.0)  # a point mass at height 0
     X1 = params.alpha0 + params.gamma0
     Y = params.alpha0 * regime.coeffs.C
-    if n == 0:
-        return (0.0, 0.0)
-    seq = hermite_kdf_sequence(X1, Y, n)
-    log_hn = seq[n][0]
-    mu = params.alpha0 * n * math.exp(seq[n - 1][0] - log_hn)
+    ratios = hermite_ratios(X1, Y, n)  # H_m/H_{m-1}, m = 1..n
+    mu = params.alpha0 * n / ratios[-1]
     if n >= 2:
-        ratio2 = math.exp(seq[n - 2][0] - log_hn)
-        ekk1 = params.alpha0**2 * n * (n - 1) * ratio2
+        ekk1 = params.alpha0**2 * n * (n - 1) / (ratios[-1] * ratios[-2])
     else:
         ekk1 = 0.0
     sigma2 = max(ekk1 + mu - mu * mu, 0.0)
@@ -175,8 +168,6 @@ def log_pn_linear_drift(params: ModelParams, x: float, n: int) -> LinearDriftEst
     regime = require(params, (DriftKind.LINEAR,))
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    if not x > 0:
-        raise DomainError(f"x must be positive, got {x}")
     B = regime.coeffs.B
     C = regime.coeffs.C
     y_x = (params.alpha0 / B) * (x + C / B)

@@ -320,6 +320,7 @@ def _profile_log10(rows) -> list[tuple]:
 
 def _run_saddle(args) -> Table:
     _check_range("--n", [args.n], 1, TRIANGLE_LOG_MAX_N)
+    _check_range("--epsilon", [args.epsilon], 0.0, 0.5, open_ends=True)
     rows = _profile_log10(profile(args.params, args.n, args.epsilon))
     return Table(PROFILE_HEADER, rows, {"n": args.n, "epsilon": args.epsilon})
 
@@ -336,6 +337,7 @@ def _run_ldp(args) -> Table:
 
 def _run_egf_check(args) -> Table:
     _check_range("--n", [args.n], 1, 30)
+    _check_range("--x", args.x, 0.0, math.inf, open_ends=True)
     ev = EgfEvaluator(args.params)
     tri = build_triangle(args.params, args.n - 1)
     rows = []
@@ -354,6 +356,7 @@ def _run_figures(args) -> None:
     if args.out is None:
         raise ConfigError("figures requires --out DIRECTORY")
     _check_range("--n", [args.n], 1, TRIANGLE_LOG_MAX_N)
+    _check_range("--epsilon", [args.epsilon], 0.0, 0.5, open_ends=True)
     _check_range("--u-grid", args.u_grid, 0.0, 1.0, open_ends=True)
     _check_range("--N-list", args.n_list, 1, TRIANGLE_LOG_MAX_N)
     params, n, u_grid, n_list = args.params, args.n, args.u_grid, args.n_list

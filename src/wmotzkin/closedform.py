@@ -233,8 +233,10 @@ def modulus_saddle(params: ModelParams, x: float, n: int) -> tuple[float, float]
     n + 1 with a_lin = gamma0 - alpha0*C/B and y = (alpha0/B)(x + C/B), by
     `safeguarded_root` from the seed W(n/y)/B.  With alpha0 = 0 the saddle
     is (n+1)/gamma0, or 1.0 when w is constant (gamma0 = 0).  The seed is
-    t* itself except in the linear case.
+    t* itself except in the linear case.  x <= 0 raises DomainError.
     """
+    if not x > 0:
+        raise DomainError(f"x must be positive, got {x}")
     if params.alpha0 == 0:
         t = (n + 1) / params.gamma0 if params.gamma0 else 1.0
         return t, t

@@ -1,14 +1,14 @@
-"""Numerical special functions, sign-aware log-space accumulation, the
-safeguarded root finder and the conjugate solve built on it.
+"""Numerical special functions (log-sum-exp, log-gamma, Lambert W, the
+two-variable Hermite values in log space), the safeguarded root finder and
+the conjugate solve built on it.
 
-Everything downstream (exact rows, cumulants, two-variable Hermite values)
-funnels its cancellation-prone sums through the signed log-sum-exp here, so
-there is a single audited code path for them; likewise the Daniels saddle
-and the Legendre rate are both `conjugate_root` on their own CGF.
+The Daniels saddle and the Legendre rate are both `conjugate_root` on their
+own CGF, so there is a single audited solve for them.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -38,28 +38,6 @@ def log_sum_exp(values) -> float:
     if math.isinf(m):  # +inf dominates
         return m
     return m + math.log(float(np.sum(np.exp(arr - m))))
-
-
-def signed_log_sum_exp(log_mags, signs) -> tuple[float, int]:
-    """Accumulate terms given as (log magnitude, sign in {-1, 0, +1}).
-
-    Returns (log magnitude, sign) of the signed sum; exact cancellation and
-    the all-zero sum come back as (-inf, 0).
-    """
-    mags = np.asarray(log_mags, dtype=float)
-    sgns = np.asarray(signs, dtype=int)
-    if mags.shape != sgns.shape:
-        raise ValueError("log_mags and signs must have matching shapes")
-    live = (sgns != 0) & (mags > LOG_ZERO)
-    if not np.any(live):
-        return (LOG_ZERO, 0)
-    mags = mags[live]
-    sgns = sgns[live]
-    m = float(np.max(mags))
-    total = float(np.sum(sgns * np.exp(mags - m)))
-    if total == 0.0:
-        return (LOG_ZERO, 0)
-    return (m + math.log(abs(total)), 1 if total > 0 else -1)
 
 
 def log_gamma(x: float) -> float:
@@ -204,39 +182,27 @@ def conjugate_root(
     return theta, vals, steps
 
 
-def hermite_kdf(x_coeff: float, y_coeff: float, n: int) -> tuple[float, int]:
-    """H_n(X, Y) of the two-variable Hermite family with EGF exp(X t + Y t^2 / 2).
+def hermite_ratios(x_coeff: float, y_coeff: float, n: int) -> list[float]:
+    """[H_1/H_0, ..., H_n/H_{n-1}] of the two-variable Hermite family with EGF
+    exp(X t + Y t^2 / 2): H_0 = 1, H_1 = X, H_{m+1} = X H_m + m Y H_{m-1}.
 
-    Values satisfy H_0 = 1, H_1 = X, H_{m+1} = X H_m + m Y H_{m-1} and are
-    returned as (log magnitude, sign) since X may be negative.
+    For X > 0 and Y >= 0 every H_m is positive, and the ratios obey
+    H_{m+1}/H_m = X + m Y / (H_m/H_{m-1}) >= X, a sum of positive terms that
+    never cancels and stays finite while n Y / X does; DomainError otherwise.
     """
-    return hermite_kdf_sequence(x_coeff, y_coeff, n)[n]
-
-
-def hermite_kdf_sequence(
-    x_coeff: float, y_coeff: float, n: int
-) -> list[tuple[float, int]]:
-    """All of H_0..H_n as (log magnitude, sign) pairs."""
     if n < 0:
         raise DomainError(f"order must be nonnegative, got {n}")
-    lx, sx = _signed_log(x_coeff)
-    ly, sy = _signed_log(y_coeff)
-    values = [(0.0, 1)]
-    if n == 0:
-        return values
-    values.append((lx, sx))
-    for m in range(1, n):
-        lh, sh = values[m]
-        lp, sp = values[m - 1]
-        term_x = (lx + lh, sx * sh)
-        term_y = (math.log(m) + ly + lp, sy * sp)
-        values.append(
-            signed_log_sum_exp([term_x[0], term_y[0]], [term_x[1], term_y[1]])
+    if not (0 < x_coeff < math.inf and y_coeff >= 0 and n * y_coeff / x_coeff < math.inf):
+        raise DomainError(
+            f"H_m needs X > 0, Y >= 0, finite n*Y/X; got X={x_coeff}, Y={y_coeff}, n={n}"
         )
-    return values
+    ratios = [x_coeff]
+    for m in range(1, n):
+        ratios.append(x_coeff + m * y_coeff / ratios[-1])
+    return ratios[:n]
 
 
-def _signed_log(v: float) -> tuple[float, int]:
-    if v == 0.0:
-        return (LOG_ZERO, 0)
-    return (math.log(abs(v)), 1 if v > 0 else -1)
+def hermite_kdf_sequence(x_coeff: float, y_coeff: float, n: int) -> list[float]:
+    """[log H_0, ..., log H_n]: the running sums of the logs of `hermite_ratios`."""
+    ratios = hermite_ratios(x_coeff, y_coeff, n)
+    return [0.0, *itertools.accumulate(map(math.log, ratios))]

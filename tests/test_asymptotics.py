@@ -19,6 +19,7 @@ from wmotzkin import (
     log_pn_quadratic,
     log_sum_exp,
 )
+from wmotzkin.closedform import modulus_saddle
 from wmotzkin.model import DriftKind, classify
 from corpus import (
     CONSTANT_BALANCED,
@@ -92,6 +93,17 @@ def test_regime_and_balance_errors():
         log_pn_linear_drift(SHOWCASE, 1.0, 50)
     with pytest.raises(DomainError):
         log_pn_linear_drift(DEGENERATE, 1.0, 50)
+    # Every A = 0 estimate refuses x <= 0 through its saddle, alpha0 = 0 too.
+    for params in (ModelParams(0, 1, 0, 1, 1, 1), ModelParams(0, 0, 0, 2, 0, 3),
+                   ModelParams(0, 1, 0, 0, 1, 2)):
+        for x in (-3.0, 0.0):
+            with pytest.raises(DomainError):
+                log_pn_constant_drift(params, x, 10)
+    for x in (-1.0, 0.0, math.nan):
+        with pytest.raises(DomainError):
+            modulus_saddle(LINEAR_BALANCED, x, 10)
+        with pytest.raises(DomainError):
+            log_pn_linear_drift(LINEAR_BALANCED, x, 10)
 
 
 def test_quadratic_with_alpha0_zero_is_degenerate():

@@ -180,6 +180,18 @@ def test_exit_codes(tmp_path, capsys):
         code, out, _ = run_main(args, capsys)
         assert (code, out) == (2, ""), (flag, value)
         assert not (tmp_path / "figs").exists()
+    # config errors: --epsilon of saddle and figures lies in (0, 1/2)
+    for eps in ("0", "0.5", "0.7", "-0.1", "nan"):
+        code, out, _ = run_main(["saddle", "--n", "100", "--epsilon", eps], capsys)
+        assert (code, out) == (2, ""), eps
+        args = ["figures", "--epsilon", eps, "--out", str(tmp_path / "figs")]
+        code, out, _ = run_main(args, capsys)
+        assert (code, out) == (2, ""), eps
+        assert not (tmp_path / "figs").exists()
+    # config errors: every --x of egf-check must be positive and finite
+    for x in ("0", "-1", "0.5,0", "inf", "nan"):
+        code, out, _ = run_main(["egf-check", "--params", SHOWCASE_ARG, "--x", x], capsys)
+        assert (code, out) == (2, ""), x
     # config error: figures writes csv or svg, not json
     code, out, _ = run_main(["figures", "--format", "json", "--out", str(tmp_path / "figs")],
                             capsys)

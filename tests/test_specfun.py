@@ -8,12 +8,10 @@ from wmotzkin import (
     ConvergenceError,
     DomainError,
     LOG_ZERO,
-    hermite_kdf,
     hermite_kdf_sequence,
     lambert_w0,
     log_gamma,
     log_sum_exp,
-    signed_log_sum_exp,
 )
 from wmotzkin.specfun import OMEGA, CgfValues, conjugate_root, safeguarded_root
 
@@ -31,30 +29,6 @@ def test_log_sum_exp_shift(values, shift):
     base = log_sum_exp(values)
     shifted = log_sum_exp([v + shift for v in values])
     assert math.isclose(shifted, base + shift, rel_tol=0, abs_tol=1e-9)
-
-
-def test_signed_log_sum_exp_cancellation():
-    mag, sign = signed_log_sum_exp([math.log(5), math.log(5)], [1, -1])
-    assert mag == LOG_ZERO and sign == 0
-    mag, sign = signed_log_sum_exp([math.log(2), math.log(3)], [1, 1])
-    assert sign == 1 and math.isclose(mag, math.log(5))
-    mag, sign = signed_log_sum_exp([math.log(2), math.log(3)], [-1, -1])
-    assert sign == -1 and math.isclose(mag, math.log(5))
-    mag, sign = signed_log_sum_exp([LOG_ZERO, LOG_ZERO], [0, 0])
-    assert mag == LOG_ZERO and sign == 0
-
-
-@given(st.lists(st.floats(min_value=-30, max_value=30), min_size=1, max_size=12),
-       st.lists(st.sampled_from([-1, 1]), min_size=1, max_size=12))
-def test_signed_log_sum_exp_matches_direct(mags, signs):
-    size = min(len(mags), len(signs))
-    mags, signs = mags[:size], signs[:size]
-    mag, sign = signed_log_sum_exp(mags, signs)
-    direct = math.fsum(s * math.exp(m) for m, s in zip(mags, signs))
-    # Cancellation bounds accuracy by the total magnitude, not the result.
-    scale = math.fsum(math.exp(m) for m in mags)
-    value = sign * math.exp(mag) if sign else 0.0
-    assert abs(value - direct) <= 1e-12 * scale
 
 
 def test_log_gamma_values():
@@ -98,26 +72,47 @@ def test_lambert_w0_round_trip_hypothesis(t):
 
 
 def test_hermite_reference_values():
-    mag, sign = hermite_kdf(2.0, 1.0, 2)
-    assert sign == 1 and math.isclose(mag, math.log(5.0))
-    assert hermite_kdf(3.0, 7.0, 0) == (0.0, 1)
-    mag, sign = hermite_kdf(3.0, 0.0, 4)
-    assert sign == 1 and math.isclose(mag, math.log(81.0))
-    # negative X: H_1 = X < 0
-    mag, sign = hermite_kdf(-2.0, 1.0, 1)
-    assert sign == -1 and math.isclose(mag, math.log(2.0))
+    assert math.isclose(hermite_kdf_sequence(2.0, 1.0, 2)[2], math.log(5.0))
+    assert hermite_kdf_sequence(3.0, 7.0, 0) == [0.0]
+    assert math.isclose(hermite_kdf_sequence(3.0, 0.0, 4)[4], math.log(81.0))
+    assert math.isclose(hermite_kdf_sequence(0.5, 3.0, 1)[1], math.log(0.5))
 
 
 def test_hermite_recurrence_consistency():
-    for X, Y in [(2.0, 1.0), (0.5, 3.0), (-1.5, 2.0), (4.0, 0.0)]:
-        seq = hermite_kdf_sequence(X, Y, 50)
-        values = [s * math.exp(m) if s else 0.0 for m, s in seq]
+    for X, Y in [(2.0, 1.0), (0.5, 3.0), (4.0, 0.0)]:
+        values = [math.exp(v) for v in hermite_kdf_sequence(X, Y, 50)]
         for m in range(1, 50):
             expected = X * values[m] + m * Y * values[m - 1]
-            if expected == 0.0:
-                assert abs(values[m + 1]) <= 1e-12
-            else:
-                assert math.isclose(values[m + 1], expected, rel_tol=1e-12)
+            assert math.isclose(values[m + 1], expected, rel_tol=1e-12)
+
+
+@given(st.integers(min_value=1, max_value=9), st.integers(min_value=0, max_value=9),
+       st.integers(min_value=0, max_value=200))
+def test_hermite_matches_exact_integer_recurrence(X, Y, n):
+    exact = [1, X]
+    for m in range(1, n):
+        exact.append(X * exact[m] + m * Y * exact[m - 1])
+    logs = hermite_kdf_sequence(float(X), float(Y), n)
+    assert len(logs) == n + 1
+    for m, value in enumerate(logs):
+        expected = math.log(exact[m])
+        assert abs(value - expected) <= 1e-13 * max(1.0, abs(expected))
+
+
+def test_hermite_domain():
+    for X, Y in [(0.0, 1.0), (-1.5, 2.0), (2.0, -1.0), (math.nan, 1.0), (1.0, math.nan),
+                 (math.inf, 1.0), (1.0, math.inf)]:
+        for n in (0, 5):
+            with pytest.raises(DomainError):
+                hermite_kdf_sequence(X, Y, n)
+    # Every ratio H_m/H_{m-1}, m <= n, is at most X + n Y / X; here n Y / X
+    # overflows a float for every n >= 1, so only n = 0 is computed.
+    for X, Y in [(1e-310, 1.0), (1e-300, 1e10)]:
+        assert hermite_kdf_sequence(X, Y, 0) == [0.0]
+        with pytest.raises(DomainError):
+            hermite_kdf_sequence(X, Y, 2)
+    with pytest.raises(DomainError):
+        hermite_kdf_sequence(1.0, 1.0, -1)
 
 
 def test_hermite_matches_taylor_of_generating_exponential():
@@ -130,11 +125,10 @@ def test_hermite_matches_taylor_of_generating_exponential():
             deg = i + 2 * j
             if deg < terms:
                 coeffs[deg] += X**i / math.factorial(i) * (Y / 2) ** j / math.factorial(j)
+    logs = hermite_kdf_sequence(X, Y, terms - 1)
     for n in range(terms):
-        mag, sign = hermite_kdf(X, Y, n)
-        h = sign * math.exp(mag)
         expected = coeffs[n] * math.factorial(n)
-        assert math.isclose(h, expected, rel_tol=1e-9)
+        assert math.isclose(math.exp(logs[n]), expected, rel_tol=1e-9)
 
 
 def test_safeguarded_root_bracket_and_newton():
