@@ -18,8 +18,9 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from .closedform import EgfEvaluator
 from .errors import CapacityError, ConfigError, MotzkinError
 from .exact import build_triangle, final_log_row, _distribution_from_log_row
 from .model import DriftKind, ModelParams, classify
-from .saddlepoint import profile
+from .saddlepoint import k_window, profile
 from .specfun import log_sum_exp
 
 LOG10 = math.log(10.0)
@@ -51,9 +52,14 @@ PROFILE_LOG_HEADER = "k,log10_exact,log10_daniels,log10_gaussian,log10_ldp_line"
 LDP_HEADER_BASE = "u,theta,I"
 EGF_HEADER = "x,n,coeff_exact,coeff_egf,rel_err"
 
-# Rows per json.dumps call when streaming JSON: large enough to amortise
-# the call, small enough that a chunk's dicts and text stay near a megabyte.
-JSON_CHUNK_ROWS = 1024
+# Rows per template.format call in both writers: large enough to amortise
+# the call, small enough that a chunk's cells and text stay well under a
+# megabyte, which peak memory shows (1,024 rows peak 4.5 MB above 256 on
+# the tables benchmark).
+CHUNK_ROWS = 256
+
+# How json.dumps spells the non-finite floats.
+_JSON_NON_FINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
 
 
 def _load_params(source: str) -> ModelParams:
@@ -81,6 +87,15 @@ def _check_range(flag: str, values: Iterable, lo, hi, *, open_ends: bool = False
         if not (lo < value < hi if open_ends else lo <= value <= hi):
             interval = f"({lo}, {hi})" if open_ends else f"[{lo}, {hi}]"
             raise ConfigError(f"{flag} must lie in {interval}, got {value}")
+
+
+def _check_window(n: int, epsilon: float) -> None:
+    """Raise ConfigError when [epsilon*n, (1-epsilon)*n] holds no integer k."""
+    if not k_window(n, epsilon):
+        raise ConfigError(
+            f"--n {n} with --epsilon {epsilon} leaves no integer k in "
+            "[epsilon*n, (1-epsilon)*n]"
+        )
 
 
 # ----- SVG emission ----- #
@@ -204,22 +219,42 @@ def _open_out(path) -> contextlib.AbstractContextManager:
     return open(path, "w")
 
 
+def _chunks(rows: Iterable[Sequence]) -> Iterator[list]:
+    """`rows` in lists of CHUNK_ROWS; the last list may be shorter."""
+    rows = iter(rows)
+    return iter(lambda: list(itertools.islice(rows, CHUNK_ROWS)), [])
+
+
 def _write_csv(table: Table, path=None) -> None:
     """Stream `table` as CSV to `path` (stdout when None).
 
     One line template serves every row; it is built from the first row's
     value types: floats print with 17 significant digits, everything else
-    with str().
+    with str().  Each chunk of rows is one format call on the repeated
+    template.
     """
-    rows = iter(table.rows)
-    first = next(rows, None)
+    chunks = _chunks(table.rows)
+    first = next(chunks, None)
     with _open_out(path) as out:
         out.write(table.header + "\n")
-        if first is not None:
-            template = ",".join("{:.17g}" if isinstance(v, float) else "{}" for v in first)
-            out.writelines(
-                itertools.starmap((template + "\n").format, itertools.chain([first], rows))
-            )
+        if first is None:
+            return
+        template = ",".join("{:.17g}" if isinstance(v, float) else "{}" for v in first[0])
+        template += "\n"
+        for chunk in itertools.chain([first], chunks):
+            out.write((template * len(chunk)).format(*itertools.chain.from_iterable(chunk)))
+
+
+def _json_cells(values: Sequence, sample) -> Iterable:
+    """One column of a chunk, typed like `sample`, as json.dumps writes it:
+    floats by float.__repr__ (non-finite ones by name), strings quoted and
+    escaped, everything else as is for str()."""
+    if isinstance(sample, float):
+        text = list(map(float.__repr__, values))
+        return map(_JSON_NON_FINITE.get, text, text)
+    if isinstance(sample, str):
+        return map(encode_basestring_ascii, values)
+    return values
 
 
 def _write_json(table: Table, params: ModelParams, path=None) -> None:
@@ -228,22 +263,36 @@ def _write_json(table: Table, params: ModelParams, path=None) -> None:
 
     The bytes are those of one `json.dumps(..., sort_keys=True, indent=2)`
     of the whole object.  The head is dumped with an empty row list and
-    split there; the rows go in between, JSON_CHUNK_ROWS per dump, each
-    chunk's list brackets stripped and its lines indented one level more.
+    split there; the rows go in between.  One row template, with the keys
+    sorted and indented one level inside "rows", is built from the first
+    row's value types; each chunk of rows is one format call on it.
     """
-    columns = table.header.split(",")
     head = {"params": params.to_dict(), **table.meta, "rows": []}
     before, after = json.dumps(head, sort_keys=True, indent=2).split('"rows": []')
-    rows = (dict(zip(columns, row)) for row in table.rows)
-    chunks = iter(lambda: list(itertools.islice(rows, JSON_CHUNK_ROWS)), [])
+    outer = before[before.rindex("\n") + 1 :]  # the indent of the "rows" line
+    inner = outer + "  "
+    # A repeated column keeps its last value, as a dict built from the row would.
+    index = {column: i for i, column in enumerate(table.header.split(","))}
+    keys = sorted(index)
+    order = [index[key] for key in keys]
+    fields = ",\n".join(f"{inner}  {encode_basestring_ascii(key)}: {{}}" for key in keys)
+    template = ",\n" + inner + "{{\n" + fields + "\n" + inner + "}}"
+    chunks = _chunks(table.rows)
+    first = next(chunks, None)
     with _open_out(path) as out:
         out.write(before + '"rows": [')
-        separator = "\n"
-        for chunk in chunks:
-            body = json.dumps(chunk, sort_keys=True, indent=2)[2:-2]  # drop "[\n", "\n]"
-            out.write(separator + "  " + body.replace("\n", "\n  "))
-            separator = ",\n"
-        out.write(("]" if separator == "\n" else "\n  ]") + after + "\n")
+        if first is None:
+            out.write("]" + after + "\n")
+            return
+        samples = [first[0][i] for i in order]
+        skip = 1  # the first row takes no leading comma
+        for chunk in itertools.chain([first], chunks):
+            columns = list(zip(*chunk))
+            cells = zip(*(_json_cells(columns[i], s) for i, s in zip(order, samples)))
+            text = (template * len(chunk)).format(*itertools.chain.from_iterable(cells))
+            out.write(text[skip:])
+            skip = 0
+        out.write("\n" + outer + "]" + after + "\n")
 
 
 # ----- subcommand handlers: each takes the parsed arguments ----- #
@@ -321,6 +370,7 @@ def _profile_log10(rows) -> list[tuple]:
 def _run_saddle(args) -> Table:
     _check_range("--n", [args.n], 1, TRIANGLE_LOG_MAX_N)
     _check_range("--epsilon", [args.epsilon], 0.0, 0.5, open_ends=True)
+    _check_window(args.n, args.epsilon)
     rows = _profile_log10(profile(args.params, args.n, args.epsilon))
     return Table(PROFILE_HEADER, rows, {"n": args.n, "epsilon": args.epsilon})
 
@@ -357,6 +407,7 @@ def _run_figures(args) -> None:
         raise ConfigError("figures requires --out DIRECTORY")
     _check_range("--n", [args.n], 1, TRIANGLE_LOG_MAX_N)
     _check_range("--epsilon", [args.epsilon], 0.0, 0.5, open_ends=True)
+    _check_window(args.n, args.epsilon)
     _check_range("--u-grid", args.u_grid, 0.0, 1.0, open_ends=True)
     _check_range("--N-list", args.n_list, 1, TRIANGLE_LOG_MAX_N)
     params, n, u_grid, n_list = args.params, args.n, args.u_grid, args.n_list

@@ -201,27 +201,38 @@ class EgfEvaluator:
         return out
 
     def _contour_coefficients(self, x: float, rho: float, n_terms: int) -> np.ndarray:
+        """Trapezoidal rule on |t| = rho with 64, 128, ... nodes.
+
+        Each doubling evaluates only the new odd nodes: node j of N is node
+        2j of 2N bit for bit (2*pi*(2j) is an exact doubling), so the kept
+        samples are those a fresh rule would compute.
+        """
+
+        def sample(js: range, nodes: int) -> np.ndarray:
+            return np.array(
+                [self._eval_complex(x, cmath.rect(rho, _TWO_PI * j / nodes)) for j in js]
+            )
+
         previous = None
         nodes = 64
-        while nodes <= 1 << 15:
-            samples = np.array(
-                [
-                    self._eval_complex(x, cmath.rect(rho, _TWO_PI * j / nodes))
-                    for j in range(nodes)
-                ]
-            )
+        samples = sample(range(nodes), nodes)
+        while True:
             spectrum = np.fft.fft(samples)[:n_terms]
             coeffs = spectrum.real / (nodes * rho ** np.arange(n_terms))
-            if previous is not None and previous.size == coeffs.size:
+            if previous is not None:
                 scale = np.maximum(np.abs(coeffs), 1e-300)
                 if np.max(np.abs(coeffs - previous) / scale) <= 1e-10:
                     return coeffs
+            if nodes == 1 << 15:
+                raise AccuracyError(
+                    f"contour quadrature for {n_terms} coefficients at x={x} did not "
+                    "stabilize to 1e-10"
+                )
             previous = coeffs
             nodes *= 2
-        raise AccuracyError(
-            f"contour quadrature for {n_terms} coefficients at x={x} did not "
-            "stabilize to 1e-10"
-        )
+            merged = np.empty(nodes, dtype=complex)
+            merged[0::2], merged[1::2] = samples, sample(range(1, nodes, 2), nodes)
+            samples = merged
 
 
 def modulus_saddle(params: ModelParams, x: float, n: int) -> tuple[float, float]:

@@ -119,23 +119,29 @@ class ProfileRow:
     log_p_gaussian: float
 
 
+def k_window(n: int, epsilon: float) -> range:
+    """The heights k in [eps*n, (1-eps)*n] that `profile` covers; may be empty."""
+    return range(math.ceil(epsilon * n), math.floor((1.0 - epsilon) * n) + 1)
+
+
 def profile(params: ModelParams, n: int, epsilon: float) -> list[ProfileRow]:
     """Exact / Daniels / Gaussian log probabilities for k in [eps*n, (1-eps)*n].
 
-    Each Daniels saddle solve starts from the previous k's saddle.  The
-    Gaussian column evaluates the central window law at the exact row mean
-    and variance.
+    A window with no integer k raises DomainError.  Each Daniels saddle
+    solve starts from the previous k's saddle.  The Gaussian column
+    evaluates the central window law at the exact row mean and variance.
     """
     if not 0.0 < epsilon < 0.5:
         raise DomainError(f"epsilon must be in (0, 1/2), got {epsilon}")
+    ks = k_window(n, epsilon)
+    if not ks:
+        raise DomainError(f"no integer k in [{epsilon}*{n}, (1 - {epsilon})*{n}]")
     log_row = final_log_row(params, n)
     dist = _distribution_from_log_row(n, log_row)
     ev = CumulantEvaluator(log_row)
-    k_lo = math.ceil(epsilon * n)
-    k_hi = math.floor((1.0 - epsilon) * n)
     rows = []
     saddle = None
-    for k in range(k_lo, k_hi + 1):
+    for k in ks:
         gauss = asymptotics.gaussian_local_law(dist.mean, dist.variance, k)
         saddle = ev.solve_saddle(k, near=saddle)
         rows.append(

@@ -9,6 +9,7 @@ import pytest
 from wmotzkin import ModelParams
 from wmotzkin.cli import (
     ASYM_HEADER,
+    CHUNK_ROWS,
     DIST_HEADER,
     PROFILE_HEADER,
     PROFILE_LOG_HEADER,
@@ -192,6 +193,15 @@ def test_exit_codes(tmp_path, capsys):
     for x in ("0", "-1", "0.5,0", "inf", "nan"):
         code, out, _ = run_main(["egf-check", "--params", SHOWCASE_ARG, "--x", x], capsys)
         assert (code, out) == (2, ""), x
+    # config errors: an [epsilon*n, (1-epsilon)*n] window with no integer k
+    for args in (["saddle", "--n", "1"], ["saddle", "--n", "3", "--epsilon", "0.4"],
+                 ["saddle", "--params", SHOWCASE_ARG, "--n", "1", "--epsilon", "0.4",
+                  "--format", "json"]):
+        code, out, err = run_main(args, capsys)
+        assert (code, out) == (2, "") and "no integer k" in err, args
+    code, out, _ = run_main(["figures", "--n", "1", "--out", str(tmp_path / "figs")], capsys)
+    assert (code, out) == (2, "")
+    assert not (tmp_path / "figs").exists()
     # config error: figures writes csv or svg, not json
     code, out, _ = run_main(["figures", "--format", "json", "--out", str(tmp_path / "figs")],
                             capsys)
@@ -237,6 +247,9 @@ TABLE_CASES = {
     "ldp": ["ldp", "--params", SHOWCASE_ARG, "--u-grid", "0.3,0.6", "--N-list", "40,80"],
     "egf-check": ["egf-check", "--params", "a=1 b=1 c=2 alpha0=1 beta0=1 gamma0=0",
                   "--n", "6", "--x", "0.5,1"],
+    # Structural zeros: log weights of -inf.
+    "triangle_zeros": ["triangle", "--params", "a=1 b=1 c=0 alpha0=1 beta0=1 gamma0=0",
+                       "--n", "7", "--representation", "log_space"],
 }
 
 
@@ -265,20 +278,33 @@ def test_json_rows_match_csv(case, capsys):
 CELL_TYPES = {"n": int, "k": int, "weight_decimal": str}
 
 
-@pytest.mark.parametrize("chunk_rows", [1, 1024])
-@pytest.mark.parametrize(
-    "argv", [*TABLE_CASES.values(), ["saddle", "--params", SHOWCASE_ARG, "--n", "1",
-                                     "--epsilon", "0.4"]],
-    ids=[*TABLE_CASES, "saddle_no_rows"],
-)
-def test_json_is_one_document(argv, chunk_rows, capsys, monkeypatch):
-    # The streamed JSON equals, byte for byte, one json.dumps of the whole
-    # object built here from the CSV rows and the metadata.
+# 1 puts every row in a chunk of its own; CHUNK_ROWS and 1024 hold each of
+# these tables in one chunk.
+@pytest.mark.parametrize("chunk_rows", [1, CHUNK_ROWS, 1024])
+@pytest.mark.parametrize("case", [*TABLE_CASES])
+def test_json_is_one_document(case, chunk_rows, capsys, monkeypatch):
+    # The CSV equals one template.format per row, and the streamed JSON
+    # equals, byte for byte, one json.dumps of the whole object built here
+    # from the CSV rows and the metadata.
     import wmotzkin.cli as cli_mod
 
-    monkeypatch.setattr(cli_mod, "JSON_CHUNK_ROWS", chunk_rows)
+    monkeypatch.setattr(cli_mod, "CHUNK_ROWS", chunk_rows)
+    tables = []
+    write_csv = cli_mod._write_csv
+
+    def keep_rows(table, path=None):
+        tables.append(cli_mod.Table(table.header, list(table.rows), table.meta))
+        write_csv(tables[-1], path)
+
+    monkeypatch.setattr(cli_mod, "_write_csv", keep_rows)
+    argv = TABLE_CASES[case]
     code, csv_text, _ = run_main(argv, capsys)
     assert code == 0
+    (table,) = tables
+    template = ",".join("{:.17g}" if isinstance(v, float) else "{}" for v in table.rows[0])
+    expected = [table.header] + [template.format(*row) for row in table.rows]
+    assert csv_text == "\n".join(expected) + "\n"
+
     code, json_text, _ = run_main(argv + ["--format", "json"], capsys)
     assert code == 0
     header, *lines = csv_text.splitlines()
@@ -290,6 +316,8 @@ def test_json_is_one_document(argv, chunk_rows, capsys, monkeypatch):
     meta = {k: v for k, v in json.loads(json_text).items() if k not in ("params", "rows")}
     document = {"params": ModelParams.parse(argv[2]).to_dict(), **meta, "rows": rows}
     assert json_text == json.dumps(document, sort_keys=True, indent=2) + "\n"
+    if case == "triangle_zeros":
+        assert ",-inf\n" in csv_text and '"log_weight": -Infinity,' in json_text
 
 
 def _traced_peak(argv):

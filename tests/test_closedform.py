@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -16,7 +17,9 @@ from wmotzkin import (
 from wmotzkin.closedform import modulus_saddle
 from corpus import (
     COMPLEX_UNIT,
+    CONSTANT_BALANCED,
     DOUBLE_ROOT,
+    LINEAR_BALANCED,
     SHOWCASE,
     balanced_corpus,
     balanced_quadratic,
@@ -140,6 +143,43 @@ def test_taylor_rejects_bad_order():
         ev.taylor_coefficients(1.0, 31)
     with pytest.raises(DomainError):
         ev.taylor_coefficients(-1.0, 5)
+
+
+def _fresh_contour_coefficients(ev, x, rho, n_terms):
+    """Reference contour: every node doubling samples all of its nodes anew."""
+    previous = None
+    nodes = 64
+    while nodes <= 1 << 15:
+        samples = np.array(
+            [ev._eval_complex(x, cmath.rect(rho, 2.0 * math.pi * j / nodes))
+             for j in range(nodes)]
+        )
+        coeffs = np.fft.fft(samples)[:n_terms].real / (nodes * rho ** np.arange(n_terms))
+        if previous is not None:
+            scale = np.maximum(np.abs(coeffs), 1e-300)
+            if np.max(np.abs(coeffs - previous) / scale) <= 1e-10:
+                return coeffs
+        previous = coeffs
+        nodes *= 2
+    raise AccuracyError("reference contour did not stabilize to 1e-10")
+
+
+def test_contour_reuses_nodes_exactly(monkeypatch):
+    # Reusing the samples of the halved rule changes no coefficient by a
+    # single bit: node j of N nodes is node 2j of 2N nodes exactly.
+    models = (CONSTANT_BALANCED, LINEAR_BALANCED, SHOWCASE, DOUBLE_ROOT, COMPLEX_UNIT)
+    for params in models:
+        ev = EgfEvaluator(params)
+        for x in (0.5, 2.0):
+            coeffs = ev.taylor_coefficients(x, 20)
+            with monkeypatch.context() as m:
+                m.setattr(ev, "_contour_coefficients",
+                          lambda *args: _fresh_contour_coefficients(ev, *args))
+                reference = ev.taylor_coefficients(x, 20)
+            assert np.array_equal(coeffs, reference), (params, x)
+    # The known failing case still runs out of nodes.
+    with pytest.raises(AccuracyError, match="did not stabilize"):
+        EgfEvaluator(DOUBLE_ROOT).taylor_coefficients(1.0, 30)
 
 
 def test_special_case_power_one_matches_general_path():

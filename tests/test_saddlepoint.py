@@ -158,6 +158,14 @@ def test_profile_shape_and_finiteness():
         profile(SHOWCASE, 50, 0.7)
 
 
+def test_profile_refuses_empty_window():
+    # [eps*n, (1-eps)*n] holds no integer k: an error, not an empty table.
+    for n, eps in ((1, 0.01), (3, 0.4)):
+        with pytest.raises(DomainError, match="no integer k"):
+            profile(SHOWCASE, n, eps)
+    assert [r.k for r in profile(SHOWCASE, 2, 0.4)] == [1]
+
+
 def test_profile_deterministic():
     a = profile(SHOWCASE, 60, 0.05)
     b = profile(SHOWCASE, 60, 0.05)
