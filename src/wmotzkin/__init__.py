@@ -13,7 +13,7 @@ from .asymptotics import (
     log_pn_linear_drift,
     log_pn_quadratic,
 )
-from .closedform import EgfEvaluator, SingularityMap, TauDerivatives
+from .closedform import EgfEvaluator, SingularityMap
 from .errors import (
     AccuracyError,
     BoundaryError,
@@ -27,22 +27,15 @@ from .errors import (
 from .exact import (
     HeightDistribution,
     Triangle,
-    brute_force_oracle,
     build_triangle,
-    distribution,
     final_log_row,
     height_distribution,
     iter_log_rows,
-    polynomial_eval,
 )
 from .ldp import (
-    EmpiricalRateRow,
     RatePoint,
     RateProfile,
-    empirical_rate_check,
     limit_cgf,
-    parametrized_profile,
-    rate_closed_form_double_root,
     rate_function,
     rate_profile,
 )
@@ -53,7 +46,6 @@ from .model import (
     Regime,
     classify,
     is_balanced,
-    step_weights,
 )
 from .saddlepoint import CumulantEvaluator, ProfileRow, SaddleResult, profile
 from .specfun import (
@@ -61,7 +53,6 @@ from .specfun import (
     CgfValues,
     hermite_kdf_sequence,
     lambert_w0,
-    log_gamma,
     log_sum_exp,
 )
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .closedform import SingularityMap, modulus_saddle
 from .errors import DomainError
 from .model import QUADRATIC, DriftKind, ModelParams, Regime, require
-from .specfun import hermite_kdf_sequence, hermite_ratios, lambert_w0, log_gamma
+from .specfun import hermite_kdf_sequence, hermite_ratios, lambert_w0
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -52,7 +52,7 @@ def log_pn_quadratic(params: ModelParams, x: float, n: int) -> AsymptoticEstimat
     # sqrt(2 pi)/Gamma(nu) * amp(x) * e^{c0 tau} * n^{nu-1/2} * (n/(e tau))^n
     log_pn = (
         _LOG_SQRT_2PI
-        - log_gamma(nu)
+        - math.lgamma(nu)
         + log_amp
         + regime.c0 * tau
         + (nu - 0.5) * math.log(n)
@@ -100,7 +100,7 @@ def _laplace_tail(n: int, curvature: float, log_w: float, t_star: float) -> floa
     t* is the modulus saddle and curvature the t-curvature of
     log w(x, t) - (n+1) log t there."""
     return (
-        log_gamma(n + 1)
+        math.lgamma(n + 1)
         - 0.5 * math.log(2.0 * math.pi * curvature)
         + log_w
         - (n + 1) * math.log(t_star)

@@ -2,10 +2,10 @@
 analysis, and CSV/JSON/SVG artifact emission.
 
 The argparse namespace is the run configuration: each subparser holds its
-defaults, parses its list flags, and names its handler.  Each tabular
-handler returns one `Table`, which `_write_csv` or `_write_json` streams.
-Exit codes: 0 success, 2 configuration error, 3 numeric-domain error,
-4 capacity error.  All floats print with 17 significant digits so that
+defaults, parses and range-checks its flags, and names its handler.  Each
+tabular handler returns one `Table`, which `_write_csv` or `_write_json`
+streams.  Exit codes: 0 success, 2 configuration error, 3 numeric-domain
+error, 4 capacity error.  All floats print with 17 significant digits so that
 identical configurations produce byte-identical artifacts.
 """
 
@@ -67,6 +67,20 @@ def _load_params(source: str) -> ModelParams:
     return ModelParams.parse(path.read_text() if path.is_file() else source)
 
 
+def _in_range(kind, lo, hi, *, open_ends: bool = False):
+    """argparse `type=`: a `kind` in [lo, hi], or (lo, hi) with `open_ends`; never nan."""
+
+    def parse(raw: str):
+        value = kind(raw)
+        if not (lo < value < hi if open_ends else lo <= value <= hi):
+            interval = f"({lo}, {hi})" if open_ends else f"[{lo}, {hi}]"
+            raise argparse.ArgumentTypeError(f"must lie in {interval}, got {value}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse: "invalid int value" when kind(raw) fails
+    return parse
+
+
 def _list_of(kind):
     """argparse `type=`: a nonempty comma- or space-separated list of `kind`."""
 
@@ -78,15 +92,6 @@ def _list_of(kind):
 
     parse.__name__ = f"{kind.__name__} list"  # argparse names it in its errors
     return parse
-
-
-def _check_range(flag: str, values: Iterable, lo, hi, *, open_ends: bool = False) -> None:
-    """Raise ConfigError unless every value lies in [lo, hi], or in (lo, hi)
-    with `open_ends`; nan lies in neither."""
-    for value in values:
-        if not (lo < value < hi if open_ends else lo <= value <= hi):
-            interval = f"({lo}, {hi})" if open_ends else f"[{lo}, {hi}]"
-            raise ConfigError(f"{flag} must lie in {interval}, got {value}")
 
 
 def _check_window(n: int, epsilon: float) -> None:
@@ -300,8 +305,11 @@ def _write_json(table: Table, params: ModelParams, path=None) -> None:
 
 def _run_triangle(args) -> Table:
     if args.representation == "exact":
-        flag = "--n (use --representation log_space for larger n)"
-        _check_range(flag, [args.n], 0, TRIANGLE_EXACT_MAX_N)
+        if args.n > TRIANGLE_EXACT_MAX_N:
+            raise ConfigError(
+                "--n (use --representation log_space for larger n) must lie in "
+                f"[0, {TRIANGLE_EXACT_MAX_N}], got {args.n}"
+            )
         tri = build_triangle(args.params, args.n, "exact")
         rows = (
             (n, k, lw, str(w))
@@ -309,7 +317,6 @@ def _run_triangle(args) -> Table:
             for k, (lw, w) in enumerate(zip(tri.log_row(n).tolist(), tri.row(n)))
         )
         return Table(TRIANGLE_HEADER_EXACT, rows)
-    _check_range("--n", [args.n], 0, TRIANGLE_LOG_MAX_N)
     # Looked up on the module so that wrappers installed there see the build.
     log_rows = exact.iter_log_rows(args.params, args.n)
     rows = (
@@ -321,7 +328,6 @@ def _run_triangle(args) -> Table:
 
 
 def _run_dist(args) -> Table:
-    _check_range("--n", [args.n], 0, TRIANGLE_LOG_MAX_N)
     dist = _distribution_from_log_row(args.n, final_log_row(args.params, args.n))
     log_p = dist.log_p.tolist()
     meta = {
@@ -344,8 +350,6 @@ def _asym_estimate(params: ModelParams, x: float, n: int):
 
 
 def _run_asym(args) -> Table:
-    _check_range("--N-list", args.n_list, 1, TRIANGLE_LOG_MAX_N)
-    _check_range("--x", [args.x], 0.0, math.inf, open_ends=True)
     rows = []
     for n in args.n_list:
         log_row = final_log_row(args.params, n)
@@ -368,16 +372,12 @@ def _profile_log10(rows) -> list[tuple]:
 
 
 def _run_saddle(args) -> Table:
-    _check_range("--n", [args.n], 1, TRIANGLE_LOG_MAX_N)
-    _check_range("--epsilon", [args.epsilon], 0.0, 0.5, open_ends=True)
     _check_window(args.n, args.epsilon)
     rows = _profile_log10(profile(args.params, args.n, args.epsilon))
     return Table(PROFILE_HEADER, rows, {"n": args.n, "epsilon": args.epsilon})
 
 
 def _run_ldp(args) -> Table:
-    _check_range("--u-grid", args.u_grid, 0.0, 1.0, open_ends=True)
-    _check_range("--N-list", args.n_list, 1, TRIANGLE_LOG_MAX_N)
     prof = ldp.rate_profile(args.params, args.u_grid)
     columns = ldp.empirical_rates(args.params, args.u_grid, args.n_list)
     header = LDP_HEADER_BASE + "".join(f",emp_{n}" for n in args.n_list)
@@ -386,8 +386,6 @@ def _run_ldp(args) -> Table:
 
 
 def _run_egf_check(args) -> Table:
-    _check_range("--n", [args.n], 1, 30)
-    _check_range("--x", args.x, 0.0, math.inf, open_ends=True)
     ev = EgfEvaluator(args.params)
     tri = build_triangle(args.params, args.n - 1)
     rows = []
@@ -403,13 +401,7 @@ def _run_egf_check(args) -> Table:
 def _run_figures(args) -> None:
     """Compute every figure table (and plot, with --format svg), then write
     them under --out and print their paths."""
-    if args.out is None:
-        raise ConfigError("figures requires --out DIRECTORY")
-    _check_range("--n", [args.n], 1, TRIANGLE_LOG_MAX_N)
-    _check_range("--epsilon", [args.epsilon], 0.0, 0.5, open_ends=True)
     _check_window(args.n, args.epsilon)
-    _check_range("--u-grid", args.u_grid, 0.0, 1.0, open_ends=True)
-    _check_range("--N-list", args.n_list, 1, TRIANGLE_LOG_MAX_N)
     params, n, u_grid, n_list = args.params, args.n, args.u_grid, args.n_list
 
     rows = profile(params, n, args.epsilon)
@@ -466,11 +458,19 @@ def _build_parser() -> argparse.ArgumentParser:
         "height-linear step weights.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    ints, floats = _list_of(int), _list_of(float)
+    # Each flag's range; _run_triangle adds the cap of an exact triangle.
+    row = _in_range(int, 0, TRIANGLE_LOG_MAX_N)
+    length = _in_range(int, 1, TRIANGLE_LOG_MAX_N)
+    n_list = _list_of(length)
+    u_grid = _list_of(_in_range(float, 0.0, 1.0, open_ends=True))
+    epsilon = _in_range(float, 0.0, 0.5, open_ends=True)
+    positive = _in_range(float, 0.0, math.inf, open_ends=True)
 
     # Handlers are read from the module globals when the parser is built,
     # which main() does on every call, so a replaced handler is the one run.
-    def add(name, handler, help, params=CLASSIC_PARAMS, formats=("csv", "json")):
+    def add(
+        name, handler, help, params=CLASSIC_PARAMS, formats=("csv", "json"), out_required=False
+    ):
         sp = sub.add_parser(name, help=help)
         sp.set_defaults(handler=handler)
         sp.add_argument(
@@ -479,40 +479,40 @@ def _build_parser() -> argparse.ArgumentParser:
             help="inline `a=.. b=..` / JSON string, or a file containing either",
         )
         sp.add_argument("--format", default="csv", choices=formats)
-        sp.add_argument("--out", default=None, help="output file (default stdout)")
+        sp.add_argument("--out", required=out_required, help="output path (default stdout)")
         return sp
 
     sp = add("triangle", _run_triangle, "emit weight triangle rows")
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--n", type=row, required=True)
     sp.add_argument("--representation", default="exact", choices=("exact", "log_space"))
 
     sp = add("dist", _run_dist, "emit the terminal-height distribution")
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--n", type=row, required=True)
 
     sp = add("asym", _run_asym, "exact-vs-asymptotic table")
-    sp.add_argument("--N-list", dest="n_list", type=ints, default=[50, 100, 200, 400])
-    sp.add_argument("--x", type=float, default=1.0)
+    sp.add_argument("--N-list", dest="n_list", type=n_list, default=[50, 100, 200, 400])
+    sp.add_argument("--x", type=positive, default=1.0)
 
     sp = add("saddle", _run_saddle, "exact/Daniels/Gaussian profile")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--epsilon", type=float, default=0.01)
+    sp.add_argument("--n", type=length, required=True)
+    sp.add_argument("--epsilon", type=epsilon, default=0.01)
 
     sp = add("ldp", _run_ldp, "rate function and empirical scaling")
-    sp.add_argument("--u-grid", dest="u_grid", type=floats, default=DEFAULT_U_GRID)
-    sp.add_argument("--N-list", dest="n_list", type=ints, default=[])
+    sp.add_argument("--u-grid", dest="u_grid", type=u_grid, default=DEFAULT_U_GRID)
+    sp.add_argument("--N-list", dest="n_list", type=n_list, default=[])
 
     sp = add("egf-check", _run_egf_check, "closed form vs exact coefficients")
-    sp.add_argument("--n", type=int, default=9, help="number of coefficients (<= 30)")
-    sp.add_argument("--x", type=floats, default=[0.5, 1.0, 2.0])
+    sp.add_argument("--n", type=_in_range(int, 1, 30), default=9, help="Taylor terms")
+    sp.add_argument("--x", type=_list_of(positive), default=[0.5, 1.0, 2.0])
 
     sp = add(
         "figures", _run_figures, "reproduce the showcase figure data",
-        params=SHOWCASE_PARAMS, formats=("csv", "svg"),
+        params=SHOWCASE_PARAMS, formats=("csv", "svg"), out_required=True,
     )
-    sp.add_argument("--n", type=int, default=100)
-    sp.add_argument("--epsilon", type=float, default=0.01)
-    sp.add_argument("--N-list", dest="n_list", type=ints, default=[100, 200, 400, 800])
-    sp.add_argument("--u-grid", dest="u_grid", type=floats, default=DEFAULT_U_GRID)
+    sp.add_argument("--n", type=length, default=100)
+    sp.add_argument("--epsilon", type=epsilon, default=0.01)
+    sp.add_argument("--N-list", dest="n_list", type=n_list, default=[100, 200, 400, 800])
+    sp.add_argument("--u-grid", dest="u_grid", type=u_grid, default=DEFAULT_U_GRID)
     return parser
 
 

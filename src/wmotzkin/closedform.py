@@ -17,7 +17,6 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,20 +27,8 @@ from .specfun import CgfValues, lambert_w0, safeguarded_root
 _TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
-class TauDerivatives:
-    tau: float
-    tau1: float
-    tau2: float
-
-    @property
-    def chi(self) -> float:
-        """Logarithmic sensitivity -tau'/tau of the singular time."""
-        return -self.tau1 / self.tau
-
-
 class SingularityMap:
-    """Smallest positive singular time tau(x) and its derivatives (A > 0).
+    """Smallest positive singular time tau(x) and the limit CGF (A > 0).
 
     The domain is the real component containing x = 1: x > r2 for two real
     roots, x > r for a double root, and x > 0 for complex roots.
@@ -66,9 +53,9 @@ class SingularityMap:
         return 0.0
 
     def _check_domain(self, x: float) -> None:
-        if not x > self.domain_low:
+        if not self.domain_low < x < math.inf:
             raise DomainError(
-                f"x={x} outside the singularity domain x > {self.domain_low} "
+                f"x={x} outside the singularity domain {self.domain_low} < x < inf "
                 f"for {self.regime.describe()}"
             )
 
@@ -86,26 +73,27 @@ class SingularityMap:
         # pi/2 - arctan((x-p)/q) == arctan(q/(x-p)) since x > 0 >= p here.
         return math.atan2(regime.q, x - regime.p) / (A * regime.q)
 
-    def derivatives(self, x: float) -> TauDerivatives:
-        """tau, tau', tau'' at x (tau' = -1/Q, tau'' = Q'/Q^2)."""
-        tau = self.tau(x)
-        q_val = self.regime.coeffs.poly(x)
-        tau1 = -1.0 / q_val
-        tau2 = self.regime.coeffs.poly_deriv(x) / (q_val * q_val)
-        return TauDerivatives(tau=tau, tau1=tau1, tau2=tau2)
-
     def cgf(self, theta: float) -> CgfValues:
         """F(theta) = log(tau(1)/tau(e^theta)) with F' and F''.
 
         F'(theta) = x*chi(x) and F''(theta) = x*chi(x) + x^2*chi'(x) at
-        x = e^theta, where chi = -tau'/tau and chi' = chi^2 - tau''/tau.
+        x = e^theta, with chi = -tau'/tau = 1/(Q tau), chi' = chi^2 - tau''/tau
+        and tau'' = Q'/Q^2.  DomainError, not a wrong F' or F'', where e^theta
+        or Q(e^theta)^2 is no finite double (theta past about 177 at A = 1).
         """
-        x = math.exp(theta)
-        der = self.derivatives(x)
-        chi = der.chi
-        chi_prime = chi * chi - der.tau2 / der.tau
+        try:
+            x = math.exp(theta)
+        except OverflowError:
+            x = math.inf
+        q_val = self.regime.coeffs.poly(x)
+        q_sq = q_val * q_val
+        if not math.isfinite(q_sq):
+            raise DomainError(f"theta={theta}: Q(e^theta)^2 is not a finite double")
+        tau = self.tau(x)
+        chi = (1.0 / q_val) / tau
+        chi_prime = chi * chi - self.regime.coeffs.poly_deriv(x) / q_sq / tau
         return CgfValues(
-            value=self._log_tau_one - math.log(der.tau),
+            value=self._log_tau_one - math.log(tau),
             deriv1=x * chi,
             deriv2=x * chi + x * x * chi_prime,
         )
@@ -125,7 +113,10 @@ class EgfEvaluator:
         Quadratic regimes require t < tau(x) (and, for complex roots, the
         cosine phase inside (-pi/2, pi/2)); for A = 0 the function is entire
         in t.  The value is the real part of the contour's closed form.
+        Non-finite x or t raises DomainError.
         """
+        if not (math.isfinite(x) and math.isfinite(t)):
+            raise DomainError(f"(x={x}, t={t}) is not a finite point")
         regime = self.regime
         if regime.kind is DriftKind.COMPLEX_ROOTS:
             self.singularities._check_domain(x)
@@ -191,7 +182,6 @@ class EgfEvaluator:
         if not x > 0:
             raise DomainError(f"x must be positive, got {x}")
         if self.regime.is_quadratic:
-            self.singularities._check_domain(x)
             rho = 0.5 * self.singularities.tau(x)
             return self._contour_coefficients(x, rho, n_terms)
         out = np.empty(n_terms)
@@ -244,10 +234,10 @@ def modulus_saddle(params: ModelParams, x: float, n: int) -> tuple[float, float]
     n + 1 with a_lin = gamma0 - alpha0*C/B and y = (alpha0/B)(x + C/B), by
     `safeguarded_root` from the seed W(n/y)/B.  With alpha0 = 0 the saddle
     is (n+1)/gamma0, or 1.0 when w is constant (gamma0 = 0).  The seed is
-    t* itself except in the linear case.  x <= 0 raises DomainError.
+    t* itself except in the linear case.  x <= 0 and x = inf raise DomainError.
     """
-    if not x > 0:
-        raise DomainError(f"x must be positive, got {x}")
+    if not 0 < x < math.inf:
+        raise DomainError(f"x must be positive and finite, got {x}")
     if params.alpha0 == 0:
         t = (n + 1) / params.gamma0 if params.gamma0 else 1.0
         return t, t

@@ -1,5 +1,4 @@
-"""Exact weight triangles, the normalized height distribution, and a
-path-enumeration oracle.
+"""Exact weight triangles and the normalized height distribution.
 
 The triangle row recurrence is
 
@@ -28,8 +27,6 @@ Representation = Literal["exact", "log_space"]
 
 # Default budget on the total stored integer size of an exact build (bits).
 DEFAULT_BIT_BUDGET = 1 << 30
-
-ORACLE_MAX_N = 14
 
 
 @dataclass
@@ -242,49 +239,6 @@ def build_triangle(
     return Triangle(params, n_max, "exact", rows)
 
 
-def brute_force_oracle(params: ModelParams, n: int) -> list[int]:
-    """Row n by enumerating every {up, level, down} step string.
-
-    Independent of the triangle recurrence: each surviving path multiplies
-    the weight of an up- or level-step leaving its current height and of a
-    down-step arriving at its target height.  Exponential in n.
-    """
-    if n < 0:
-        raise DomainError(f"n must be nonnegative, got {n}")
-    if n > ORACLE_MAX_N:
-        raise CapacityError(
-            f"oracle enumerates 3^n paths; n={n} exceeds the limit {ORACLE_MAX_N}"
-        )
-    totals = [0] * (n + 1)
-
-    def walk(steps_left: int, height: int, weight: int) -> None:
-        if steps_left == 0:
-            totals[height] += weight
-            return
-        w_up = params.up_weight(height)
-        if w_up:
-            walk(steps_left - 1, height + 1, weight * w_up)
-        w_level = params.level_weight(height)
-        if w_level:
-            walk(steps_left - 1, height, weight * w_level)
-        if height > 0:
-            w_down = params.down_weight(height - 1)
-            if w_down:
-                walk(steps_left - 1, height - 1, weight * w_down)
-
-    walk(n, 0, 1)
-    return totals
-
-
-def polynomial_eval(triangle: Triangle, n: int, x: float) -> float:
-    """log of sum_k w[n][k] x^k for x > 0 (stable log-sum-exp)."""
-    if not x > 0:
-        raise DomainError(f"x must be positive, got {x}")
-    lw = triangle.log_row(n)
-    k = np.arange(lw.size, dtype=float)
-    return log_sum_exp(lw + k * math.log(x))
-
-
 @dataclass
 class HeightDistribution:
     """Normalized terminal-height law at a fixed length n.
@@ -311,11 +265,6 @@ def _distribution_from_log_row(n: int, log_row: np.ndarray) -> HeightDistributio
     # Compensated second central moment: no cancellation between moments.
     variance = math.fsum(np.exp(log_p) * (k - mean) ** 2)
     return HeightDistribution(n, log_p, mean, variance, log_total)
-
-
-def distribution(triangle: Triangle, n: int) -> HeightDistribution:
-    """Normalized height distribution of row n of a built triangle."""
-    return _distribution_from_log_row(n, triangle.log_row(n))
 
 
 def height_distribution(params: ModelParams, n: int) -> HeightDistribution:

@@ -18,7 +18,6 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from typing import Iterable, Literal
 
 from .errors import ConfigError, DomainError, RegimeError
@@ -118,13 +117,6 @@ def is_balanced(params: ModelParams) -> bool:
     return params.beta0 == params.b
 
 
-def step_weights(params: ModelParams, k: int) -> tuple[int, int, int]:
-    """Exact integer (alpha_k, beta_k, gamma_k) at height k >= 0."""
-    if k < 0:
-        raise DomainError(f"height index must be nonnegative, got {k}")
-    return (params.up_weight(k), params.down_weight(k), params.level_weight(k))
-
-
 @dataclass(frozen=True)
 class DriftCoefficients:
     """Quadratic drift Q(x) = A*x^2 + B*x + C with A=a, B=c, C=b."""
@@ -172,7 +164,6 @@ class Regime:
     p: float | None = None
     q: float | None = None
     nu: float | None = None
-    nu_exact: Fraction | None = None
     c0: float | None = None
 
     @property
@@ -215,9 +206,8 @@ def classify(params: ModelParams) -> Regime:
         else:
             kind, lead = DriftKind.COMPLEX_ROOTS, -B / (2 * A)
             fields = {"p": lead, "q": math.sqrt(-delta) / (2 * A)}
-        nu_exact = Fraction(params.alpha0, A)
         c0 = params.alpha0 * lead + params.gamma0
-        fields.update(nu=float(nu_exact), nu_exact=nu_exact, c0=c0)
+        fields.update(nu=params.alpha0 / A, c0=c0)
     return Regime(kind=kind, coeffs=coeffs, **fields)
 
 

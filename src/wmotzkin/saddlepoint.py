@@ -106,10 +106,6 @@ class CumulantEvaluator:
         )
         return SaddleResult(theta, vals, log_p, iterations)
 
-    def daniels_log_pmf(self, k: int) -> float:
-        """Daniels lattice saddlepoint log probability at interior k."""
-        return self.solve_saddle(k).log_p_daniels
-
 
 @dataclass(frozen=True)
 class ProfileRow:

@@ -1,6 +1,6 @@
-"""Numerical special functions (log-sum-exp, log-gamma, Lambert W, the
-two-variable Hermite values in log space), the safeguarded root finder and
-the conjugate solve built on it.
+"""Numerical special functions (log-sum-exp, Lambert W, the two-variable
+Hermite values in log space), the safeguarded root finder and the conjugate
+solve built on it.
 
 The Daniels saddle and the Legendre rate are both `conjugate_root` on their
 own CGF, so there is a single audited solve for them.
@@ -19,8 +19,6 @@ from .errors import ConvergenceError, DomainError
 LOG_ZERO = float("-inf")
 
 _INV_E = math.exp(-1.0)
-# Omega constant W(1), used as a fixed reference in tests and seeds.
-OMEGA = 0.5671432904097838
 
 
 def log_sum_exp(values) -> float:
@@ -38,13 +36,6 @@ def log_sum_exp(values) -> float:
     if math.isinf(m):  # +inf dominates
         return m
     return m + math.log(float(np.sum(np.exp(arr - m))))
-
-
-def log_gamma(x: float) -> float:
-    """log Gamma(x) for x > 0."""
-    if not x > 0:
-        raise DomainError(f"log_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
 
 
 def lambert_w0(z: float) -> float:

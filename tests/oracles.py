@@ -1,0 +1,90 @@
+"""Reference computations the tests compare the library against.
+
+Each one is written apart from the engine it checks: path enumeration for
+the triangle recurrence, the x-parametrization of the rate profile for the
+Legendre solve, the closed-form double-root rate, and a fixed value of
+Lambert W.  None of them is part of the library.
+"""
+
+import math
+
+import numpy as np
+
+from wmotzkin import CapacityError, DomainError, ModelParams, RateProfile, SingularityMap
+from wmotzkin.model import QUADRATIC, require
+
+ORACLE_MAX_N = 14
+
+INFINITE_RATE = math.inf
+
+# Omega constant W(1), a fixed reference value of Lambert W.
+OMEGA = 0.5671432904097838
+
+
+def brute_force_oracle(params: ModelParams, n: int) -> list[int]:
+    """Row n by enumerating every {up, level, down} step string.
+
+    Independent of the triangle recurrence: each surviving path multiplies
+    the weight of an up- or level-step leaving its current height and of a
+    down-step arriving at its target height.  Exponential in n.
+    """
+    if n < 0:
+        raise DomainError(f"n must be nonnegative, got {n}")
+    if n > ORACLE_MAX_N:
+        raise CapacityError(
+            f"oracle enumerates 3^n paths; n={n} exceeds the limit {ORACLE_MAX_N}"
+        )
+    totals = [0] * (n + 1)
+
+    def walk(steps_left: int, height: int, weight: int) -> None:
+        if steps_left == 0:
+            totals[height] += weight
+            return
+        w_up = params.up_weight(height)
+        if w_up:
+            walk(steps_left - 1, height + 1, weight * w_up)
+        w_level = params.level_weight(height)
+        if w_level:
+            walk(steps_left - 1, height, weight * w_level)
+        if height > 0:
+            w_down = params.down_weight(height - 1)
+            if w_down:
+                walk(steps_left - 1, height - 1, weight * w_down)
+
+    walk(n, 0, 1)
+    return totals
+
+
+def parametrized_profile(params: ModelParams, x_grid) -> RateProfile:
+    """Rate profile via the x-parametrization u = F'(log x) = x*chi(x),
+    I = u*log x - F(log x); theta(u) = log x."""
+    require(params, QUADRATIC)
+    smap = SingularityMap(params)
+    points = []
+    for x in x_grid:
+        x = float(x)
+        if not x > 0:
+            raise DomainError(f"x grid must be positive, got {x}")
+        theta = math.log(x)
+        vals = smap.cgf(theta)
+        points.append((vals.deriv1, theta, vals.deriv1 * theta - vals.value))
+    u, theta, rate = np.array(points, dtype=float).reshape(-1, 3).T
+    return RateProfile(u=u, theta=theta, rate=rate)
+
+
+def rate_closed_form_double_root(r: float, u: float) -> float:
+    """Closed-form rate for a double root at r <= 0:
+
+    I(u) = u log u + (1-u) log(1-u) + (u-1) log(-r) + log(1-r).
+
+    At r = 0 the limit profile degenerates: infinite rate for u < 1, zero
+    at u = 1.
+    """
+    if r > 0:
+        raise DomainError(f"double root must satisfy r <= 0, got {r}")
+    if not 0.0 < u <= 1.0:
+        raise DomainError(f"u must be in (0, 1], got {u}")
+    if r == 0.0:
+        return 0.0 if u == 1.0 else INFINITE_RATE
+    entropy = u * math.log(u) + ((1.0 - u) * math.log(1.0 - u) if u < 1.0 else 0.0)
+    return entropy + (u - 1.0) * math.log(-r) + math.log(1.0 - r)

@@ -13,6 +13,7 @@ from wmotzkin import (
     RegimeError,
     SingularityMap,
     build_triangle,
+    log_pn_quadratic,
 )
 from wmotzkin.closedform import modulus_saddle
 from corpus import (
@@ -84,24 +85,52 @@ def test_tau_regime_and_domain_errors():
 
 
 def test_tau_derivative_values():
-    der = SingularityMap(SHOWCASE).derivatives(1.0)
-    assert math.isclose(der.tau1, -1.0 / 12.0, rel_tol=1e-14)
-    assert math.isclose(der.chi, (1.0 / 3.0) / math.log(3.0), rel_tol=1e-13)
-    der = SingularityMap(DOUBLE_ROOT).derivatives(1.0)
-    assert math.isclose(der.chi, 0.5, rel_tol=1e-14)
-    assert math.isclose(der.tau2 / der.tau, 0.5, rel_tol=1e-14)
+    # At x = 1 (theta = 0): F' = chi = -tau'/tau and F'' = chi + chi^2 - tau''/tau.
+    smap = SingularityMap(SHOWCASE)
+    cgf = smap.cgf(0.0)
+    assert math.isclose(cgf.deriv1 * smap.tau(1.0), 1.0 / 12.0, rel_tol=1e-14)  # -tau'
+    assert math.isclose(cgf.deriv1, (1.0 / 3.0) / math.log(3.0), rel_tol=1e-13)
+    # tau = 1/(x+1): chi = 1/2 and tau''/tau = 1/2, so F'' = 1/4.
+    cgf = SingularityMap(DOUBLE_ROOT).cgf(0.0)
+    assert math.isclose(cgf.deriv1, 0.5, rel_tol=1e-14)
+    assert math.isclose(cgf.deriv2, 0.25, rel_tol=1e-14)
 
 
 def test_tau_derivatives_match_finite_differences():
-    h1, h2 = 1e-6, 1e-4  # second differences need a larger step for roundoff
+    # Second differences need a larger step for roundoff: they lose about
+    # 1e-16 |F| / h2^2, which h2 = 1e-3 keeps below the 1e-8 floor where
+    # F'' = 0 (the double root at r = 0, where F = log x).
+    h1, h2 = 1e-6, 1e-3
     for params in balanced_quadratic():
         smap = SingularityMap(params)
         for x in (0.7, 1.0, 1.9):
-            der = smap.derivatives(x)
-            fd1 = (smap.tau(x + h1) - smap.tau(x - h1)) / (2 * h1)
-            fd2 = (smap.tau(x + h2) - 2 * smap.tau(x) + smap.tau(x - h2)) / (h2 * h2)
-            assert abs(der.tau1 - fd1) <= 1e-6 * abs(der.tau1)
-            assert abs(der.tau2 - fd2) <= 1e-5 * max(abs(der.tau2), 1e-3)
+            theta = math.log(x)
+            cgf = smap.cgf(theta)
+            up1, down1 = smap.cgf(theta + h1).value, smap.cgf(theta - h1).value
+            up2, down2 = smap.cgf(theta + h2).value, smap.cgf(theta - h2).value
+            fd1 = (up1 - down1) / (2 * h1)
+            fd2 = (up2 - 2 * cgf.value + down2) / (h2 * h2)
+            assert abs(cgf.deriv1 - fd1) <= 1e-6 * abs(cgf.deriv1)
+            assert abs(cgf.deriv2 - fd2) <= 1e-5 * max(abs(cgf.deriv2), 1e-3)
+
+
+NON_FINITE_CALLS = {
+    "tau-x-inf": lambda: SingularityMap(SHOWCASE).tau(math.inf),
+    "tau-x-nan": lambda: SingularityMap(SHOWCASE).tau(math.nan),
+    "log_pn_quadratic-x-inf": lambda: log_pn_quadratic(SHOWCASE, math.inf, 10),
+    "modulus_saddle-x-inf": lambda: modulus_saddle(CONSTANT_BALANCED, math.inf, 10),
+    "eval-t-nan": lambda: EgfEvaluator(SHOWCASE).eval(1.0, math.nan),
+    "eval-t-minus-inf": lambda: EgfEvaluator(SHOWCASE).eval(1.0, -math.inf),
+    "constant-eval-x-nan": lambda: EgfEvaluator(CONSTANT_BALANCED).eval(math.nan, 0.1),
+    "constant-eval-x-inf": lambda: EgfEvaluator(CONSTANT_BALANCED).eval(math.inf, 0.1),
+    "linear-eval-t-inf": lambda: EgfEvaluator(LINEAR_BALANCED).eval(1.0, math.inf),
+}
+
+
+@pytest.mark.parametrize("call", NON_FINITE_CALLS.values(), ids=NON_FINITE_CALLS)
+def test_non_finite_arguments_refused(call):
+    with pytest.raises(DomainError):
+        call()
 
 
 def test_tau_monotone_decreasing_positive():

@@ -10,21 +10,22 @@ from wmotzkin import (
     DomainError,
     ModelParams,
     RegimeError,
-    empirical_rate_check,
+    SingularityMap,
     final_log_row,
     limit_cgf,
     log_sum_exp,
-    parametrized_profile,
-    rate_closed_form_double_root,
     rate_function,
     rate_profile,
 )
+from wmotzkin.ldp import THETA_LIMIT, empirical_rates
+from oracles import parametrized_profile, rate_closed_form_double_root
 from corpus import (
     CLASSIC,
     DEGENERATE_QUADRATIC,
     DOUBLE_ROOT,
     LINEAR_BALANCED,
     SHOWCASE,
+    balanced_quadratic,
     quadratic_interior,
 )
 
@@ -49,6 +50,36 @@ def test_cgf_double_root_closed_form():
 def test_cgf_showcase_slope():
     chi = (1.0 / 3.0) / math.log(3.0)
     assert math.isclose(limit_cgf(SHOWCASE, 0.0).deriv1, chi, rel_tol=1e-12)
+
+
+def _ulps_around(value, count):
+    """value and the `count` doubles on each side of it."""
+    out = [value]
+    for direction in (math.inf, -math.inf):
+        x = value
+        for _ in range(count):
+            x = math.nextafter(x, direction)
+            out.append(x)
+    return out
+
+
+def test_cgf_accepts_bracket_reach_and_refuses_overflow():
+    # rate_profile's bracket stops at |theta| = THETA_LIMIT, give or take
+    # the rounding of conjugate_root's reach; F must be finite up to there.
+    # Q(e^theta)^2 overflows near theta = 177.4 for A = 1, and e^theta past
+    # theta = 709.78; both raise DomainError instead of a wrong F' or F''.
+    reach = _ulps_around(THETA_LIMIT, 4) + _ulps_around(-THETA_LIMIT, 4)
+    for params in balanced_quadratic():
+        smap = SingularityMap(params)
+        for theta in [*reach, *np.linspace(-THETA_LIMIT, THETA_LIMIT, 241)]:
+            vals = smap.cgf(float(theta))
+            assert all(map(math.isfinite, (vals.value, vals.deriv1, vals.deriv2)))
+            assert 0.0 <= vals.deriv1 <= 1.0 + 1e-12 and vals.deriv2 >= -1e-12, (params, theta)
+        for theta in (200.0, 400.0, 710.0, math.inf, math.nan):
+            with pytest.raises(DomainError):
+                smap.cgf(theta)
+            with pytest.raises(DomainError):
+                limit_cgf(params, theta)
 
 
 def test_cgf_regime_errors():
@@ -223,17 +254,18 @@ def test_variance_bridge():
 
 
 def test_empirical_rate_rows():
-    rows = empirical_rate_check(SHOWCASE, [0.15, 0.5, 0.85], [200, 400])
-    gaps = {(r.u, r.n): abs(r.empirical - r.rate) for r in rows}
-    for u in (0.15, 0.5, 0.85):
-        assert gaps[(u, 400)] < gaps[(u, 200)]
+    u_grid = [0.15, 0.5, 0.85]
+    rates = rate_profile(SHOWCASE, u_grid).rate
+    emp_200, emp_400 = empirical_rates(SHOWCASE, u_grid, [200, 400])
+    for rate, e200, e400 in zip(rates, emp_200, emp_400):
+        assert abs(e400 - rate) < abs(e200 - rate)
 
 
 def test_empirical_rate_at_typical_value():
     u0 = limit_cgf(SHOWCASE, 0.0).deriv1
     for n in (200, 400):
-        rows = empirical_rate_check(SHOWCASE, [u0], [n])
-        assert rows[0].empirical <= 2.0 * math.log(n) / n
+        [[empirical]] = empirical_rates(SHOWCASE, [u0], [n])
+        assert empirical <= 2.0 * math.log(n) / n
 
 
 def test_degenerate_quadratic_has_no_rate():

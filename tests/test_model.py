@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -13,9 +14,10 @@ from wmotzkin import (
     RegimeError,
     classify,
     is_balanced,
-    step_weights,
 )
+from wmotzkin.ldp import empirical_rates
 from wmotzkin.saddlepoint import uniform_error_applies
+from oracles import parametrized_profile
 from corpus import CORPUS, DEGENERATE, DEGENERATE_QUADRATIC, SHOWCASE
 
 nonneg = st.integers(min_value=0, max_value=9)
@@ -57,19 +59,22 @@ def test_is_balanced():
     assert is_balanced(ModelParams(1, 1, 2, 1, 1, 0))
 
 
+def _step_weights(params, k):
+    """(alpha_k, beta_k, gamma_k): the up, down and level weights at height k."""
+    return (params.up_weight(k), params.down_weight(k), params.level_weight(k))
+
+
 def test_step_weights_examples():
-    assert step_weights(SHOWCASE, 0) == (8, 5, 1)
-    assert step_weights(SHOWCASE, 3) == (11, 20, 19)
+    assert _step_weights(SHOWCASE, 0) == (8, 5, 1)
+    assert _step_weights(SHOWCASE, 3) == (11, 20, 19)
     for k in (0, 2, 7):
-        assert step_weights(ModelParams(0, 0, 0, 1, 1, 1), k) == (1, 1, 1)
-    with pytest.raises(DomainError):
-        step_weights(SHOWCASE, -1)
+        assert _step_weights(ModelParams(0, 0, 0, 1, 1, 1), k) == (1, 1, 1)
 
 
 @given(params_strategy, st.integers(min_value=0, max_value=50))
 def test_step_weights_affine(params, k):
-    a0, b0, g0 = step_weights(params, k)
-    a1, b1, g1 = step_weights(params, k + 1)
+    a0, b0, g0 = _step_weights(params, k)
+    a1, b1, g1 = _step_weights(params, k + 1)
     assert (a1 - a0, b1 - b0, g1 - g0) == (params.a, params.b, params.c)
 
 
@@ -116,8 +121,7 @@ def test_regime_constants_per_kind():
             assert regime.q > 0
             assert regime.p == -regime.coeffs.B / (2 * regime.coeffs.A)
         if regime.is_quadratic:
-            assert regime.nu_exact.denominator >= 1
-            assert float(regime.nu_exact) == regime.nu
+            assert regime.nu == float(Fraction(params.alpha0, regime.coeffs.A))
 
 
 def test_validation_rejects_bad_values():
@@ -166,8 +170,9 @@ GUARDED = [
     lambda p: wm.limit_cgf(p, 0.3),
     lambda p: wm.rate_function(p, 0.4),
     lambda p: wm.rate_profile(p, [0.4]),
-    lambda p: wm.parametrized_profile(p, [2.0]),
-    lambda p: wm.empirical_rate_check(p, [0.4], [20]),
+    lambda p: parametrized_profile(p, [2.0]),
+    # The ldp subcommand's path: the guarded rate profile, then the exact rows.
+    lambda p: (wm.rate_profile(p, [0.4]), empirical_rates(p, [0.4], [20])),
 ]
 OUTCOME = {".": None, "R": RegimeError, "D": DomainError}
 

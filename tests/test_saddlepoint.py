@@ -9,12 +9,12 @@ from wmotzkin import (
     DomainError,
     LOG_ZERO,
     ModelParams,
-    brute_force_oracle,
     final_log_row,
     height_distribution,
     profile,
 )
 from wmotzkin.saddlepoint import uniform_error_applies
+from oracles import brute_force_oracle
 from corpus import CLASSIC, CORPUS, DEGENERATE, DEGENERATE_QUADRATIC, SHOWCASE
 
 
@@ -108,7 +108,7 @@ def test_daniels_matches_gaussian_peak():
     ev = CumulantEvaluator.from_params(SHOWCASE, 100)
     dist = height_distribution(SHOWCASE, 100)
     k = round(dist.mean)
-    daniels = math.exp(ev.daniels_log_pmf(k))
+    daniels = math.exp(ev.solve_saddle(k).log_p_daniels)
     gauss_peak = 1.0 / math.sqrt(2.0 * math.pi * dist.variance)
     assert abs(daniels / gauss_peak - 1.0) <= 0.01
 
@@ -117,7 +117,7 @@ def test_daniels_total_mass_near_one():
     n = 100
     ev = CumulantEvaluator.from_params(SHOWCASE, n)
     dist = height_distribution(SHOWCASE, n)
-    interior = sum(math.exp(ev.daniels_log_pmf(k)) for k in range(1, n))
+    interior = sum(math.exp(ev.solve_saddle(k).log_p_daniels) for k in range(1, n))
     boundary = math.exp(dist.log_p[0]) + math.exp(dist.log_p[n])
     assert abs(interior - (1.0 - boundary)) <= 0.02
 
@@ -179,7 +179,7 @@ def test_profile_warm_saddles_match_cold():
         rows = profile(params, 300, 0.05)
         ev = CumulantEvaluator(final_log_row(params, 300))
         for r in rows:
-            cold = ev.daniels_log_pmf(r.k)
+            cold = ev.solve_saddle(r.k).log_p_daniels
             assert abs(r.log_p_daniels - cold) <= 1e-9 * max(1.0, abs(cold)), (params, r.k)
 
 

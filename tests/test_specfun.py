@@ -10,10 +10,10 @@ from wmotzkin import (
     LOG_ZERO,
     hermite_kdf_sequence,
     lambert_w0,
-    log_gamma,
     log_sum_exp,
 )
-from wmotzkin.specfun import OMEGA, CgfValues, conjugate_root, safeguarded_root
+from wmotzkin.specfun import CgfValues, conjugate_root, safeguarded_root
+from oracles import OMEGA
 
 
 def test_log_sum_exp_basics():
@@ -29,22 +29,6 @@ def test_log_sum_exp_shift(values, shift):
     base = log_sum_exp(values)
     shifted = log_sum_exp([v + shift for v in values])
     assert math.isclose(shifted, base + shift, rel_tol=0, abs_tol=1e-9)
-
-
-def test_log_gamma_values():
-    assert log_gamma(1.0) == 0.0
-    assert math.isclose(log_gamma(0.5), math.log(math.sqrt(math.pi)), rel_tol=1e-13)
-    assert math.isclose(log_gamma(8.0), math.log(5040), rel_tol=1e-13)
-    with pytest.raises(DomainError):
-        log_gamma(0.0)
-    with pytest.raises(DomainError):
-        log_gamma(-2.5)
-
-
-def test_log_gamma_recurrence():
-    xs = np.linspace(0.5, 100.0, 797)
-    worst = max(abs(log_gamma(x + 1.0) - log_gamma(x) - math.log(x)) for x in xs)
-    assert worst <= 1e-12
 
 
 def test_lambert_w0_reference_points():
