@@ -4,12 +4,12 @@ approximation, and large deviations."""
 
 from .asymptotics import (
     AsymptoticEstimate,
-    LinearDriftEstimate,
     asymptotic_moments,
     constant_drift_moments,
     gaussian_local_law,
     log_pn_constant_drift,
     log_pn_constant_drift_exact,
+    log_pn_estimate,
     log_pn_linear_drift,
     log_pn_quadratic,
 )

@@ -12,9 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .closedform import SingularityMap, modulus_saddle
+from .closedform import ModulusSaddle, SingularityMap, modulus_saddle
 from .errors import DomainError
-from .model import QUADRATIC, DriftKind, ModelParams, Regime, require
+from .model import QUADRATIC, DriftKind, ModelParams, Regime, classify, require
 from .specfun import hermite_kdf_sequence, hermite_ratios, lambert_w0
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -32,14 +32,6 @@ class AsymptoticEstimate:
     x: float
 
 
-@dataclass(frozen=True)
-class LinearDriftEstimate(AsymptoticEstimate):
-    """Linear-drift estimate, exposing the solved saddle and its W seed."""
-
-    t_star: float = 0.0
-    t_star_seed: float = 0.0
-
-
 def log_pn_quadratic(params: ModelParams, x: float, n: int) -> AsymptoticEstimate:
     """Master estimate of log P_n(x) for A > 0, any quadratic sub-regime."""
     regime = require(params, QUADRATIC)
@@ -48,7 +40,7 @@ def log_pn_quadratic(params: ModelParams, x: float, n: int) -> AsymptoticEstimat
     smap = SingularityMap(params)
     tau = smap.tau(x)
     nu = regime.nu
-    log_amp = _log_amplitude(smap, x, tau)
+    log_amp = smap.log_amplitude(x, tau)
     # sqrt(2 pi)/Gamma(nu) * amp(x) * e^{c0 tau} * n^{nu-1/2} * (n/(e tau))^n
     log_pn = (
         _LOG_SQRT_2PI
@@ -60,22 +52,6 @@ def log_pn_quadratic(params: ModelParams, x: float, n: int) -> AsymptoticEstimat
     )
     cgf = smap.cgf(0.0)  # the moments of `asymptotic_moments`, from this map
     return AsymptoticEstimate(log_pn, n * cgf.deriv1, n * cgf.deriv2, regime, n, x)
-
-
-def _log_amplitude(smap: SingularityMap, x: float, tau: float) -> float:
-    """Local amplitude of the blow-up, w ~ amp * e^{c0 t} (1 - t/tau)^{-nu}.
-
-    Expanding each closed form at its singular time gives the unified value
-    amp(x) = (A * tau(x) * R(x))^{-nu} with R = x - r2 (two real roots),
-    x - r (double root; amp is then 1 up to rounding), or hypot(x-p, q):
-    the distance from x to the root that bounds the singularity domain.
-    """
-    regime = smap.regime
-    if regime.kind is DriftKind.COMPLEX_ROOTS:
-        radial = math.hypot(x - regime.p, regime.q)
-    else:
-        radial = x - smap.domain_low
-    return -regime.nu * (math.log(regime.coeffs.A) + math.log(tau) + math.log(radial))
 
 
 def asymptotic_moments(params: ModelParams, n: int) -> tuple[float, float]:
@@ -94,34 +70,28 @@ def gaussian_local_law(mu: float, sigma2: float, k: float) -> float:
     return math.exp(-z) / math.sqrt(2.0 * math.pi * sigma2)
 
 
-def _laplace_tail(n: int, curvature: float, log_w: float, t_star: float) -> float:
+def _laplace_tail(n: int, saddle: ModulusSaddle) -> float:
     """Laplace estimate of log P_n(x) = log(n! [t^n] w(x, t)) for A = 0:
-    log n! - log sqrt(2 pi curvature) + log w(x, t*) - (n+1) log t*, where
-    t* is the modulus saddle and curvature the t-curvature of
-    log w(x, t) - (n+1) log t there."""
+    log n! - log sqrt(2 pi curvature) + log w(x, t) - (n+1) log t at the
+    modulus saddle t (`closedform.modulus_saddle`)."""
     return (
         math.lgamma(n + 1)
-        - 0.5 * math.log(2.0 * math.pi * curvature)
-        + log_w
-        - (n + 1) * math.log(t_star)
+        - 0.5 * math.log(2.0 * math.pi * saddle.curvature)
+        + saddle.log_w
+        - (n + 1) * math.log(saddle.t)
     )
 
 
 def log_pn_constant_drift(params: ModelParams, x: float, n: int) -> AsymptoticEstimate:
     """Saddlepoint estimate of log P_n(x) for the constant regime A = B = 0.
 
-    The saddle solves Y t^2 + X t - (n+1) = 0 with X = alpha0*x + gamma0 and
-    Y = alpha0*C.  Moments come from the exact Hermite-ratio identities.
+    The saddle and its Laplace data come from `closedform.modulus_saddle`.
+    Moments come from the exact Hermite-ratio identities.
     """
     regime = require(params, (DriftKind.CONSTANT,), degenerate="weighted")
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    X = params.alpha0 * x + params.gamma0
-    Y = params.alpha0 * regime.coeffs.C
-    t_star, _ = modulus_saddle(params, x, n)
-    curvature = Y + (n + 1) / (t_star * t_star)
-    log_w = X * t_star + 0.5 * Y * t_star * t_star
-    log_pn = _laplace_tail(n, curvature, log_w, t_star)
+    log_pn = _laplace_tail(n, modulus_saddle(params, x, n))
     mu, sigma2 = constant_drift_moments(params, n)
     return AsymptoticEstimate(log_pn, mu, sigma2, regime, n, x)
 
@@ -158,28 +128,33 @@ def constant_drift_moments(params: ModelParams, n: int) -> tuple[float, float]:
     return mu, sigma2
 
 
-def log_pn_linear_drift(params: ModelParams, x: float, n: int) -> LinearDriftEstimate:
+def log_pn_linear_drift(params: ModelParams, x: float, n: int) -> AsymptoticEstimate:
     """Saddlepoint estimate of log P_n(x) for linear drift (A = 0, B > 0).
 
-    The saddle t* > 0 solves (n+1)/t = a_lin + B*y(x)*e^{B t} with
+    The saddle t > 0 solves (n+1)/t = a_lin + B*y(x)*e^{B t} with
     a_lin = gamma0 - alpha0*C/B and y(x) = (alpha0/B)(x + C/B); see
     `closedform.modulus_saddle`, which starts from t = W(n/y(x))/B.
     """
     regime = require(params, (DriftKind.LINEAR,))
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
+    log_pn = _laplace_tail(n, modulus_saddle(params, x, n))
     B = regime.coeffs.B
     C = regime.coeffs.C
-    y_x = (params.alpha0 / B) * (x + C / B)
-    a_lin = params.gamma0 - params.alpha0 * C / B
-    t_star, seed = modulus_saddle(params, x, n)
-    lam = (params.alpha0 / B) * math.expm1(B * t_star)
-    curvature = B * B * y_x * math.exp(B * t_star) + (n + 1) / (t_star * t_star)
-    log_pn = _laplace_tail(n, curvature, a_lin * t_star + (C / B + x) * lam, t_star)
     frac_up = B / (B + C)
     w_s = lambert_w0(n / ((params.alpha0 / B) * (1.0 + C / B)))
     mu = frac_up * n / w_s
     sigma2 = frac_up * (1.0 - frac_up) * n / w_s + frac_up**2 * n / (w_s * w_s + w_s)
-    return LinearDriftEstimate(
-        log_pn, mu, sigma2, regime, n, x, t_star=t_star, t_star_seed=seed
-    )
+    return AsymptoticEstimate(log_pn, mu, sigma2, regime, n, x)
+
+
+def log_pn_estimate(params: ModelParams, x: float, n: int) -> AsymptoticEstimate:
+    """log P_n(x) and the length-n moments from the estimate of the model's
+    drift regime: `log_pn_constant_drift`, `log_pn_linear_drift` or
+    `log_pn_quadratic`, each with its own guard."""
+    kind = classify(params).kind
+    if kind is DriftKind.CONSTANT:
+        return log_pn_constant_drift(params, x, n)
+    if kind is DriftKind.LINEAR:
+        return log_pn_linear_drift(params, x, n)
+    return log_pn_quadratic(params, x, n)

@@ -28,7 +28,7 @@ from . import asymptotics, exact, ldp
 from .closedform import EgfEvaluator
 from .errors import CapacityError, ConfigError, MotzkinError
 from .exact import build_triangle, final_log_row, _distribution_from_log_row
-from .model import DriftKind, ModelParams, classify
+from .model import ModelParams
 from .saddlepoint import k_window, profile
 from .specfun import log_sum_exp
 
@@ -340,15 +340,6 @@ def _run_dist(args) -> Table:
     return Table(DIST_HEADER, [(k, lp, math.exp(lp)) for k, lp in enumerate(log_p)], meta)
 
 
-def _asym_estimate(params: ModelParams, x: float, n: int):
-    kind = classify(params).kind
-    if kind is DriftKind.CONSTANT:
-        return asymptotics.log_pn_constant_drift(params, x, n)
-    if kind is DriftKind.LINEAR:
-        return asymptotics.log_pn_linear_drift(params, x, n)
-    return asymptotics.log_pn_quadratic(params, x, n)
-
-
 def _run_asym(args) -> Table:
     rows = []
     for n in args.n_list:
@@ -356,7 +347,7 @@ def _run_asym(args) -> Table:
         k = np.arange(n + 1, dtype=float)
         log_exact = log_sum_exp(log_row + k * math.log(args.x))
         dist = _distribution_from_log_row(n, log_row)
-        est = _asym_estimate(args.params, args.x, n)
+        est = asymptotics.log_pn_estimate(args.params, args.x, n)
         rows.append(
             (n, log_exact, est.log_pn, dist.mean, est.mu, dist.variance, est.sigma2)
         )

@@ -17,11 +17,12 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import AccuracyError, DomainError
-from .model import QUADRATIC, DriftKind, ModelParams, classify, require
+from .model import QUADRATIC, DriftKind, ModelParams, require
 from .specfun import CgfValues, lambert_w0, safeguarded_root
 
 _TWO_PI = 2.0 * math.pi
@@ -52,15 +53,12 @@ class SingularityMap:
             return regime.r
         return 0.0
 
-    def _check_domain(self, x: float) -> None:
+    def tau(self, x: float) -> float:
         if not self.domain_low < x < math.inf:
             raise DomainError(
                 f"x={x} outside the singularity domain {self.domain_low} < x < inf "
                 f"for {self.regime.describe()}"
             )
-
-    def tau(self, x: float) -> float:
-        self._check_domain(x)
         regime = self.regime
         A = regime.coeffs.A
         if regime.kind is DriftKind.TWO_REAL_ROOTS:
@@ -72,6 +70,21 @@ class SingularityMap:
             return 1.0 / (A * (x - regime.r))
         # pi/2 - arctan((x-p)/q) == arctan(q/(x-p)) since x > 0 >= p here.
         return math.atan2(regime.q, x - regime.p) / (A * regime.q)
+
+    def log_amplitude(self, x: float, tau: float) -> float:
+        """log amp(x) of the blow-up w ~ amp * e^{c0 t} (1 - t/tau)^{-nu}.
+
+        Expanding each closed form at its singular time gives the unified value
+        amp(x) = (A * tau(x) * R(x))^{-nu} with R = x - r2 (two real roots),
+        x - r (double root; amp is then 1 up to rounding), or hypot(x-p, q):
+        the distance from x to the root that bounds the singularity domain.
+        """
+        regime = self.regime
+        if regime.kind is DriftKind.COMPLEX_ROOTS:
+            radial = math.hypot(x - regime.p, regime.q)
+        else:
+            radial = x - self.domain_low
+        return -regime.nu * (math.log(regime.coeffs.A) + math.log(tau) + math.log(radial))
 
     def cgf(self, theta: float) -> CgfValues:
         """F(theta) = log(tau(1)/tau(e^theta)) with F' and F''.
@@ -110,26 +123,21 @@ class EgfEvaluator:
     def eval(self, x: float, t: float) -> float:
         """w(x, t) for real arguments inside the validity region.
 
-        Quadratic regimes require t < tau(x) (and, for complex roots, the
-        cosine phase inside (-pi/2, pi/2)); for A = 0 the function is entire
-        in t.  The value is the real part of the contour's closed form.
-        Non-finite x or t raises DomainError.
+        Quadratic regimes require t < tau(x), and complex roots also
+        t > tau(x) - pi/(A q), where the cosine phase reaches -pi/2; for
+        A = 0 the function is entire in t.  The value is the real part of
+        the contour's closed form.  Non-finite x or t raises DomainError.
         """
         if not (math.isfinite(x) and math.isfinite(t)):
             raise DomainError(f"(x={x}, t={t}) is not a finite point")
         regime = self.regime
-        if regime.kind is DriftKind.COMPLEX_ROOTS:
-            self.singularities._check_domain(x)
-            phase = regime.coeffs.A * regime.q * t + math.atan((x - regime.p) / regime.q)
-            if not -0.5 * math.pi < phase < 0.5 * math.pi:
-                raise DomainError(
-                    f"(x={x}, t={t}) beyond the first cosine zero of the "
-                    "complex-root closed form"
-                )
-        elif regime.is_quadratic:
+        if regime.is_quadratic:
             tau = self.singularities.tau(x)
-            if t >= tau:
-                raise DomainError(f"t={t} is at or past the singular time tau({x})={tau}")
+            low = -math.inf
+            if regime.kind is DriftKind.COMPLEX_ROOTS:  # phase A*q*(t - tau) + pi/2
+                low = tau - math.pi / (regime.coeffs.A * regime.q)
+            if not low < t < tau:
+                raise DomainError(f"t={t} outside the validity window ({low}, {tau}) at x={x}")
         return self._eval_complex(x, t).real
 
     def _eval_complex(self, x: float, t: complex) -> complex:
@@ -186,7 +194,7 @@ class EgfEvaluator:
             return self._contour_coefficients(x, rho, n_terms)
         out = np.empty(n_terms)
         for n in range(n_terms):
-            rho, _ = modulus_saddle(self.params, x, n)
+            rho = modulus_saddle(self.params, x, n).t
             out[n] = self._contour_coefficients(x, rho, n + 1)[n]
         return out
 
@@ -225,23 +233,36 @@ class EgfEvaluator:
             samples = merged
 
 
-def modulus_saddle(params: ModelParams, x: float, n: int) -> tuple[float, float]:
-    """(t*, seed) for A = 0, where t* > 0 solves t * d/dt log w(x, t) = n + 1:
-    the modulus saddle of w(x, t)/t^{n+1} on the positive axis.
+@dataclass(frozen=True)
+class ModulusSaddle:
+    """The A = 0 modulus saddle t and the Laplace data there (`modulus_saddle`)."""
 
-    Constant drift: Y t^2 + X t = n + 1 with X = alpha0*x + gamma0 and
-    Y = alpha0*C, in closed form.  Linear drift: t*(a_lin + B*y*e^{B t}) =
-    n + 1 with a_lin = gamma0 - alpha0*C/B and y = (alpha0/B)(x + C/B), by
-    `safeguarded_root` from the seed W(n/y)/B.  With alpha0 = 0 the saddle
-    is (n+1)/gamma0, or 1.0 when w is constant (gamma0 = 0).  The seed is
-    t* itself except in the linear case.  x <= 0 and x = inf raise DomainError.
+    t: float
+    seed: float
+    log_w: float
+    curvature: float
+
+
+def modulus_saddle(params: ModelParams, x: float, n: int) -> ModulusSaddle:
+    """The A = 0 modulus saddle t > 0 of w(x, t)/t^{n+1}, where
+    t * d/dt log w(x, t) = n + 1, with log w and the t-curvature of
+    log w - (n+1) log t there.
+
+    Constant drift: log w = X t + Y t^2/2 with X = alpha0*x + gamma0 and
+    Y = alpha0*C, and t in closed form.  Linear drift: log w = a_lin t +
+    (x + C/B)(alpha0/B)(e^{B t} - 1) with a_lin = gamma0 - alpha0*C/B, and t
+    by `safeguarded_root` from the seed W(n/y)/B, y = (alpha0/B)(x + C/B).
+    With alpha0 = 0, log w = gamma0 t and t = (n+1)/gamma0, or 1.0 when w is
+    constant (gamma0 = 0).  The seed is t except in the linear case.
+    Unbalanced and A > 0 models raise RegimeError; x <= 0 and x = inf raise
+    DomainError.
     """
+    regime = require(params, (DriftKind.CONSTANT, DriftKind.LINEAR), degenerate="accept")
     if not 0 < x < math.inf:
         raise DomainError(f"x must be positive and finite, got {x}")
     if params.alpha0 == 0:
         t = (n + 1) / params.gamma0 if params.gamma0 else 1.0
-        return t, t
-    regime = classify(params)
+        return ModulusSaddle(t, t, params.gamma0 * t, (n + 1) / (t * t))
     B, C = regime.coeffs.B, regime.coeffs.C
     if regime.kind is DriftKind.CONSTANT:
         X = params.alpha0 * x + params.gamma0
@@ -250,7 +271,7 @@ def modulus_saddle(params: ModelParams, x: float, n: int) -> tuple[float, float]
             t = (n + 1) / X
         else:
             t = (-X + math.sqrt(X * X + 4.0 * Y * (n + 1))) / (2.0 * Y)
-        return t, t
+        return ModulusSaddle(t, t, X * t + 0.5 * Y * t * t, Y + (n + 1) / (t * t))
     y = (params.alpha0 / B) * (x + C / B)
     a_lin = params.gamma0 - params.alpha0 * C / B
     seed = lambert_w0(n / y) / B
@@ -263,7 +284,9 @@ def modulus_saddle(params: ModelParams, x: float, n: int) -> tuple[float, float]
     # a_lin > 0, and then excess < 0 there: the root found is the positive one.
     # The tolerance keeps the residual a decade inside 1e-12 * (n + 1).
     t, _ = safeguarded_root(excess, seed, tol=1e-13 * (n + 1), limit=1e9)
-    return t, seed
+    lam = (params.alpha0 / B) * math.expm1(B * t)
+    curvature = B * B * y * math.exp(B * t) + (n + 1) / (t * t)
+    return ModulusSaddle(t, seed, a_lin * t + (C / B + x) * lam, curvature)
 
 
 def _principal_pow(base: complex, exponent: float) -> complex:

@@ -82,10 +82,6 @@ class CumulantEvaluator:
         """Tilt theta with tilted mean k, by `conjugate_root` on kappa_n:
         cold from theta = 0, or warm from `near`, the solve at a nearby k.
         """
-        if k <= 0 or k >= self.n:
-            raise BoundaryError(
-                f"saddle diverges at the lattice boundary (k={k}, n={self.n})"
-            )
         if k <= self.k_min or k >= self.k_max:
             raise BoundaryError(
                 f"no mass beyond k={k}: support is [{self.k_min}, {self.k_max}]"

@@ -15,6 +15,7 @@ from wmotzkin import (
     height_distribution,
     log_pn_constant_drift,
     log_pn_constant_drift_exact,
+    log_pn_estimate,
     log_pn_linear_drift,
     log_pn_quadratic,
     log_sum_exp,
@@ -63,19 +64,48 @@ def test_estimates_converge_all_regimes():
     for params in balanced_corpus():
         if params.alpha0 == 0 and params.a == 0:
             continue
-        kind = classify(params).kind
-        if kind is DriftKind.CONSTANT:
-            estimator = log_pn_constant_drift
-        elif kind is DriftKind.LINEAR:
-            estimator = log_pn_linear_drift
-        else:
-            estimator = log_pn_quadratic
         errs = []
         for n in (50, 100, 200):
             exact = _exact_log_pn(params, n)
-            est = estimator(params, 1.0, n)
+            est = log_pn_estimate(params, 1.0, n)
             errs.append(abs(est.log_pn - exact) / abs(exact))
         assert errs[1] < errs[0] and errs[2] < errs[1], (params, errs)
+
+
+# The balanced r = 0 double root: its limit variance rate F''(0) is 0, so the
+# leading-order sigma2 = n F''(0) is 0 against an exact variance of about 1.0.
+R_ZERO_DOUBLE_ROOT = ModelParams(1, 0, 0, 2, 0, 1)
+# Relative (mean, variance) error bounds of linear drift per n; measured
+# 0.125, 0.042, 0.014 (mean) and 0.36, 0.14, 0.052 (variance) at worst.
+LINEAR_MOMENT_BOUNDS = {100: (0.15, 0.4), 400: (0.05, 0.15), 1600: (0.02, 0.06)}
+
+
+def test_estimate_moments_match_exact_law():
+    # log_pn_estimate's mu and sigma2 against the exact law, as relative
+    # errors: rounding only for constant drift, n * error at most 5.5 (mean)
+    # and 3.2 (variance) for quadratic drift, and falling with n for linear
+    # drift.  The r = 0 double root is a boundary case left out (see above).
+    for params in balanced_corpus():
+        if params == R_ZERO_DOUBLE_ROOT:
+            continue
+        kind = classify(params).kind
+        errs = []
+        for n in (100, 400, 1600):
+            dist = height_distribution(params, n)
+            est = log_pn_estimate(params, 1.0, n)
+            err = (abs(est.mu - dist.mean) / dist.mean,
+                   abs(est.sigma2 - dist.variance) / dist.variance)
+            if kind is DriftKind.CONSTANT:
+                assert max(err) <= 1e-12, (params, n, err)
+            elif kind is DriftKind.LINEAR:
+                mean_bound, variance_bound = LINEAR_MOMENT_BOUNDS[n]
+                assert err[0] <= mean_bound and err[1] <= variance_bound, (params, n, err)
+            else:
+                assert n * err[0] <= 6.0 and n * err[1] <= 4.0, (params, n, err)
+            errs.append(err)
+        if kind is DriftKind.LINEAR:
+            for first, middle, last in zip(*errs):
+                assert first > middle > last, (params, errs)
 
 
 def test_regime_and_balance_errors():
@@ -241,8 +271,8 @@ def test_constant_moments_oracle(b, alpha0, beta0, gamma0, n):
 def test_linear_seed_quality_improves():
     rel = {}
     for n in (50, 200):
-        est = log_pn_linear_drift(LINEAR_BALANCED, 1.0, n)
-        rel[n] = abs(est.t_star - est.t_star_seed) / est.t_star
+        saddle = modulus_saddle(LINEAR_BALANCED, 1.0, n)
+        rel[n] = abs(saddle.t - saddle.seed) / saddle.t
     assert rel[200] <= 0.05
     assert rel[200] < rel[50]
 
@@ -260,9 +290,9 @@ def test_linear_moment_accuracy():
 
 
 def test_linear_saddle_residual():
-    est = log_pn_linear_drift(LINEAR_BALANCED, 1.0, 120)
+    t = modulus_saddle(LINEAR_BALANCED, 1.0, 120).t
     B, C = 1.0, 1.0
     y = (1.0 / B) * (1.0 + C / B)
     a_lin = 1.0 - 1.0 * C / B
-    resid = a_lin + B * y * math.exp(B * est.t_star) - 121 / est.t_star
-    assert abs(resid) * est.t_star <= 1e-12 * 121
+    resid = a_lin + B * y * math.exp(B * t) - 121 / t
+    assert abs(resid) * t <= 1e-12 * 121

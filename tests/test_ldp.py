@@ -89,19 +89,38 @@ def test_cgf_regime_errors():
         limit_cgf(CLASSIC, 0.0)
 
 
-def test_cgf_derivatives_match_finite_differences():
-    h = 1e-5
-    for params in quadratic_interior():
-        for theta in (-1.0, 0.2, 1.5):
+# {point set: (models, thetas, first and second difference steps, bound on
+# |F' - fd1| given F', bound on |F'' - fd2| given F'')}.  Second differences
+# lose about 1e-16 |F| / h2^2 to roundoff, so the boundary set takes h2 = 1e-3
+# to stay below its 1e-8 floor where F'' = 0 (the double root at r = 0, where
+# F = log x).
+CGF_DIFFERENCE_POINTS = {
+    "balanced-quadratic": (
+        balanced_quadratic, [math.log(x) for x in (0.7, 1.0, 1.9)], 1e-6, 1e-3,
+        lambda d1: 1e-6 * abs(d1), lambda d2: 1e-5 * max(abs(d2), 1e-3),
+    ),
+    "interior": (
+        quadratic_interior, [-1.0, 0.2, 1.5], 1e-5, 1e-5,
+        lambda d1: 1e-7 * max(1.0, abs(d1)), lambda d2: 1e-4 * max(0.01, abs(d2)),
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "models, thetas, h1, h2, bound1, bound2",
+    list(CGF_DIFFERENCE_POINTS.values()),
+    ids=list(CGF_DIFFERENCE_POINTS),
+)
+def test_cgf_derivatives_match_finite_differences(models, thetas, h1, h2, bound1, bound2):
+    for params in models():
+        for theta in thetas:
             vals = limit_cgf(params, theta)
-            fd1 = (limit_cgf(params, theta + h).value - limit_cgf(params, theta - h).value) / (2 * h)
-            fd2 = (
-                limit_cgf(params, theta + h).value
-                - 2 * vals.value
-                + limit_cgf(params, theta - h).value
-            ) / (h * h)
-            assert abs(vals.deriv1 - fd1) <= 1e-7 * max(1.0, abs(vals.deriv1))
-            assert abs(vals.deriv2 - fd2) <= 1e-4 * max(0.01, abs(vals.deriv2))
+            up1, down1 = limit_cgf(params, theta + h1).value, limit_cgf(params, theta - h1).value
+            up2, down2 = limit_cgf(params, theta + h2).value, limit_cgf(params, theta - h2).value
+            fd1 = (up1 - down1) / (2 * h1)
+            fd2 = (up2 - 2 * vals.value + down2) / (h2 * h2)
+            assert abs(vals.deriv1 - fd1) <= bound1(vals.deriv1), (params, theta)
+            assert abs(vals.deriv2 - fd2) <= bound2(vals.deriv2), (params, theta)
 
 
 def test_slope_range_saturates():

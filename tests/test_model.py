@@ -15,7 +15,7 @@ from wmotzkin import (
     classify,
     is_balanced,
 )
-from wmotzkin.ldp import empirical_rates
+from wmotzkin.closedform import modulus_saddle
 from wmotzkin.saddlepoint import uniform_error_applies
 from oracles import parametrized_profile
 from corpus import CORPUS, DEGENERATE, DEGENERATE_QUADRATIC, SHOWCASE
@@ -161,6 +161,7 @@ def test_parse_errors():
 GUARDED = [
     wm.EgfEvaluator,
     wm.SingularityMap,
+    lambda p: modulus_saddle(p, 1.0, 10),
     lambda p: wm.log_pn_quadratic(p, 1.0, 20),
     lambda p: wm.asymptotic_moments(p, 20),
     lambda p: wm.log_pn_constant_drift(p, 1.0, 20),
@@ -171,31 +172,33 @@ GUARDED = [
     lambda p: wm.rate_function(p, 0.4),
     lambda p: wm.rate_profile(p, [0.4]),
     lambda p: parametrized_profile(p, [2.0]),
-    # The ldp subcommand's path: the guarded rate profile, then the exact rows.
-    lambda p: (wm.rate_profile(p, [0.4]), empirical_rates(p, [0.4], [20])),
 ]
 OUTCOME = {".": None, "R": RegimeError, "D": DomainError}
 
-# (model, outcome per GUARDED routine: "." returns, "R" RegimeError,
-# "D" DomainError, uniform_error_applies); balanced then unbalanced per regime.
-GUARD_TABLE = [
-    ((0, 2, 0, 3, 2, 1), ".RRR...RRRRRR", False),  # constant
-    ((0, 0, 0, 1, 1, 1), "RRRRRRRRRRRRR", False),
-    ((0, 1, 1, 1, 1, 1), ".RRRRRR.RRRRR", False),  # linear
-    ((0, 1, 2, 1, 0, 1), "RRRRRRRRRRRRR", False),
-    ((1, 5, 6, 8, 5, 1), "....RRRR.....", True),  # two real roots
-    ((1, 5, 6, 8, 3, 1), "R.RRRRRRRRRRR", False),  # SingularityMap skips balance
-    ((1, 1, 2, 1, 1, 0), "....RRRR.....", True),  # double root
-    ((1, 1, 2, 2, 0, 1), "R.RRRRRRRRRRR", False),
-    ((1, 1, 0, 1, 1, 1), "....RRRR.....", False),  # complex roots, c = 0
-    ((1, 1, 1, 1, 0, 2), "R.RRRRRRRRRRR", False),
-    (DEGENERATE.as_tuple(), ".RDD...DDDDDD", False),  # alpha0 = 0, gamma0 > 0
-    (DEGENERATE_QUADRATIC.as_tuple(), "..DDRRRDDDDDD", False),
-    ((0, 1, 0, 0, 1, 0), ".RDDDDDDDDDDD", False),  # alpha0 = gamma0 = 0
-]
+# {test id: (model, outcome per GUARDED routine: "." returns, "R" RegimeError,
+# "D" DomainError, uniform_error_applies)}; balanced then unbalanced per regime.
+GUARD_TABLE = {
+    "constant": ((0, 2, 0, 3, 2, 1), ".R.RR...RRRRR", False),
+    "constant-unbalanced": ((0, 0, 0, 1, 1, 1), "RRRRRRRRRRRRR", False),
+    "linear": ((0, 1, 1, 1, 1, 1), ".R.RRRRR.RRRR", False),
+    "linear-unbalanced": ((0, 1, 2, 1, 0, 1), "RRRRRRRRRRRRR", False),
+    "two-real-roots": ((1, 5, 6, 8, 5, 1), "..R..RRRR....", True),
+    # SingularityMap skips the balance check.
+    "two-real-roots-unbalanced": ((1, 5, 6, 8, 3, 1), "R.RRRRRRRRRRR", False),
+    "double-root": ((1, 1, 2, 1, 1, 0), "..R..RRRR....", True),
+    "double-root-unbalanced": ((1, 1, 2, 2, 0, 1), "R.RRRRRRRRRRR", False),
+    "complex-roots-c0": ((1, 1, 0, 1, 1, 1), "..R..RRRR....", False),
+    "complex-roots-unbalanced": ((1, 1, 1, 1, 0, 2), "R.RRRRRRRRRRR", False),
+    # alpha0 = 0 with gamma0 > 0, at A = 0 and at A > 0.
+    "degenerate": (DEGENERATE.as_tuple(), ".R.DD...DDDDD", False),
+    "degenerate-quadratic": (DEGENERATE_QUADRATIC.as_tuple(), "..RDDRRRDDDDD", False),
+    "no-path": ((0, 1, 0, 0, 1, 0), ".R.DDDDDDDDDD", False),  # alpha0 = gamma0 = 0
+}
 
 
-@pytest.mark.parametrize("model, outcomes, uniform", GUARD_TABLE)
+@pytest.mark.parametrize(
+    "model, outcomes, uniform", list(GUARD_TABLE.values()), ids=list(GUARD_TABLE)
+)
 def test_guarded_routine_outcomes(model, outcomes, uniform):
     params = ModelParams(*model)
     assert len(outcomes) == len(GUARDED)
