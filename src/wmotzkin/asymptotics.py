@@ -50,15 +50,22 @@ def log_pn_quadratic(params: ModelParams, x: float, n: int) -> AsymptoticEstimat
         + (nu - 0.5) * math.log(n)
         + n * (math.log(n) - 1.0 - math.log(tau))
     )
-    cgf = smap.cgf(0.0)  # the moments of `asymptotic_moments`, from this map
-    return AsymptoticEstimate(log_pn, n * cgf.deriv1, n * cgf.deriv2, regime, n, x)
+    mu, sigma2 = _moments(regime, smap, n)
+    return AsymptoticEstimate(log_pn, mu, sigma2, regime, n, x)
 
 
 def asymptotic_moments(params: ModelParams, n: int) -> tuple[float, float]:
-    """Leading-order mean and variance for A > 0: n*F'(0) and n*F''(0),
-    with F the limit cumulant generating function (`SingularityMap.cgf`)."""
-    require(params, QUADRATIC)
-    cgf = SingularityMap(params).cgf(0.0)
+    """Leading-order mean and variance for A > 0: n*F'(0) and n*F''(0), F the
+    limit CGF (`SingularityMap.cgf`), or n - c0/A and c0/A at a double root r = 0."""
+    return _moments(require(params, QUADRATIC), SingularityMap(params), n)
+
+
+def _moments(regime: Regime, smap: SingularityMap, n: int) -> tuple[float, float]:
+    """The moments of `asymptotic_moments`.  At r = 0 (B = 0), F''(0) = 0, but
+    w = e^{c0 t}(1 - A t x)^{-nu} there, so n - height tends to Poisson(c0/A)."""
+    if regime.kind is DriftKind.DOUBLE_ROOT and regime.coeffs.B == 0:
+        return n - regime.c0 / regime.coeffs.A, regime.c0 / regime.coeffs.A
+    cgf = smap.cgf(0.0)
     return n * cgf.deriv1, n * cgf.deriv2
 
 

@@ -1,10 +1,10 @@
 """Finite-n cumulants of the terminal height and the lattice saddlepoint
 (Daniels) point-probability approximation.
 
-All cumulants are taken directly from the exact log-space row, so the
-machinery works for unbalanced parameters too; the uniform O(1/n) interior
-error guarantee is only established for balanced A > 0 models outside the
-complex-roots c = 0 family, and `uniform_error_applies` decides that.
+All cumulants are sums over the exact log-space row, less terms below e^-64 of
+the largest, so they hold for unbalanced parameters too; the uniform O(1/n)
+interior error guarantee is only established for balanced A > 0 models outside
+the complex-roots c = 0 family, and `uniform_error_applies` decides that.
 """
 
 from __future__ import annotations
@@ -19,6 +19,11 @@ from .errors import BoundaryError, DomainError, RegimeError
 from .exact import _distribution_from_log_row, final_log_row
 from .model import QUADRATIC, DriftKind, ModelParams, require
 from .specfun import LOG_ZERO, CgfValues, conjugate_root
+
+# kappa sums only the k window of tilted terms within e^-64 of the largest.  The
+# n + 1 or fewer left out hold < (n + 1) e^-64 of the total and move the variance
+# by < n^2 (n + 1) e^-64, as (k - mean)^2 <= n^2: 3.3e-24 and 1.3e-15 at n = 20000.
+_WINDOW_NATS = 64.0
 
 
 def uniform_error_applies(params: ModelParams) -> bool:
@@ -47,8 +52,8 @@ class CumulantEvaluator:
 
     def __init__(self, log_row: np.ndarray):
         log_row = np.asarray(log_row, dtype=float)
-        if log_row.ndim != 1 or log_row.size == 0:
-            raise DomainError("log_row must be a nonempty 1-d array")
+        if log_row.ndim != 1 or log_row.size == 0 or not np.all(log_row < math.inf):
+            raise DomainError("log_row must be a nonempty 1-d array, finite or -inf")
         if np.all(log_row == LOG_ZERO):
             raise DomainError("row carries no mass")
         self.log_row = log_row
@@ -65,16 +70,19 @@ class CumulantEvaluator:
         return cls(final_log_row(params, n))
 
     def kappa(self, theta: float) -> CgfValues:
-        """kappa_n at theta with the tilted mean and variance."""
+        """kappa_n at theta with the tilted mean and variance (see _WINDOW_NATS)."""
         z = self.k * theta
         z += self.log_row
-        m = float(np.max(z))
+        m = float(z.max())
+        inside = z > m - _WINDOW_NATS
+        lo, hi = int(inside.argmax()), z.size - int(inside[::-1].argmax())
+        z, k = z[lo:hi], self.k[lo:hi]
         z -= m
         np.exp(z, out=z)
-        total = float(np.sum(z))
+        total = float(z.sum())
         # Moments of the tilted law z / total, dividing each dot by total.
-        mean = float(np.dot(z, self.k)) / total
-        d = self.k - mean
+        mean = float(np.dot(z, k)) / total
+        d = k - mean
         variance = max(float(np.dot(z, d * d)) / total, 0.0)
         return CgfValues(m + math.log(total), mean, variance)
 

@@ -1,16 +1,19 @@
 """Reference computations the tests compare the library against.
 
 Each one is written apart from the engine it checks: path enumeration for
-the triangle recurrence, the x-parametrization of the rate profile for the
-Legendre solve, the closed-form double-root rate, and a fixed value of
-Lambert W.  None of them is part of the library.
+the triangle recurrence, the whole-row tilted sums for the windowed
+cumulants, the x-parametrization of the rate profile for the Legendre solve,
+the closed-form double-root rate, and a fixed value of Lambert W.  None of
+them is part of the library.
 """
 
 import math
 
 import numpy as np
 
-from wmotzkin import CapacityError, DomainError, ModelParams, RateProfile, SingularityMap
+from wmotzkin import (
+    CapacityError, CgfValues, DomainError, ModelParams, RateProfile, SingularityMap,
+)
 from wmotzkin.model import QUADRATIC, require
 
 ORACLE_MAX_N = 14
@@ -53,6 +56,23 @@ def brute_force_oracle(params: ModelParams, n: int) -> list[int]:
 
     walk(n, 0, 1)
     return totals
+
+
+def full_row_kappa(log_row: np.ndarray, theta: float) -> CgfValues:
+    """kappa_n(theta) = log sum_k e^{log_row[k] + theta k} with the tilted mean
+    and variance, every sum over the whole row: `CumulantEvaluator.kappa`
+    leaves out the terms below e^-64 of the largest."""
+    k = np.arange(len(log_row), dtype=float)
+    z = k * theta
+    z += log_row
+    m = float(np.max(z))
+    z -= m
+    np.exp(z, out=z)
+    total = float(np.sum(z))
+    mean = float(np.dot(z, k)) / total
+    d = k - mean
+    variance = max(float(np.dot(z, d * d)) / total, 0.0)
+    return CgfValues(m + math.log(total), mean, variance)
 
 
 def parametrized_profile(params: ModelParams, x_grid) -> RateProfile:

@@ -72,9 +72,6 @@ def test_estimates_converge_all_regimes():
         assert errs[1] < errs[0] and errs[2] < errs[1], (params, errs)
 
 
-# The balanced r = 0 double root: its limit variance rate F''(0) is 0, so the
-# leading-order sigma2 = n F''(0) is 0 against an exact variance of about 1.0.
-R_ZERO_DOUBLE_ROOT = ModelParams(1, 0, 0, 2, 0, 1)
 # Relative (mean, variance) error bounds of linear drift per n; measured
 # 0.125, 0.042, 0.014 (mean) and 0.36, 0.14, 0.052 (variance) at worst.
 LINEAR_MOMENT_BOUNDS = {100: (0.15, 0.4), 400: (0.05, 0.15), 1600: (0.02, 0.06)}
@@ -84,10 +81,10 @@ def test_estimate_moments_match_exact_law():
     # log_pn_estimate's mu and sigma2 against the exact law, as relative
     # errors: rounding only for constant drift, n * error at most 5.5 (mean)
     # and 3.2 (variance) for quadratic drift, and falling with n for linear
-    # drift.  The r = 0 double root is a boundary case left out (see above).
-    for params in balanced_corpus():
-        if params == R_ZERO_DOUBLE_ROOT:
-            continue
+    # drift.  Two r = 0 double roots join the corpus's (1,0,0,2,0,1), whose
+    # n - height tends to Poisson(c0/A) with c0/A = 3 and 1.
+    r_zero = [ModelParams(1, 0, 0, 2, 0, 3), ModelParams(2, 0, 0, 1, 0, 2)]
+    for params in balanced_corpus() + r_zero:
         kind = classify(params).kind
         errs = []
         for n in (100, 400, 1600):

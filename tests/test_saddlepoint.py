@@ -13,8 +13,8 @@ from wmotzkin import (
     height_distribution,
     profile,
 )
-from wmotzkin.saddlepoint import uniform_error_applies
-from oracles import brute_force_oracle
+from wmotzkin.saddlepoint import _WINDOW_NATS, uniform_error_applies
+from oracles import brute_force_oracle, full_row_kappa
 from corpus import CLASSIC, CORPUS, DEGENERATE, DEGENERATE_QUADRATIC, SHOWCASE
 
 
@@ -39,6 +39,33 @@ def test_point_mass_row_has_zero_curvature():
     ev = CumulantEvaluator(np.array([0.0]))
     for theta in (-2.0, 0.0, 3.0):
         assert ev.kappa(theta).deriv2 == 0.0
+
+
+def test_windowed_kappa_matches_full_row():
+    # At n = 2000 and |theta| up to 6 the window leaves out finite terms;
+    # the sums it drops are below (n + 1) e^-64 of the total.
+    rows = [final_log_row(ModelParams(*m), 2000)
+            for m in ((2, 1, 4, 3, 1, 1), (1, 1, 0, 1, 1, 1), (0, 0, 0, 1, 1, 1))]
+    rows.append(np.array([0.0]))
+    cut = 0
+    for row in rows:
+        ev = CumulantEvaluator(row)
+        for theta in np.linspace(-6.0, 6.0, 49):
+            got, want = ev.kappa(theta), full_row_kappa(row, theta)
+            assert math.isclose(got.value, want.value, rel_tol=1e-15), (theta, got, want)
+            assert math.isclose(got.deriv1, want.deriv1, rel_tol=1e-14), (theta, got, want)
+            assert math.isclose(got.deriv2, want.deriv2, rel_tol=1e-14), (theta, got, want)
+            z = ev.k * theta + row
+            inside = np.flatnonzero(z > z.max() - _WINDOW_NATS)
+            outside = np.concatenate([z[: inside[0]], z[inside[-1] + 1 :]])
+            cut += bool(np.isfinite(outside).any())
+    assert cut > 0
+
+
+def test_evaluator_refuses_malformed_rows():
+    for row in ([], [[0.0]], [LOG_ZERO, LOG_ZERO], [0.0, math.nan, -1.0], [0.0, math.inf]):
+        with pytest.raises(DomainError):
+            CumulantEvaluator(np.array(row))
 
 
 def test_variance_matches_tilted_law():
