@@ -14,7 +14,6 @@ the scaled terminal height is read off the same map.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -138,11 +137,11 @@ class EgfEvaluator:
                 low = tau - math.pi / (regime.coeffs.A * regime.q)
             if not low < t < tau:
                 raise DomainError(f"t={t} outside the validity window ({low}, {tau}) at x={x}")
-        return self._eval_complex(x, t).real
+        return float(self._eval_complex(x, complex(t)).real)
 
-    def _eval_complex(self, x: float, t: complex) -> complex:
-        """w(x, t) for complex t with |t| inside the singular radius: the one
-        closed form per regime.
+    def _eval_complex(self, x: float, t: complex | np.ndarray) -> complex | np.ndarray:
+        """w(x, t) for complex t (a scalar or an array, element by element)
+        with |t| inside the singular radius: the one closed form per regime.
 
         Powers take the principal branch; nothing here checks that the
         power base stays off the negative real axis on the contour.
@@ -152,30 +151,26 @@ class EgfEvaluator:
         kind = regime.kind
         if kind is DriftKind.CONSTANT:
             C = regime.coeffs.C
-            return cmath.exp(
-                params.alpha0 * x * t
-                + 0.5 * params.alpha0 * C * t * t
-                + params.gamma0 * t
-            )
+            quadratic = params.alpha0 * x * t + 0.5 * params.alpha0 * C * t * t
+            return np.exp(quadratic + params.gamma0 * t)
         if kind is DriftKind.LINEAR:
-            B = regime.coeffs.B
-            C = regime.coeffs.C
-            lam = (params.alpha0 / B) * (cmath.exp(B * t) - 1.0)
-            return cmath.exp(lam * (x + C / B) + (params.gamma0 - params.alpha0 * C / B) * t)
+            B, C = regime.coeffs.B, regime.coeffs.C
+            lam = (params.alpha0 / B) * (np.exp(B * t) - 1.0)
+            return np.exp(lam * (x + C / B) + (params.gamma0 - params.alpha0 * C / B) * t)
 
         A = regime.coeffs.A
         nu = regime.nu
         if kind is DriftKind.COMPLEX_ROOTS:
             phase = A * regime.q * t + math.atan((x - regime.p) / regime.q)
-            base = regime.q / (math.hypot(x - regime.p, regime.q) * cmath.cos(phase))
-            return cmath.exp(regime.c0 * t) * _principal_pow(base, nu)
+            base = regime.q / (math.hypot(x - regime.p, regime.q) * np.cos(phase))
+            return np.exp(regime.c0 * t) * _principal_pow(base, nu)
         if kind is DriftKind.DOUBLE_ROOT:
             g = 1.0 - A * t * (x - regime.r)
-            return cmath.exp(regime.c0 * t) * _principal_pow(g, -nu)
-        grow = cmath.exp(A * (regime.r1 - regime.r2) * t)
+            return np.exp(regime.c0 * t) * _principal_pow(g, -nu)
+        grow = np.exp(A * (regime.r1 - regime.r2) * t)
         denom = (x - regime.r2) - (x - regime.r1) * grow
         base = (regime.r1 - regime.r2) / denom
-        return cmath.exp(regime.c0 * t) * _principal_pow(base, nu)
+        return np.exp(regime.c0 * t) * _principal_pow(base, nu)
 
     def taylor_coefficients(self, x: float, n_terms: int) -> np.ndarray:
         """Coefficients of the t-expansion at fixed x, i.e. P_n(x)/n!.
@@ -201,19 +196,19 @@ class EgfEvaluator:
     def _contour_coefficients(self, x: float, rho: float, n_terms: int) -> np.ndarray:
         """Trapezoidal rule on |t| = rho with 64, 128, ... nodes.
 
-        Each doubling evaluates only the new odd nodes: node j of N is node
-        2j of 2N bit for bit (2*pi*(2j) is an exact doubling), so the kept
-        samples are those a fresh rule would compute.
+        Each doubling evaluates only the new odd nodes, in one array call:
+        node j of N is node 2j of 2N bit for bit (2*pi*(2j) is an exact
+        doubling, and cos, sin and the closed form work element by element),
+        so the kept samples are those a fresh rule would compute.
         """
 
-        def sample(js: range, nodes: int) -> np.ndarray:
-            return np.array(
-                [self._eval_complex(x, cmath.rect(rho, _TWO_PI * j / nodes)) for j in js]
-            )
+        def sample(first: int, stride: int, nodes: int) -> np.ndarray:
+            phi = _TWO_PI * np.arange(first, nodes, stride) / nodes
+            return self._eval_complex(x, rho * (np.cos(phi) + 1j * np.sin(phi)))
 
         previous = None
         nodes = 64
-        samples = sample(range(nodes), nodes)
+        samples = sample(0, 1, nodes)
         while True:
             spectrum = np.fft.fft(samples)[:n_terms]
             coeffs = spectrum.real / (nodes * rho ** np.arange(n_terms))
@@ -229,7 +224,7 @@ class EgfEvaluator:
             previous = coeffs
             nodes *= 2
             merged = np.empty(nodes, dtype=complex)
-            merged[0::2], merged[1::2] = samples, sample(range(1, nodes, 2), nodes)
+            merged[0::2], merged[1::2] = samples, sample(1, 2, nodes)
             samples = merged
 
 
@@ -289,5 +284,5 @@ def modulus_saddle(params: ModelParams, x: float, n: int) -> ModulusSaddle:
     return ModulusSaddle(t, seed, a_lin * t + (C / B + x) * lam, curvature)
 
 
-def _principal_pow(base: complex, exponent: float) -> complex:
-    return cmath.exp(exponent * cmath.log(base))
+def _principal_pow(base: complex | np.ndarray, exponent: float) -> complex | np.ndarray:
+    return np.exp(exponent * np.log(base))

@@ -213,6 +213,18 @@ def test_exit_codes(tmp_path, capsys):
         assert run_main(args, capsys)[0] == 2, args
 
 
+def test_point_mass_profile_exit_code(tmp_path, capsys):
+    # Double root at r = 0: ldp and figures name the point-mass limit law.
+    point_mass = "a=1 b=0 c=0 alpha0=2 beta0=0 gamma0=1"
+    for args in (["ldp", "--u-grid", "0.5", "--N-list", "100"],
+                 ["figures", "--n", "100", "--u-grid", "0.5", "--N-list", "100",
+                  "--out", str(tmp_path / "figs")]):
+        code, out, err = run_main([*args, "--params", point_mass], capsys)
+        assert (code, out) == (3, ""), args
+        assert "point mass at u = 1" in err, args
+    assert not (tmp_path / "figs").exists()
+
+
 def test_capacity_exit_code(capsys, monkeypatch):
     import wmotzkin.cli as cli_mod
     from wmotzkin.errors import CapacityError

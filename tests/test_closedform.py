@@ -1,5 +1,5 @@
-import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -148,6 +148,25 @@ def test_taylor_matches_exact_rows():
                 )
 
 
+def test_taylor_matches_exact_rows_at_20_terms():
+    # (0,0,0,2,0,3) is ROADMAP direction 1's fault: its contour meets the
+    # rounding floor of the 1e-10 stop rule and never stabilizes at 20 terms.
+    stuck = ModelParams(0, 0, 0, 2, 0, 3)
+    for params in balanced_corpus():
+        ev = EgfEvaluator(params)
+        tri = build_triangle(params, 19)
+        for x in (0.5, 1.0, 2.0):
+            if params == stuck:
+                with pytest.raises(AccuracyError, match="did not stabilize"):
+                    ev.taylor_coefficients(x, 20)
+                continue
+            coeffs = ev.taylor_coefficients(x, 20)
+            for n in range(20):
+                row_sum = sum(w * Fraction(x) ** k for k, w in enumerate(tri.row(n)))
+                exact = float(row_sum / math.factorial(n))
+                assert abs(coeffs[n] - exact) <= 1e-8 * abs(exact), (params, x, n)
+
+
 def test_taylor_rejects_bad_order():
     ev = EgfEvaluator(DOUBLE_ROOT)
     with pytest.raises(DomainError):
@@ -161,10 +180,8 @@ def _fresh_contour_coefficients(ev, x, rho, n_terms):
     previous = None
     nodes = 64
     while nodes <= 1 << 15:
-        samples = np.array(
-            [ev._eval_complex(x, cmath.rect(rho, 2.0 * math.pi * j / nodes))
-             for j in range(nodes)]
-        )
+        phi = 2.0 * math.pi * np.arange(nodes) / nodes
+        samples = ev._eval_complex(x, rho * (np.cos(phi) + 1j * np.sin(phi)))
         coeffs = np.fft.fft(samples)[:n_terms].real / (nodes * rho ** np.arange(n_terms))
         if previous is not None:
             scale = np.maximum(np.abs(coeffs), 1e-300)

@@ -294,6 +294,16 @@ def test_degenerate_quadratic_has_no_rate():
         rate_function(DEGENERATE_QUADRATIC, 0.5)
 
 
+def test_point_mass_profile_is_named():
+    # Double root at r = 0: F(theta) = theta, the limit law of K_n/n is a
+    # point mass at u = 1 and I(u) = +inf below it; no solve is attempted.
+    params = ModelParams(1, 0, 0, 2, 0, 1)
+    assert math.isinf(rate_closed_form_double_root(0.0, 0.5))
+    for solve in (lambda: rate_profile(params, [0.5]), lambda: rate_function(params, 0.5)):
+        with pytest.raises(DomainError, match="point mass at u = 1"):
+            solve()
+
+
 def test_rate_profile_classifies_once_per_solve(monkeypatch):
     # The profile guards once and builds one SingularityMap for the whole
     # grid; its Newton steps read F from the map and never classify.
