@@ -3,10 +3,10 @@ analysis, and CSV/JSON/SVG artifact emission.
 
 The argparse namespace is the run configuration: each subparser holds its
 defaults, parses and range-checks its flags, and names its handler.  Each
-tabular handler returns one `Table`, which `_write_csv` or `_write_json`
-streams.  Exit codes: 0 success, 2 configuration error, 3 numeric-domain
-error, 4 capacity error.  All floats print with 17 significant digits so that
-identical configurations produce byte-identical artifacts.
+tabular handler returns one `Table` of row groups, which `_write_csv` or
+`_write_json` streams.  Exit codes: 0 success, 2 configuration error, 3
+numeric-domain error, 4 capacity error.  Floats print with 17 significant
+digits so that identical configurations produce byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -52,8 +52,8 @@ PROFILE_LOG_HEADER = "k,log10_exact,log10_daniels,log10_gaussian,log10_ldp_line"
 LDP_HEADER_BASE = "u,theta,I"
 EGF_HEADER = "x,n,coeff_exact,coeff_egf,rel_err"
 
-# Rows per template.format call in both writers: large enough to amortise
-# the call, small enough that a chunk's cells and text stay well under a
+# Rows per group of a flat table: large enough to amortise a group's %
+# operation, small enough that its cells and text stay well under a
 # megabyte, which peak memory shows (1,024 rows peak 4.5 MB above 256 on
 # the tables benchmark).
 CHUNK_ROWS = 256
@@ -206,16 +206,26 @@ def svg_plot(series: list[Series], scale: str = "linear", title: str = "") -> Sv
 
 @dataclass
 class Table:
-    """One subcommand's result: the CSV header, rows of typed values in
-    header order, and the metadata that only the JSON payload carries.
+    """One subcommand's result: the CSV header, its rows in groups, and the
+    metadata that only the JSON payload carries.
 
-    `rows` may be a lazy iterator (the triangle streams its rows); every
-    other handler finishes its solves before it returns.
+    A group is (lead, columns): its row i holds the lead (no value, or one
+    number), then i when the table is `indexed`, then each column's i-th
+    value.  `groups` may be a lazy iterator (the triangle streams one group
+    per row); every other handler finishes its solves before it returns.
     """
 
     header: str
-    rows: Iterable[Sequence]
+    groups: Iterable[tuple[tuple, Sequence[Sequence]]]
     meta: dict = field(default_factory=dict)
+    indexed: bool = False
+
+
+def _flat(rows: Iterable[Sequence]) -> Iterator[tuple[tuple, list]]:
+    """`rows` as groups of CHUNK_ROWS rows (the last may be shorter)."""
+    rows = iter(rows)
+    for chunk in iter(lambda: list(itertools.islice(rows, CHUNK_ROWS)), []):
+        yield (), list(zip(*chunk))
 
 
 def _open_out(path) -> contextlib.AbstractContextManager:
@@ -224,36 +234,68 @@ def _open_out(path) -> contextlib.AbstractContextManager:
     return open(path, "w")
 
 
-def _chunks(rows: Iterable[Sequence]) -> Iterator[list]:
-    """`rows` in lists of CHUNK_ROWS; the last list may be shorter."""
-    rows = iter(rows)
-    return iter(lambda: list(itertools.islice(rows, CHUNK_ROWS)), [])
+def _render(table: Table, order: Sequence[int], hole, convert, row_text) -> Iterator[str]:
+    """The text of each group of `table`, each from one % operation.
+
+    `order` lists the header positions in output order, `hole(sample)` is
+    the % conversion of values typed like `sample`, `convert(values,
+    sample)` a column as that conversion takes it, and `row_text(cells)` a
+    row's text from its cells in output order.  Row fragments, holding the
+    row's index text and split where the lead goes, are cached for the
+    table: a group's template is its fragments joined with its lead's text.
+    """
+    groups = iter(table.groups)
+    first = next(groups, None)
+    if first is None:
+        return
+    lead, columns = first
+    width = len(lead) + table.indexed  # header positions before the columns
+    samples = [column[0] for column in columns]
+    picked = [j - width for j in order if j >= width]
+
+    def fragments(i: int) -> list[str]:
+        cells = [
+            "\0" if j < len(lead) else str(i) if j < width else hole(samples[j - width])
+            for j in order
+        ]
+        return (row_text(cells) + "\0").split("\0")[:2]
+
+    fixed = None if table.indexed else fragments(0)
+    joints, tails = [""], []  # joints[i]: tails[i - 1] + the text before row i's lead
+    for lead, columns in itertools.chain([first], groups):
+        m = len(columns[0])
+        while len(tails) < m:
+            before, after = fixed or fragments(len(tails))
+            joints[-1] += before
+            joints.append(after)
+            tails.append(after)
+        lead_text = hole(lead[0]) % tuple(convert(lead, lead[0])) if lead else ""
+        cells = [convert(columns[j], samples[j]) for j in picked]
+        values = cells[0] if len(cells) == 1 else itertools.chain.from_iterable(zip(*cells))
+        yield (lead_text.join(joints[:m]) + lead_text + tails[m - 1]) % tuple(values)
+
+
+def _csv_hole(sample) -> str:
+    return "%.17g" if isinstance(sample, float) else "%s"
 
 
 def _write_csv(table: Table, path=None) -> None:
-    """Stream `table` as CSV to `path` (stdout when None).
-
-    One line template serves every row; it is built from the first row's
-    value types: floats print with 17 significant digits, everything else
-    with str().  Each chunk of rows is one format call on the repeated
-    template.
-    """
-    chunks = _chunks(table.rows)
-    first = next(chunks, None)
+    """Stream `table` as CSV to `path` (stdout when None): floats with 17
+    significant digits, everything else with str()."""
+    texts = _render(
+        table, range(table.header.count(",") + 1), _csv_hole,
+        lambda values, sample: values, lambda cells: ",".join(cells) + "\n",
+    )
+    first = next(texts, "")
     with _open_out(path) as out:
-        out.write(table.header + "\n")
-        if first is None:
-            return
-        template = ",".join("{:.17g}" if isinstance(v, float) else "{}" for v in first[0])
-        template += "\n"
-        for chunk in itertools.chain([first], chunks):
-            out.write((template * len(chunk)).format(*itertools.chain.from_iterable(chunk)))
+        out.write(table.header + "\n" + first)
+        out.writelines(texts)
 
 
 def _json_cells(values: Sequence, sample) -> Iterable:
-    """One column of a chunk, typed like `sample`, as json.dumps writes it:
-    floats by float.__repr__ (non-finite ones by name), strings quoted and
-    escaped, everything else as is for str()."""
+    """One column typed like `sample`, as json.dumps writes it: floats by
+    float.__repr__ (non-finite ones by name), strings quoted and escaped,
+    everything else as is for str()."""
     if isinstance(sample, float):
         text = list(map(float.__repr__, values))
         return map(_JSON_NON_FINITE.get, text, text)
@@ -268,9 +310,8 @@ def _write_json(table: Table, params: ModelParams, path=None) -> None:
 
     The bytes are those of one `json.dumps(..., sort_keys=True, indent=2)`
     of the whole object.  The head is dumped with an empty row list and
-    split there; the rows go in between.  One row template, with the keys
-    sorted and indented one level inside "rows", is built from the first
-    row's value types; each chunk of rows is one format call on it.
+    split there; the rows go in between, their keys sorted and indented
+    one level inside "rows".
     """
     head = {"params": params.to_dict(), **table.meta, "rows": []}
     before, after = json.dumps(head, sort_keys=True, indent=2).split('"rows": []')
@@ -279,25 +320,18 @@ def _write_json(table: Table, params: ModelParams, path=None) -> None:
     # A repeated column keeps its last value, as a dict built from the row would.
     index = {column: i for i, column in enumerate(table.header.split(","))}
     keys = sorted(index)
-    order = [index[key] for key in keys]
-    fields = ",\n".join(f"{inner}  {encode_basestring_ascii(key)}: {{}}" for key in keys)
-    template = ",\n" + inner + "{{\n" + fields + "\n" + inner + "}}"
-    chunks = _chunks(table.rows)
-    first = next(chunks, None)
+    names = [f"{inner}  {encode_basestring_ascii(key)}: ".replace("%", "%%") for key in keys]
+
+    def row_text(cells: list[str]) -> str:
+        fields = ",\n".join(map(str.__add__, names, cells))
+        return ",\n" + inner + "{\n" + fields + "\n" + inner + "}"
+
+    texts = _render(table, [index[key] for key in keys], lambda sample: "%s", _json_cells, row_text)
+    first = next(texts, "")
     with _open_out(path) as out:
-        out.write(before + '"rows": [')
-        if first is None:
-            out.write("]" + after + "\n")
-            return
-        samples = [first[0][i] for i in order]
-        skip = 1  # the first row takes no leading comma
-        for chunk in itertools.chain([first], chunks):
-            columns = list(zip(*chunk))
-            cells = zip(*(_json_cells(columns[i], s) for i, s in zip(order, samples)))
-            text = (template * len(chunk)).format(*itertools.chain.from_iterable(cells))
-            out.write(text[skip:])
-            skip = 0
-        out.write("\n" + outer + "]" + after + "\n")
+        out.write(before + '"rows": [' + first[1:])  # the first row takes no leading comma
+        out.writelines(texts)
+        out.write(("\n" + outer if first else "") + "]" + after + "\n")
 
 
 # ----- subcommand handlers: each takes the parsed arguments ----- #
@@ -310,21 +344,15 @@ def _run_triangle(args) -> Table:
                 "--n (use --representation log_space for larger n) must lie in "
                 f"[0, {TRIANGLE_EXACT_MAX_N}], got {args.n}"
             )
+        # log_weight from the int rows, the digits from the decimal rows.
         tri = build_triangle(args.params, args.n, "exact")
-        rows = (
-            (n, k, lw, str(w))
-            for n in range(args.n + 1)
-            for k, (lw, w) in enumerate(zip(tri.log_row(n).tolist(), tri.row(n)))
-        )
-        return Table(TRIANGLE_HEADER_EXACT, rows)
+        digits = exact.iter_decimal_rows(args.params, args.n)
+        groups = (((n,), [tri.log_row(n).tolist(), row]) for n, row in enumerate(digits))
+        return Table(TRIANGLE_HEADER_EXACT, groups, indexed=True)
     # Looked up on the module so that wrappers installed there see the build.
     log_rows = exact.iter_log_rows(args.params, args.n)
-    rows = (
-        (n, k, lw)
-        for n, log_row in enumerate(log_rows)
-        for k, lw in enumerate(log_row.tolist())
-    )
-    return Table(TRIANGLE_HEADER_LOG, rows)
+    groups = (((n,), [row.tolist()]) for n, row in enumerate(log_rows))
+    return Table(TRIANGLE_HEADER_LOG, groups, indexed=True)
 
 
 def _run_dist(args) -> Table:
@@ -337,7 +365,7 @@ def _run_dist(args) -> Table:
         "log_normalizer": dist.log_total,
         "log_p": log_p,
     }
-    return Table(DIST_HEADER, [(k, lp, math.exp(lp)) for k, lp in enumerate(log_p)], meta)
+    return Table(DIST_HEADER, _flat((k, lp, math.exp(lp)) for k, lp in enumerate(log_p)), meta)
 
 
 def _run_asym(args) -> Table:
@@ -351,7 +379,7 @@ def _run_asym(args) -> Table:
         rows.append(
             (n, log_exact, est.log_pn, dist.mean, est.mu, dist.variance, est.sigma2)
         )
-    return Table(ASYM_HEADER, rows, {"x": args.x})
+    return Table(ASYM_HEADER, _flat(rows), {"x": args.x})
 
 
 def _profile_log10(rows) -> list[tuple]:
@@ -365,15 +393,15 @@ def _profile_log10(rows) -> list[tuple]:
 def _run_saddle(args) -> Table:
     _check_window(args.n, args.epsilon)
     rows = _profile_log10(profile(args.params, args.n, args.epsilon))
-    return Table(PROFILE_HEADER, rows, {"n": args.n, "epsilon": args.epsilon})
+    return Table(PROFILE_HEADER, _flat(rows), {"n": args.n, "epsilon": args.epsilon})
 
 
 def _run_ldp(args) -> Table:
     prof = ldp.rate_profile(args.params, args.u_grid)
     columns = ldp.empirical_rates(args.params, args.u_grid, args.n_list)
     header = LDP_HEADER_BASE + "".join(f",emp_{n}" for n in args.n_list)
-    rows = list(zip(args.u_grid, prof.theta.tolist(), prof.rate.tolist(), *columns))
-    return Table(header, rows, {"N_list": args.n_list})
+    rows = zip(args.u_grid, prof.theta.tolist(), prof.rate.tolist(), *columns)
+    return Table(header, _flat(rows), {"N_list": args.n_list})
 
 
 def _run_egf_check(args) -> Table:
@@ -386,7 +414,7 @@ def _run_egf_check(args) -> Table:
             exact_coeff = sum(w * x**k for k, w in enumerate(tri.row(n))) / math.factorial(n)
             rel = abs(coeffs[n] - exact_coeff) / max(abs(exact_coeff), 1e-300)
             rows.append((x, n, exact_coeff, float(coeffs[n]), rel))
-    return Table(EGF_HEADER, rows)
+    return Table(EGF_HEADER, _flat(rows))
 
 
 def _run_figures(args) -> None:
@@ -405,14 +433,14 @@ def _run_figures(args) -> None:
         for r in rows
     ]
     tables = {
-        "profile_linear.csv": Table(PROFILE_LINEAR_HEADER, linear),
+        "profile_linear.csv": Table(PROFILE_LINEAR_HEADER, _flat(linear)),
         # Log-scale profile with the rate line -n I(u) / log 10.
         "profile_log.csv": Table(
-            PROFILE_LOG_HEADER, [(*row, y) for row, y in zip(_profile_log10(rows), line)]
+            PROFILE_LOG_HEADER, _flat((*row, y) for row, y in zip(_profile_log10(rows), line))
         ),
         "rate_scaling.csv": Table(
             "u,I" + "".join(f",emp_{m}" for m in n_list),
-            list(zip(u_grid, u_rates, *columns)),
+            _flat(zip(u_grid, u_rates, *columns)),
         ),
     }
     plots = {}

@@ -13,6 +13,7 @@ per-column scales (see `iter_log_rows`); zero weights map to -inf.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from typing import Iterator, Literal
@@ -196,6 +197,43 @@ def final_log_row(params: ModelParams, n: int) -> np.ndarray:
     return row
 
 
+def _exact_rows(params: ModelParams, n_max: int, one, arithmetic=contextlib.nullcontext):
+    """Yield exact rows 0..n_max over the number type of `one` (int or Decimal).
+
+    `arithmetic()` is entered around each row's arithmetic and never across
+    a yield, so a context it sets is not in force while the caller runs."""
+    with arithmetic():
+        zero = one * 0
+        # ups[k] multiplies row[k - 1]; row[-1] is zero.
+        ups = [zero] + [one * params.up_weight(k) for k in range(n_max)]
+        levels = [one * params.level_weight(k) for k in range(n_max + 1)]
+        downs = [one * params.down_weight(k) for k in range(n_max + 1)]
+    row = [one]
+    for _ in range(n_max):
+        yield row
+        padded = [zero, *row, zero, zero]  # padded[k + 1] holds row[k]
+        terms = zip(ups, levels, downs, padded, padded[1:], padded[2:])
+        with arithmetic():
+            row = [u * left + l * mid + d * right for u, l, d, left, mid, right in terms]
+    yield row
+
+
+def iter_decimal_rows(params: ModelParams, n_max: int) -> Iterator[list[str]]:
+    """Yield exact rows 0..n_max as the digit strings of the int rows, two
+    rows in memory: str() of a Decimal takes linear time, of an int quadratic."""
+    import decimal  # deferred: its import costs 2 ms and 0.5 MB, needed only here
+    if n_max < 0:
+        raise DomainError(f"n_max must be nonnegative, got {n_max}")
+    # Decimal arithmetic that never rounds: any inexact step raises.
+    exact = decimal.Context(
+        prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
+        traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation],
+    )
+    rows = _exact_rows(params, n_max, decimal.Decimal(1), lambda: decimal.localcontext(exact))
+    for row in rows:
+        yield list(map(str, row))
+
+
 def build_triangle(
     params: ModelParams,
     n_max: int,
@@ -214,26 +252,16 @@ def build_triangle(
     if representation != "exact":
         raise DomainError(f"unknown representation {representation!r}")
 
-    rows: list[list[int]] = [[1]]
+    built = _exact_rows(params, n_max, 1)
+    rows: list[list[int]] = [next(built)]
     bits_used = 1
-    for n in range(n_max):
-        prev = rows[n]
-        nxt = []
-        for k in range(n + 2):
-            w = 0
-            if k >= 1:
-                w += params.up_weight(k - 1) * prev[k - 1]
-            if k <= n:
-                w += params.level_weight(k) * prev[k]
-            if k + 1 <= n:
-                w += params.down_weight(k) * prev[k + 1]
-            nxt.append(w)
-        rows.append(nxt)
+    for row in built:
+        rows.append(row)
         if bit_budget is not None:
-            bits_used += sum(w.bit_length() for w in nxt)
+            bits_used += sum(w.bit_length() for w in row)
             if bits_used > bit_budget:
                 raise CapacityError(
-                    f"exact triangle exceeds {bit_budget} bits at row {n + 1}; "
+                    f"exact triangle exceeds {bit_budget} bits at row {len(rows) - 1}; "
                     "use representation='log_space' or raise bit_budget"
                 )
     return Triangle(params, n_max, "exact", rows)

@@ -1,3 +1,4 @@
+import decimal
 import json
 import math
 import subprocess
@@ -6,7 +7,7 @@ import tracemalloc
 
 import pytest
 
-from wmotzkin import ModelParams
+from wmotzkin import ModelParams, build_triangle, exact
 from wmotzkin.cli import (
     ASYM_HEADER,
     CHUNK_ROWS,
@@ -290,8 +291,8 @@ def test_json_rows_match_csv(case, capsys):
 CELL_TYPES = {"n": int, "k": int, "weight_decimal": str}
 
 
-# 1 puts every row in a chunk of its own; CHUNK_ROWS and 1024 hold each of
-# these tables in one chunk.
+# 1 puts every flat row in a group of its own; CHUNK_ROWS and 1024 hold each
+# of these flat tables in one group.  Triangles have one group per row.
 @pytest.mark.parametrize("chunk_rows", [1, CHUNK_ROWS, 1024])
 @pytest.mark.parametrize("case", [*TABLE_CASES])
 def test_json_is_one_document(case, chunk_rows, capsys, monkeypatch):
@@ -304,17 +305,23 @@ def test_json_is_one_document(case, chunk_rows, capsys, monkeypatch):
     tables = []
     write_csv = cli_mod._write_csv
 
-    def keep_rows(table, path=None):
-        tables.append(cli_mod.Table(table.header, list(table.rows), table.meta))
+    def keep_groups(table, path=None):
+        groups = [(lead, [list(c) for c in columns]) for lead, columns in table.groups]
+        tables.append(cli_mod.Table(table.header, groups, table.meta, table.indexed))
         write_csv(tables[-1], path)
 
-    monkeypatch.setattr(cli_mod, "_write_csv", keep_rows)
+    monkeypatch.setattr(cli_mod, "_write_csv", keep_groups)
     argv = TABLE_CASES[case]
     code, csv_text, _ = run_main(argv, capsys)
     assert code == 0
     (table,) = tables
-    template = ",".join("{:.17g}" if isinstance(v, float) else "{}" for v in table.rows[0])
-    expected = [table.header] + [template.format(*row) for row in table.rows]
+    rows = [
+        (*lead, *([i] if table.indexed else []), *cells)
+        for lead, columns in table.groups
+        for i, cells in enumerate(zip(*columns))
+    ]
+    template = ",".join("{:.17g}" if isinstance(v, float) else "{}" for v in rows[0])
+    expected = [table.header] + [template.format(*row) for row in rows]
     assert csv_text == "\n".join(expected) + "\n"
 
     code, json_text, _ = run_main(argv + ["--format", "json"], capsys)
@@ -330,6 +337,31 @@ def test_json_is_one_document(case, chunk_rows, capsys, monkeypatch):
     assert json_text == json.dumps(document, sort_keys=True, indent=2) + "\n"
     if case == "triangle_zeros":
         assert ",-inf\n" in csv_text and '"log_weight": -Infinity,' in json_text
+
+
+def test_exact_triangle_csv_matches_int_rows(tmp_path):
+    # The digits come from decimal arithmetic in a context of its own: a
+    # caller's 5-digit context changes no byte, and is in force again
+    # after the run and between two rows of the digit generator.
+    params = ModelParams.parse(SHOWCASE_ARG)
+    tri = build_triangle(params, 60)
+    expected = [TRIANGLE_HEADER_EXACT] + [
+        "{},{},{:.17g},{}".format(n, k, math.log(w) if w else -math.inf, w)
+        for n in range(61)
+        for k, w in enumerate(tri.row(n))
+    ]
+    out = tmp_path / "tri.csv"
+    with decimal.localcontext(decimal.Context(prec=5)) as caller:
+        assert main(["triangle", "--params", SHOWCASE_ARG, "--n", "60", "--out", str(out)]) == 0
+        assert decimal.getcontext() is caller and caller.prec == 5
+        assert not any(caller.flags.values())
+        assert out.read_text() == "\n".join(expected) + "\n"
+
+        rows = exact.iter_decimal_rows(params, 60)
+        assert [next(rows), next(rows)] == [["1"], ["1", "8"]]
+        assert decimal.getcontext() is caller and caller.prec == 5
+        assert next(rows) == list(map(str, tri.row(2)))
+        assert decimal.getcontext() is caller
 
 
 def _traced_peak(argv):

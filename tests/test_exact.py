@@ -191,8 +191,27 @@ def test_variance_matches_big_int_moment():
 
 
 def test_capacity_budget():
-    with pytest.raises(CapacityError):
+    # Row 0 counts one bit; the error names the first row whose running
+    # total passes the budget.
+    bits, row = 0, None
+    for n, weights in enumerate(build_triangle(SHOWCASE, 200, bit_budget=None).rows):
+        bits += sum(w.bit_length() for w in weights)
+        if bits > 10_000:
+            row = n
+            break
+    assert build_triangle(SHOWCASE, 0, bit_budget=0).rows == [[1]]
+    with pytest.raises(CapacityError, match=f"exceeds 10000 bits at row {row};"):
         build_triangle(SHOWCASE, 200, bit_budget=10_000)
+    with pytest.raises(CapacityError, match="exceeds 1 bits at row 1;"):
+        build_triangle(SHOWCASE, 200, bit_budget=1)
+
+
+@pytest.mark.parametrize("params", CORPUS, ids=str)
+def test_decimal_rows_match_int_rows(params):
+    # Structural zeros print as "0", alpha0 = 0 models included.
+    tri = build_triangle(params, 40)
+    rows = list(exact.iter_decimal_rows(params, 40))
+    assert rows == [list(map(str, tri.row(n))) for n in range(41)]
 
 
 def test_streaming_matches_full_build():
