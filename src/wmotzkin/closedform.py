@@ -86,28 +86,39 @@ class SingularityMap:
         return -regime.nu * (math.log(regime.coeffs.A) + math.log(tau) + math.log(radial))
 
     def cgf(self, theta: float) -> CgfValues:
-        """F(theta) = log(tau(1)/tau(e^theta)) with F' and F''.
+        """F(theta) = log(tau(1)/tau(e^theta)) with F', F'' and F'''.
 
-        F'(theta) = x*chi(x) and F''(theta) = x*chi(x) + x^2*chi'(x) at
-        x = e^theta, with chi = -tau'/tau = 1/(Q tau), chi' = chi^2 - tau''/tau
-        and tau'' = Q'/Q^2.  DomainError, not a wrong F' or F'', where e^theta
-        or Q(e^theta)^2 is no finite double (theta past about 177 at A = 1).
+        F'(theta) = x*chi(x), F''(theta) = x*chi(x) + x^2*chi'(x) and
+        F'''(theta) = x*chi + 3x^2*chi' + x^3*chi'' at x = e^theta, with
+        chi = -tau'/tau = 1/(Q tau), chi' = chi^2 - tau''/tau, tau'' = Q'/Q^2
+        and chi'' = 2 chi chi' - 2A/(Q^2 tau) + 2Q'^2/(Q^3 tau) - Q'/(Q^3 tau^2).
+        F''' is written in the scale-free ratios x*Q'/Q and x^2*Q''/Q, so no
+        Q^3 is formed.  DomainError, not a wrong F' or F'', where e^theta or
+        Q(e^theta)^2 is no finite double (theta past about 177 at A = 1).
         """
         try:
             x = math.exp(theta)
         except OverflowError:
             x = math.inf
-        q_val = self.regime.coeffs.poly(x)
+        coeffs = self.regime.coeffs
+        q_val = coeffs.poly(x)
         q_sq = q_val * q_val
         if not math.isfinite(q_sq):
             raise DomainError(f"theta={theta}: Q(e^theta)^2 is not a finite double")
         tau = self.tau(x)
         chi = (1.0 / q_val) / tau
-        chi_prime = chi * chi - self.regime.coeffs.poly_deriv(x) / q_sq / tau
+        q_prime = coeffs.poly_deriv(x)
+        mean = x * chi
+        x2_chi1 = x * x * (chi * chi - q_prime / q_sq / tau)
+        # x^3 chi'' in the ratios r = x Q'/Q and s = x^2 Q''/Q.
+        r = x * q_prime / q_val
+        s = x * x * (2.0 * coeffs.A) / q_val
+        x3_chi2 = mean * (2.0 * x2_chi1 - s + 2.0 * r * r - mean * r)
         return CgfValues(
             value=self._log_tau_one - math.log(tau),
-            deriv1=x * chi,
-            deriv2=x * chi + x * x * chi_prime,
+            deriv1=mean,
+            deriv2=mean + x2_chi1,
+            deriv3=mean + 3.0 * x2_chi1 + x3_chi2,
         )
 
 

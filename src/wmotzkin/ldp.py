@@ -24,7 +24,7 @@ THETA_LIMIT = 60.0  # |theta| beyond this saturates F' in double precision
 
 
 def limit_cgf(params: ModelParams, theta: float) -> CgfValues:
-    """F(theta) = log(tau(1)/tau(e^theta)) with F' and F'' (see
+    """F(theta) = log(tau(1)/tau(e^theta)) with F', F'' and F''' (see
     `SingularityMap.cgf`)."""
     require(params, QUADRATIC)
     return SingularityMap(params).cgf(theta)
@@ -60,7 +60,8 @@ class RateProfile:
 def rate_profile(params: ModelParams, u_grid) -> RateProfile:
     """Rate profile via the Legendre transform at each u in u_grid, in grid
     order: `conjugate_root` on F, cold at the first u and then warm from the
-    previous u's solve.  Every solve's bracket reaches |theta| = THETA_LIMIT.
+    previous u's solve, first evaluated at its second-order predictor.  Every
+    solve searches out to |theta| = THETA_LIMIT, no further.
     A double root at r = 0 raises DomainError before any solve: there
     F(theta) = theta, so I(u) = +inf for every u < 1.
     """

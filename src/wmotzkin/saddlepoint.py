@@ -22,7 +22,8 @@ from .specfun import LOG_ZERO, CgfValues, conjugate_root
 
 # kappa sums only the k window of tilted terms within e^-64 of the largest.  The
 # n + 1 or fewer left out hold < (n + 1) e^-64 of the total and move the variance
-# by < n^2 (n + 1) e^-64, as (k - mean)^2 <= n^2: 3.3e-24 and 1.3e-15 at n = 20000.
+# by < n^2 (n + 1) e^-64, as (k - mean)^2 <= n^2: 3.3e-24 and 1.3e-15 at n = 20000
+# (the third central moment by < n^3 (n + 1) e^-64, 2.6e-11).
 _WINDOW_NATS = 64.0
 
 
@@ -42,9 +43,9 @@ def uniform_error_applies(params: ModelParams) -> bool:
 @dataclass(frozen=True)
 class SaddleResult:
     theta: float
-    cgf: CgfValues  # kappa_n and its first two derivatives at theta
+    cgf: CgfValues  # kappa_n and its first three derivatives at theta
     log_p_daniels: float
-    iterations: int
+    iterations: int  # kappa evaluations after the start, the predictor included
 
 
 class CumulantEvaluator:
@@ -70,7 +71,8 @@ class CumulantEvaluator:
         return cls(final_log_row(params, n))
 
     def kappa(self, theta: float) -> CgfValues:
-        """kappa_n at theta with the tilted mean and variance (see _WINDOW_NATS)."""
+        """kappa_n at theta with the tilted mean, variance and third central
+        moment (see _WINDOW_NATS)."""
         z = self.k * theta
         z += self.log_row
         m = float(z.max())
@@ -83,8 +85,11 @@ class CumulantEvaluator:
         # Moments of the tilted law z / total, dividing each dot by total.
         mean = float(np.dot(z, k)) / total
         d = k - mean
-        variance = max(float(np.dot(z, d * d)) / total, 0.0)
-        return CgfValues(m + math.log(total), mean, variance)
+        dd = d * d
+        variance = max(float(np.dot(z, dd)) / total, 0.0)
+        dd *= d
+        third = float(np.dot(z, dd)) / total
+        return CgfValues(m + math.log(total), mean, variance, third)
 
     def solve_saddle(self, k: int, near: SaddleResult | None = None) -> SaddleResult:
         """Tilt theta with tilted mean k, by `conjugate_root` on kappa_n:

@@ -85,60 +85,73 @@ def lambert_w0(z: float) -> float:
 
 
 def safeguarded_root(
-    f, start, *, tol, limit=math.inf, f_start=None, step=1.0, max_iter=100
+    f, start, *, tol, limit=math.inf, f_start=None, first=None, step=1.0, max_iter=100
 ):
     """Root of an increasing function, given f(x) -> (f(x), f'(x)).
 
-    A bracket grows from `start` toward the root in steps of `step`,
-    2*step, 4*step, ... (probes start -+ step, 3*step, 7*step, ..., the last
-    one clamped to start -+ limit); ConvergenceError if f has not changed
-    sign by the limit.  Newton then runs from the bracket's midpoint,
-    bisecting whenever a step leaves the shrinking bracket or the slope is
-    not positive, and stops when |f(x)| <= tol or x stops moving.
-    `f_start`, if known, spares the evaluation at `start`, and a start with
-    |f| <= tol is the root.  Returns (x, Newton steps), where x is the point
-    of the last evaluation of f (`start` itself when it is the root).
+    One loop of Newton steps, each from the last evaluated point; `first`,
+    if given, replaces the first of them.  The bracket is learned from the
+    signs of f.  While it is open on the root's side, a step goes at most
+    `step`, then 2*step, 4*step, ... past the last point (a step that does
+    not move toward the root, or a slope that is not positive, goes the
+    whole way), clamped to start -+ `limit`; ConvergenceError if f keeps its
+    sign there.  Once the bracket is closed, a step that leaves it bisects.
+    A point with |f| <= tol is the root if it is the start, if f has changed
+    sign, or if a step of length s reached it and its own Newton correction
+    |f/f'| is at most s/2; a closed bracket whose next point would not move
+    also ends the solve.  `f_start` = (f, f') at `start`, if known, spares
+    that evaluation.  Returns (x, evaluations of f after the start), where
+    x is the point of the last evaluation (`start` itself when it is the root).
     """
-    value = f(start)[0] if f_start is None else f_start
+    value, slope = f(start) if f_start is None else f_start
     if abs(value) <= tol:
         return start, 0
-    sign = -1.0 if value > 0 else 1.0  # direction of the root
-    near = start
-    while abs(near - start) < limit:
-        probe = start + sign * min(abs(near - start) + step, limit)
-        if sign * f(probe)[0] >= 0:
-            break
-        near, step = probe, 2.0 * step
-    else:
-        raise ConvergenceError(
-            f"no root between {start:g} and {start + sign * limit:g}: f keeps its sign"
-        )
-    lo, hi = min(near, probe), max(near, probe)
-    x = 0.5 * (lo + hi)
+    sign = -1.0 if value > 0 else 1.0  # direction of the root from start
+    edge = start + sign * limit
+    lo, hi = (-math.inf, start) if value > 0 else (start, math.inf)
+    x, reach = start, step
     for steps in range(1, max_iter + 1):
+        proposal = first if steps == 1 and first is not None else (
+            x - value / slope if slope > 0 else math.nan
+        )
+        x_next = proposal
+        if lo == -math.inf or hi == math.inf:  # open on the root's side
+            if x == edge:
+                raise ConvergenceError(
+                    f"no root between {start:g} and {edge:g}: f keeps its sign"
+                )
+            if not 0 < sign * (x_next - x) <= reach:
+                x_next = x + sign * reach
+            if sign * (x_next - edge) > 0:
+                x_next = edge
+            reach *= 2.0
+        elif not lo < x_next < hi:
+            x_next = 0.5 * (lo + hi)
+            if x_next == x:
+                return x, steps - 1
+        # A step cut to the reach or the limit says nothing about convergence.
+        moved = abs(x_next - x) if x_next == proposal else 0.0
+        x = x_next
         value, slope = f(x)
-        if abs(value) <= tol:
-            return x, steps
         if value > 0:
             hi = x
         else:
             lo = x
-        x_next = x - value / slope if slope > 0 else 0.5 * (lo + hi)
-        if not lo < x_next < hi:
-            x_next = 0.5 * (lo + hi)
-        if x_next == x:
+        closed = lo > -math.inf and hi < math.inf
+        if abs(value) <= tol and (closed or 2.0 * abs(value) <= moved * slope):
             return x, steps
-        x = x_next
     raise ConvergenceError(f"root not within |f| <= {tol:g} after {max_iter} steps")
 
 
 @dataclass(frozen=True)
 class CgfValues:
-    """A CGF and its first two derivatives (tilted mean and variance)."""
+    """A CGF and its first three derivatives (the tilted mean, variance and
+    third central moment)."""
 
     value: float
     deriv1: float
     deriv2: float
+    deriv3: float
 
 
 def conjugate_root(
@@ -146,19 +159,25 @@ def conjugate_root(
 ):
     """theta with F'(theta) = target for a convex cgf(theta) -> CgfValues F.
 
-    Cold, the bracket grows from theta = 0 (F there is `at_zero`, if known)
-    with a first step of 1.0.  Warm from `near` = (theta, F there), a solve
-    at a nearby target, the first step is twice the Newton step, so that the
-    bracket's midpoint is the Newton predictor; it is 1.0 where F'' is not
-    positive (F'' rounds to zero where F' saturates).  The bracket stops at
-    |theta| = `wall`.  Returns (theta, F at theta, Newton steps).
+    Cold, the solve starts from theta = 0 (F there is `at_zero`, if known)
+    with a first step of at most 1.0.  Warm from `near` = (theta0, F there),
+    a solve at a nearby target, a start within tol is the root and costs no
+    evaluation; otherwise the first evaluation is at the second-order
+    predictor theta0 + d - F'''d^2/(2F''), d = (target - F')/F'', and the
+    first step goes at most 2|d| (1.0 where F'' is not positive: F'' rounds
+    to zero where F' saturates).  Steps stop at |theta| = `wall`.  Returns
+    (theta, F at theta, evaluations of F after the start).
     """
     if near is None:
-        start, vals, step = 0.0, cgf(0.0) if at_zero is None else at_zero, 1.0
+        start, vals = 0.0, cgf(0.0) if at_zero is None else at_zero
     else:
         start, vals = near
-        step = 2.0 * abs(vals.deriv1 - target) / vals.deriv2 if vals.deriv2 > 0 else 1.0
-    f_start = vals.deriv1 - target
+    f_start = (vals.deriv1 - target, vals.deriv2)
+    step, first = 1.0, None
+    if near is not None and vals.deriv2 > 0:
+        delta = -f_start[0] / vals.deriv2
+        step = 2.0 * abs(delta)
+        first = start + delta - vals.deriv3 * delta * delta / (2.0 * vals.deriv2)
 
     def excess(theta: float) -> tuple[float, float]:
         nonlocal vals
@@ -166,9 +185,10 @@ def conjugate_root(
         return vals.deriv1 - target, vals.deriv2
 
     # Distance from start to the wall on the root's side.
-    reach = wall + (start if f_start > 0 else -start)
+    reach = wall + (start if f_start[0] > 0 else -start)
     theta, steps = safeguarded_root(
-        excess, start, tol=tol, limit=reach, f_start=f_start, step=step, max_iter=max_iter
+        excess, start, tol=tol, limit=reach, f_start=f_start, first=first, step=step,
+        max_iter=max_iter,
     )
     return theta, vals, steps
 

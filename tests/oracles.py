@@ -59,8 +59,8 @@ def brute_force_oracle(params: ModelParams, n: int) -> list[int]:
 
 
 def full_row_kappa(log_row: np.ndarray, theta: float) -> CgfValues:
-    """kappa_n(theta) = log sum_k e^{log_row[k] + theta k} with the tilted mean
-    and variance, every sum over the whole row: `CumulantEvaluator.kappa`
+    """kappa_n(theta) = log sum_k e^{log_row[k] + theta k} with the tilted mean,
+    variance and third central moment, every sum over the whole row: `CumulantEvaluator.kappa`
     leaves out the terms below e^-64 of the largest."""
     k = np.arange(len(log_row), dtype=float)
     z = k * theta
@@ -72,7 +72,8 @@ def full_row_kappa(log_row: np.ndarray, theta: float) -> CgfValues:
     mean = float(np.dot(z, k)) / total
     d = k - mean
     variance = max(float(np.dot(z, d * d)) / total, 0.0)
-    return CgfValues(m + math.log(total), mean, variance)
+    third = float(np.dot(z, d * d * d)) / total
+    return CgfValues(m + math.log(total), mean, variance, third)
 
 
 def parametrized_profile(params: ModelParams, x_grid) -> RateProfile:

@@ -18,6 +18,7 @@ from wmotzkin import (
     rate_profile,
 )
 from wmotzkin.ldp import THETA_LIMIT, empirical_rates
+from wmotzkin.saddlepoint import k_window
 from oracles import parametrized_profile, rate_closed_form_double_root
 from corpus import (
     CLASSIC,
@@ -121,6 +122,36 @@ def test_cgf_derivatives_match_finite_differences(models, thetas, h1, h2, bound1
             fd2 = (up2 - 2 * vals.value + down2) / (h2 * h2)
             assert abs(vals.deriv1 - fd1) <= bound1(vals.deriv1), (params, theta)
             assert abs(vals.deriv2 - fd2) <= bound2(vals.deriv2), (params, theta)
+
+
+def test_cgf_third_derivative_matches_difference_of_second():
+    # The absolute floor covers F''' = 0: the double root at r = 0, where
+    # F = theta, and the double root at r = -1 at theta = 0.
+    h = 1e-4
+    for params in balanced_quadratic():
+        smap = SingularityMap(params)
+        for theta in (-2.0, 0.0, 1.5):
+            fd3 = (smap.cgf(theta + h).deriv2 - smap.cgf(theta - h).deriv2) / (2 * h)
+            got = smap.cgf(theta).deriv3
+            assert math.isclose(got, fd3, rel_tol=1e-6, abs_tol=1e-10), (params, theta, got, fd3)
+
+
+def test_rate_profile_cgf_calls_per_u(monkeypatch):
+    # Warm Legendre solves along the k/n grid of a showcase profile at
+    # n = 2000 start at the second-order predictor; the bracket-then-midpoint
+    # solver took 3.51 F evaluations per u here.
+    calls = 0
+    cgf = SingularityMap.cgf
+
+    def counted(self, *args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return cgf(self, *args, **kwargs)
+
+    monkeypatch.setattr(SingularityMap, "cgf", counted)
+    grid = [k / 2000 for k in k_window(2000, 0.01)]
+    rate_profile(SHOWCASE, grid)
+    assert calls <= 2.3 * len(grid)
 
 
 def test_slope_range_saturates():

@@ -124,13 +124,28 @@ def test_safeguarded_root_bracket_and_newton():
 
     x, steps = safeguarded_root(cube, 0.0, tol=1e-14)
     assert abs(x - 2.0 ** (1.0 / 3.0)) <= 1e-14
-    assert probes[:4] == [0.0, 1.0, 3.0, 2.0]  # start, probes, bracket midpoint
-    assert steps == len(probes) - 3 and x == probes[-1]
-    # A known value at the start spares that evaluation; a root there ends it.
+    # f'(0) = 0, so the first step goes the whole first reach of 1.0; from
+    # there each point is a Newton step from the last, 4/3 inside a reach of 2.
+    assert probes[:3] == [0.0, 1.0, 4.0 / 3.0]
+    # Bracket probes 1, 3, then Newton from the midpoint 2 took 9 evaluations.
+    assert steps == len(probes) - 1 <= 6 and x == probes[-1]
+    # A known (f, f') at the start spares that evaluation; a root there ends it.
     probes.clear()
-    assert safeguarded_root(cube, 0.0, tol=1e-14, f_start=-2.0)[0] == x
+    assert safeguarded_root(cube, 0.0, tol=1e-14, f_start=(-2.0, 0.0))[0] == x
     assert probes[0] == 1.0
-    assert safeguarded_root(cube, 5.0, tol=1e-14, f_start=0.0) == (5.0, 0)
+    assert safeguarded_root(cube, 5.0, tol=1e-14, f_start=(0.0, 75.0)) == (5.0, 0)
+    # Once f has changed sign, a Newton step that leaves the bracket bisects:
+    # from 3.19, atan's Newton step lands below 0, so the next point is 1.597.
+    probes.clear()
+
+    def arctan(x):
+        probes.append(x)
+        return math.atan(x - 1.5), 1.0 / (1.0 + (x - 1.5) ** 2)
+
+    x, steps = safeguarded_root(arctan, 0.0, tol=1e-14, step=4.0)
+    first = 0.0 - math.atan(-1.5) / (1.0 / (1.0 + 1.5**2))
+    assert probes[:3] == [0.0, first, 0.5 * first]
+    assert x == 1.5 and steps == len(probes) - 1 == 5
 
 
 def test_safeguarded_root_warm_start_step():
@@ -140,18 +155,20 @@ def test_safeguarded_root_warm_start_step():
         probes.append(x)
         return x - 2.3, 1.0
 
-    # Probes start + step, + 3 step, + 7 step until f changes sign; Newton
-    # then starts at the bracket's midpoint.
-    x, steps = safeguarded_root(line, 1.0, tol=1e-14, f_start=-1.3, step=0.25)
-    assert probes[:4] == [1.25, 1.75, 2.75, 2.25]
-    assert math.isclose(x, 2.3, rel_tol=0, abs_tol=1e-14) and steps == len(probes) - 3
-    # Toward a root below the start the probes go down.
+    # While f keeps its sign, a step goes at most step, 2 step, 4 step, ...
+    # past the last point: Newton's 1.3 is cut to 0.25, then to 0.5, and the
+    # third step, 0.55 inside a reach of 1.0, lands on the root.
+    x, steps = safeguarded_root(line, 1.0, tol=1e-14, f_start=(-1.3, 1.0), step=0.25)
+    assert probes[:2] == [1.25, 1.75] and steps == len(probes) == 3
+    assert math.isclose(x, 2.3, rel_tol=0, abs_tol=1e-14)
+    # Toward a root below the start the steps go down; the bracket-then-midpoint
+    # loop took 5 and 4 evaluations for these two.
     probes.clear()
-    safeguarded_root(line, 3.0, tol=1e-14, f_start=0.7, step=0.5)
-    assert probes[:2] == [2.5, 1.5]
+    safeguarded_root(line, 3.0, tol=1e-14, f_start=(0.7, 1.0), step=0.5)
+    assert probes[0] == 2.5 and len(probes) == 2
     # A start within tol is the root: nothing is evaluated.
     probes.clear()
-    assert safeguarded_root(line, 2.3, tol=1e-9, f_start=1e-10, step=0.5) == (2.3, 0)
+    assert safeguarded_root(line, 2.3, tol=1e-9, f_start=(1e-10, 1.0), step=0.5) == (2.3, 0)
     assert probes == []
 
 
@@ -167,12 +184,14 @@ def test_safeguarded_root_limit():
 
 
 def _double_root_cgf(probes):
-    # F(theta) = log((e^theta + 1)/2): F' is the logistic function, so the
-    # conjugate point of u is exactly log(u/(1 - u)).
+    # F(theta) = log((e^theta + 1)/2): F' is the logistic function s, so the
+    # conjugate point of u is exactly log(u/(1 - u)); F'' = s(1 - s) and
+    # F''' = s(1 - s)(1 - 2s).
     def cgf(theta):
         probes.append(theta)
         s = 1.0 / (1.0 + math.exp(-theta))
-        return CgfValues(math.log1p(math.exp(theta)) - math.log(2.0), s, s * (1.0 - s))
+        v = s * (1.0 - s)
+        return CgfValues(math.log1p(math.exp(theta)) - math.log(2.0), s, v, v * (1.0 - 2.0 * s))
 
     return cgf
 
@@ -184,14 +203,21 @@ def test_conjugate_root_cold_and_warm_agree():
     for u in (0.05, 0.3, 0.5, 0.7, 0.95):
         probes.clear()
         theta, vals, _ = conjugate_root(cgf, u, at_zero=cgf(0.0), tol=tol)
-        # Cold: the first probe is one step of 1.0 from theta = 0 (F'(0) = 1/2
-        # is itself the root at u = 1/2).
-        assert probes[1:2] == ([] if u == 0.5 else [math.copysign(1.0, u - 0.5)])
+        # Cold: the first point is the Newton step from theta = 0, cut to a
+        # length of 1.0 (F'(0) = 1/2 is itself the root at u = 1/2).
+        newton = 0.0 - (0.5 - u) / 0.25
+        assert probes[1:2] == ([] if u == 0.5 else [max(-1.0, min(1.0, newton))])
         assert abs(vals.deriv1 - u) <= tol and vals == cgf(theta)
         assert math.isclose(theta, math.log(u / (1.0 - u)), rel_tol=0, abs_tol=1e-12)
-        # Warm from the solve at a nearby target.
+        # Warm from the solve at a nearby target: the first point is the
+        # second-order predictor, and the bracket-then-midpoint loop's 3 to 5
+        # evaluations fall to 2 to 4.
         near_theta, near_vals, _ = conjugate_root(cgf, u + 0.01, tol=tol)
-        warm, warm_vals, _ = conjugate_root(cgf, u, (near_theta, near_vals), tol=tol)
+        probes.clear()
+        warm, warm_vals, steps = conjugate_root(cgf, u, (near_theta, near_vals), tol=tol)
+        d = -(near_vals.deriv1 - u) / near_vals.deriv2
+        assert probes[0] == near_theta + d - near_vals.deriv3 * d * d / (2.0 * near_vals.deriv2)
+        assert steps == len(probes) <= 4
         assert abs(warm_vals.deriv1 - u) <= tol
         assert abs(warm - theta) <= tol / vals.deriv2
 
@@ -207,12 +233,16 @@ def test_conjugate_root_warm_at_its_own_root():
 
 
 def test_conjugate_root_flat_warm_start_steps_one():
-    # A warm start whose F'' rounded to zero takes a first step of 1.0.
+    # A warm start whose F'' rounded to zero has no predictor: its first step
+    # goes 1.0, and Newton runs on from there.
     probes = []
     cgf = _double_root_cgf(probes)
-    near = (0.0, CgfValues(0.0, 0.5, 0.0))
-    theta, _, _ = conjugate_root(cgf, 0.8, near, tol=1e-13)
-    assert probes[:2] == [1.0, 3.0]
+    near = (0.0, CgfValues(0.0, 0.5, 0.0, 0.0))
+    theta, _, steps = conjugate_root(cgf, 0.8, near, tol=1e-13)
+    at_one = _double_root_cgf([])(1.0)
+    assert probes[:2] == [1.0, 1.0 - (at_one.deriv1 - 0.8) / at_one.deriv2]
+    # The bracket probes 1 and 3, then Newton from the midpoint 2, took 8.
+    assert steps == len(probes) <= 5
     assert math.isclose(theta, math.log(4.0), rel_tol=0, abs_tol=1e-12)
 
 
