@@ -86,15 +86,17 @@ class SingularityMap:
         return -regime.nu * (math.log(regime.coeffs.A) + math.log(tau) + math.log(radial))
 
     def cgf(self, theta: float) -> CgfValues:
-        """F(theta) = log(tau(1)/tau(e^theta)) with F', F'' and F'''.
+        """F(theta) = log(tau(1)/tau(e^theta)) with F', F'', F''' and F''''.
 
-        F'(theta) = x*chi(x), F''(theta) = x*chi(x) + x^2*chi'(x) and
-        F'''(theta) = x*chi + 3x^2*chi' + x^3*chi'' at x = e^theta, with
+        F'(theta) = x*chi(x), F''(theta) = x*chi(x) + x^2*chi'(x),
+        F'''(theta) = x*chi + 3x^2*chi' + x^3*chi'' and F''''(theta) =
+        x*chi + 7x^2*chi' + 6x^3*chi'' + x^4*chi''' at x = e^theta, with
         chi = -tau'/tau = 1/(Q tau), chi' = chi^2 - tau''/tau, tau'' = Q'/Q^2
         and chi'' = 2 chi chi' - 2A/(Q^2 tau) + 2Q'^2/(Q^3 tau) - Q'/(Q^3 tau^2).
-        F''' is written in the scale-free ratios x*Q'/Q and x^2*Q''/Q, so no
-        Q^3 is formed.  DomainError, not a wrong F' or F'', where e^theta or
-        Q(e^theta)^2 is no finite double (theta past about 177 at A = 1).
+        F''' and F'''' are written in the scale-free ratios x*Q'/Q and
+        x^2*Q''/Q, so no Q^3 is formed.  DomainError, not a wrong F' or F'',
+        where e^theta or Q(e^theta)^2 is no finite double (theta past about
+        177 at A = 1).
         """
         try:
             x = math.exp(theta)
@@ -114,11 +116,18 @@ class SingularityMap:
         r = x * q_prime / q_val
         s = x * x * (2.0 * coeffs.A) / q_val
         x3_chi2 = mean * (2.0 * x2_chi1 - s + 2.0 * r * r - mean * r)
+        # x^4 chi''' from chi = 1/u, u = Q tau, whose scaled derivatives are
+        # x u'/u = r - x chi, x^2 u''/u = s - r x chi and x^3 u'''/u =
+        # x chi (r^2 - 2s), as tau' = -1/Q.
+        p1 = r - mean
+        p2 = s - r * mean
+        x4_chi3 = mean * (6.0 * p1 * p2 - 6.0 * p1**3 + mean * (2.0 * s - r * r))
         return CgfValues(
             value=self._log_tau_one - math.log(tau),
             deriv1=mean,
             deriv2=mean + x2_chi1,
             deriv3=mean + 3.0 * x2_chi1 + x3_chi2,
+            deriv4=mean + 7.0 * x2_chi1 + 6.0 * x3_chi2 + x4_chi3,
         )
 
 
@@ -286,9 +295,10 @@ def modulus_saddle(params: ModelParams, x: float, n: int) -> ModulusSaddle:
         grow = B * y * math.exp(B * t)
         return t * (a_lin + grow) - (n + 1), a_lin + grow * (1.0 + B * t)
 
-    # excess(seed) = a_lin*seed - 1, so the bracket reaches t <= 0 only when
-    # a_lin > 0, and then excess < 0 there: the root found is the positive one.
-    # The tolerance keeps the residual a decade inside 1e-12 * (n + 1).
+    # excess(0) = -(n + 1) and excess is convex for t > 0, so it has one
+    # positive root.  Below it the steps go up; above it a Newton step on a
+    # convex function stays above it, so no point reaches t <= 0.  The
+    # tolerance keeps the residual a decade inside 1e-12 * (n + 1).
     t, _ = safeguarded_root(excess, seed, tol=1e-13 * (n + 1), limit=1e9)
     lam = (params.alpha0 / B) * math.expm1(B * t)
     curvature = B * B * y * math.exp(B * t) + (n + 1) / (t * t)

@@ -60,7 +60,7 @@ class RateProfile:
 def rate_profile(params: ModelParams, u_grid) -> RateProfile:
     """Rate profile via the Legendre transform at each u in u_grid, in grid
     order: `conjugate_root` on F, cold at the first u and then warm from the
-    previous u's solve, first evaluated at its second-order predictor.  Every
+    previous u's solve, first evaluated at its third-order predictor.  Every
     solve searches out to |theta| = THETA_LIMIT, no further.
     A double root at r = 0 raises DomainError before any solve: there
     F(theta) = theta, so I(u) = +inf for every u < 1.

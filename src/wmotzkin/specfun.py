@@ -96,12 +96,15 @@ def safeguarded_root(
     not move toward the root, or a slope that is not positive, goes the
     whole way), clamped to start -+ `limit`; ConvergenceError if f keeps its
     sign there.  Once the bracket is closed, a step that leaves it bisects.
-    A point with |f| <= tol is the root if it is the start, if f has changed
-    sign, or if a step of length s reached it and its own Newton correction
-    |f/f'| is at most s/2; a closed bracket whose next point would not move
-    also ends the solve.  `f_start` = (f, f') at `start`, if known, spares
-    that evaluation.  Returns (x, evaluations of f after the start), where
-    x is the point of the last evaluation (`start` itself when it is the root).
+    A point that an uncut step of length s reached has converged if its own
+    Newton correction |f/f'| is at most s/2; if not (as across a flat tail,
+    where f/f' stays near 1), the next step goes the whole reach, or bisects
+    a closed bracket.  A point with |f| <= tol is the root if it is the
+    start, if f has changed sign, or if it has converged; a closed bracket
+    whose next point would not move also ends the solve.  `f_start` =
+    (f, f') at `start`, if known, spares that evaluation.  Returns (x,
+    evaluations of f after the start), where x is the point of the last
+    evaluation (`start` itself when it is the root).
     """
     value, slope = f(start) if f_start is None else f_start
     if abs(value) <= tol:
@@ -109,23 +112,26 @@ def safeguarded_root(
     sign = -1.0 if value > 0 else 1.0  # direction of the root from start
     edge = start + sign * limit
     lo, hi = (-math.inf, start) if value > 0 else (start, math.inf)
-    x, reach = start, step
+    x, reach, moved = start, step, 0.0
     for steps in range(1, max_iter + 1):
         proposal = first if steps == 1 and first is not None else (
             x - value / slope if slope > 0 else math.nan
         )
         x_next = proposal
+        # An uncut step of length `moved` whose own correction is more than
+        # moved/2 has not converged.
+        stalled = 0 < moved < 2.0 * abs(x_next - x)
         if lo == -math.inf or hi == math.inf:  # open on the root's side
             if x == edge:
                 raise ConvergenceError(
                     f"no root between {start:g} and {edge:g}: f keeps its sign"
                 )
-            if not 0 < sign * (x_next - x) <= reach:
+            if not 0 < sign * (x_next - x) <= reach or stalled:
                 x_next = x + sign * reach
             if sign * (x_next - edge) > 0:
                 x_next = edge
             reach *= 2.0
-        elif not lo < x_next < hi:
+        elif not lo < x_next < hi or stalled:
             x_next = 0.5 * (lo + hi)
             if x_next == x:
                 return x, steps - 1
@@ -145,13 +151,14 @@ def safeguarded_root(
 
 @dataclass(frozen=True)
 class CgfValues:
-    """A CGF and its first three derivatives (the tilted mean, variance and
-    third central moment)."""
+    """A CGF and its first four derivatives (the tilted mean, variance, third
+    central moment and fourth cumulant)."""
 
     value: float
     deriv1: float
     deriv2: float
     deriv3: float
+    deriv4: float
 
 
 def conjugate_root(
@@ -162,11 +169,13 @@ def conjugate_root(
     Cold, the solve starts from theta = 0 (F there is `at_zero`, if known)
     with a first step of at most 1.0.  Warm from `near` = (theta0, F there),
     a solve at a nearby target, a start within tol is the root and costs no
-    evaluation; otherwise the first evaluation is at the second-order
-    predictor theta0 + d - F'''d^2/(2F''), d = (target - F')/F'', and the
-    first step goes at most 2|d| (1.0 where F'' is not positive: F'' rounds
-    to zero where F' saturates).  Steps stop at |theta| = `wall`.  Returns
-    (theta, F at theta, evaluations of F after the start).
+    evaluation; otherwise the first evaluation is at the third-order
+    predictor theta0 + d - a d^2/2 + (a^2/2 - b/6) d^3, the reverted Taylor
+    series of F' about theta0, with d = (target - F')/F'', a = F'''/F'' and
+    b = F''''/F''.  The first step goes at most 2|d| (1.0 where F'' is not
+    positive: F'' rounds to zero where F' saturates).  Steps stop at
+    |theta| = `wall`.  Returns (theta, F at theta, evaluations of F after
+    the start).
     """
     if near is None:
         start, vals = 0.0, cgf(0.0) if at_zero is None else at_zero
@@ -176,8 +185,9 @@ def conjugate_root(
     step, first = 1.0, None
     if near is not None and vals.deriv2 > 0:
         delta = -f_start[0] / vals.deriv2
+        a, b = vals.deriv3 / vals.deriv2, vals.deriv4 / vals.deriv2
         step = 2.0 * abs(delta)
-        first = start + delta - vals.deriv3 * delta * delta / (2.0 * vals.deriv2)
+        first = start + delta * (1.0 - delta * (0.5 * a - delta * (0.5 * a * a - b / 6.0)))
 
     def excess(theta: float) -> tuple[float, float]:
         nonlocal vals

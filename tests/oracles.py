@@ -60,8 +60,9 @@ def brute_force_oracle(params: ModelParams, n: int) -> list[int]:
 
 def full_row_kappa(log_row: np.ndarray, theta: float) -> CgfValues:
     """kappa_n(theta) = log sum_k e^{log_row[k] + theta k} with the tilted mean,
-    variance and third central moment, every sum over the whole row: `CumulantEvaluator.kappa`
-    leaves out the terms below e^-64 of the largest."""
+    variance, third central moment and fourth cumulant, every sum over the
+    whole row: `CumulantEvaluator.kappa` leaves out the terms below e^-64 of
+    the largest."""
     k = np.arange(len(log_row), dtype=float)
     z = k * theta
     z += log_row
@@ -73,7 +74,8 @@ def full_row_kappa(log_row: np.ndarray, theta: float) -> CgfValues:
     d = k - mean
     variance = max(float(np.dot(z, d * d)) / total, 0.0)
     third = float(np.dot(z, d * d * d)) / total
-    return CgfValues(m + math.log(total), mean, variance, third)
+    fourth = float(np.dot(z, d * d * d * d)) / total - 3.0 * variance * variance
+    return CgfValues(m + math.log(total), mean, variance, third, fourth)
 
 
 def parametrized_profile(params: ModelParams, x_grid) -> RateProfile:

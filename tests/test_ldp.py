@@ -124,34 +124,58 @@ def test_cgf_derivatives_match_finite_differences(models, thetas, h1, h2, bound1
             assert abs(vals.deriv2 - fd2) <= bound2(vals.deriv2), (params, theta)
 
 
-def test_cgf_third_derivative_matches_difference_of_second():
-    # The absolute floor covers F''' = 0: the double root at r = 0, where
-    # F = theta, and the double root at r = -1 at theta = 0.
+@pytest.mark.parametrize("order", [3, 4])
+def test_cgf_higher_derivative_matches_difference(order):
+    # F''' and F'''' against a central difference of the derivative below.
+    # The absolute floor covers exact zeros: the double root at r = 0, where
+    # F = theta, and F''' at theta = 0 on the double root at r = -1.
     h = 1e-4
+    below, name = f"deriv{order - 1}", f"deriv{order}"
     for params in balanced_quadratic():
         smap = SingularityMap(params)
         for theta in (-2.0, 0.0, 1.5):
-            fd3 = (smap.cgf(theta + h).deriv2 - smap.cgf(theta - h).deriv2) / (2 * h)
-            got = smap.cgf(theta).deriv3
-            assert math.isclose(got, fd3, rel_tol=1e-6, abs_tol=1e-10), (params, theta, got, fd3)
+            up, down = smap.cgf(theta + h), smap.cgf(theta - h)
+            fd = (getattr(up, below) - getattr(down, below)) / (2 * h)
+            got = getattr(smap.cgf(theta), name)
+            assert math.isclose(got, fd, rel_tol=1e-6, abs_tol=1e-10), (params, theta, got, fd)
 
 
-def test_rate_profile_cgf_calls_per_u(monkeypatch):
-    # Warm Legendre solves along the k/n grid of a showcase profile at
-    # n = 2000 start at the second-order predictor; the bracket-then-midpoint
-    # solver took 3.51 F evaluations per u here.
-    calls = 0
+def _count_cgf_calls(monkeypatch):
+    calls = [0]
     cgf = SingularityMap.cgf
 
     def counted(self, *args, **kwargs):
-        nonlocal calls
-        calls += 1
+        calls[0] += 1
         return cgf(self, *args, **kwargs)
 
     monkeypatch.setattr(SingularityMap, "cgf", counted)
-    grid = [k / 2000 for k in k_window(2000, 0.01)]
+    return calls
+
+
+@pytest.mark.parametrize("n, per_u", [(500, 2.3), (2000, 2.0)])
+def test_rate_profile_cgf_calls_per_u(monkeypatch, n, per_u):
+    # Warm Legendre solves along the k/n grid of a showcase profile start at
+    # the third-order predictor: 2.06 and 1.81 F evaluations per u at
+    # n = 500 and 2000, where the bracket-then-midpoint solver took 3.95 and
+    # 3.51.
+    calls = _count_cgf_calls(monkeypatch)
+    grid = [k / n for k in k_window(n, 0.01)]
     rate_profile(SHOWCASE, grid)
-    assert calls <= 2.3 * len(grid)
+    assert calls[0] <= per_u * len(grid)
+
+
+@pytest.mark.parametrize("u, most", [(1e-12, 14), (1.0 - 1e-16, 8), (1e-300, 8)])
+def test_rate_function_cold_tail_calls(monkeypatch, u, most):
+    # Across a flat tail of F' the search grows geometrically toward the
+    # wall: these cold solves took 12, 8 and 7 F evaluations with the
+    # bracket-then-midpoint solver, and 29, 38 and 61 with Newton steps of
+    # about 1 each.
+    calls = _count_cgf_calls(monkeypatch)
+    try:
+        rate_function(SHOWCASE, u)
+    except ConvergenceError:
+        assert u == 1e-300
+    assert calls[0] <= most
 
 
 def test_slope_range_saturates():

@@ -183,15 +183,43 @@ def test_safeguarded_root_limit():
     assert x == 50.0
 
 
+def test_safeguarded_root_flat_tail_steps_grow():
+    # On e^x - 1e-12 every Newton step from the right is about 1 long and
+    # so is the next correction.  Such a step has not converged, so the next
+    # one goes the whole reach: the steps are about 1, 2, 1, 8, 1, 32.
+    probes = []
+
+    def tail(x):
+        probes.append(x)
+        return math.exp(x) - 1e-12, math.exp(x)
+
+    x, steps = safeguarded_root(tail, 0.0, tol=1e-25)
+    assert math.isclose(x, math.log(1e-12), rel_tol=1e-15)
+    lengths = [a - b for a, b in zip(probes[:6], probes[1:7])]
+    assert [round(s) for s in lengths] == [1, 2, 1, 8, 1, 32]
+    assert steps == len(probes) - 1 <= 15
+    # Toward a limit short of the root, ConvergenceError comes after 6 steps.
+    probes.clear()
+    with pytest.raises(ConvergenceError):
+        safeguarded_root(tail, 0.0, tol=1e-25, limit=20.0)
+    assert probes[-1] == -20.0 and len(probes) == 7
+
+
 def _double_root_cgf(probes):
     # F(theta) = log((e^theta + 1)/2): F' is the logistic function s, so the
-    # conjugate point of u is exactly log(u/(1 - u)); F'' = s(1 - s) and
-    # F''' = s(1 - s)(1 - 2s).
+    # conjugate point of u is exactly log(u/(1 - u)); F'' = s(1 - s),
+    # F''' = s(1 - s)(1 - 2s) and F'''' = s(1 - s)(1 - 6s + 6s^2).
     def cgf(theta):
         probes.append(theta)
         s = 1.0 / (1.0 + math.exp(-theta))
         v = s * (1.0 - s)
-        return CgfValues(math.log1p(math.exp(theta)) - math.log(2.0), s, v, v * (1.0 - 2.0 * s))
+        return CgfValues(
+            math.log1p(math.exp(theta)) - math.log(2.0),
+            s,
+            v,
+            v * (1.0 - 2.0 * s),
+            v * (1.0 - 6.0 * s * (1.0 - s)),
+        )
 
     return cgf
 
@@ -210,14 +238,17 @@ def test_conjugate_root_cold_and_warm_agree():
         assert abs(vals.deriv1 - u) <= tol and vals == cgf(theta)
         assert math.isclose(theta, math.log(u / (1.0 - u)), rel_tol=0, abs_tol=1e-12)
         # Warm from the solve at a nearby target: the first point is the
-        # second-order predictor, and the bracket-then-midpoint loop's 3 to 5
-        # evaluations fall to 2 to 4.
+        # third-order predictor, and the bracket-then-midpoint loop's 3 to 5
+        # evaluations fall to 2 or 3.
         near_theta, near_vals, _ = conjugate_root(cgf, u + 0.01, tol=tol)
         probes.clear()
         warm, warm_vals, steps = conjugate_root(cgf, u, (near_theta, near_vals), tol=tol)
         d = -(near_vals.deriv1 - u) / near_vals.deriv2
-        assert probes[0] == near_theta + d - near_vals.deriv3 * d * d / (2.0 * near_vals.deriv2)
-        assert steps == len(probes) <= 4
+        a, b = near_vals.deriv3 / near_vals.deriv2, near_vals.deriv4 / near_vals.deriv2
+        assert math.isclose(
+            probes[0], near_theta + d - a * d * d / 2 + (a * a / 2 - b / 6) * d**3, abs_tol=1e-15
+        )
+        assert steps == len(probes) <= 3
         assert abs(warm_vals.deriv1 - u) <= tol
         assert abs(warm - theta) <= tol / vals.deriv2
 
@@ -237,7 +268,7 @@ def test_conjugate_root_flat_warm_start_steps_one():
     # goes 1.0, and Newton runs on from there.
     probes = []
     cgf = _double_root_cgf(probes)
-    near = (0.0, CgfValues(0.0, 0.5, 0.0, 0.0))
+    near = (0.0, CgfValues(0.0, 0.5, 0.0, 0.0, 0.0))
     theta, _, steps = conjugate_root(cgf, 0.8, near, tol=1e-13)
     at_one = _double_root_cgf([])(1.0)
     assert probes[:2] == [1.0, 1.0 - (at_one.deriv1 - 0.8) / at_one.deriv2]
