@@ -228,10 +228,19 @@ def _flat(rows: Iterable[Sequence]) -> Iterator[tuple[tuple, list]]:
         yield (), list(zip(*chunk))
 
 
-def _open_out(path) -> contextlib.AbstractContextManager:
+@contextlib.contextmanager
+def _open_out(path) -> Iterator:
+    """`path` opened for writing (stdout when None), removed if the writer raises."""
     if path is None:
-        return contextlib.nullcontext(sys.stdout)
-    return open(path, "w")
+        yield sys.stdout
+        return
+    out = open(path, "w")
+    try:
+        with out:
+            yield out
+    except BaseException:
+        Path(path).unlink(missing_ok=True)
+        raise
 
 
 def _render(table: Table, order: Sequence[int], hole, convert, row_text) -> Iterator[str]:
@@ -345,9 +354,10 @@ def _run_triangle(args) -> Table:
                 f"[0, {TRIANGLE_EXACT_MAX_N}], got {args.n}"
             )
         # log_weight from the int rows, the digits from the decimal rows.
-        tri = build_triangle(args.params, args.n, "exact")
-        digits = exact.iter_decimal_rows(args.params, args.n)
-        groups = (((n,), [tri.log_row(n).tolist(), row]) for n, row in enumerate(digits))
+        rows = zip(exact.iter_int_rows(args.params, args.n),
+                   exact.iter_decimal_rows(args.params, args.n))
+        groups = (((n,), [exact._log_weights(ints), digits])
+                  for n, (ints, digits) in enumerate(rows))
         return Table(TRIANGLE_HEADER_EXACT, groups, indexed=True)
     # Looked up on the module so that wrappers installed there see the build.
     log_rows = exact.iter_log_rows(args.params, args.n)

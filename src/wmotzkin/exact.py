@@ -48,9 +48,7 @@ class Triangle:
         self._check_index(n)
         if self.representation == "log_space":
             return self.rows[n]
-        return np.array(
-            [math.log(w) if w > 0 else LOG_ZERO for w in self.rows[n]], dtype=float
-        )
+        return np.array(_log_weights(self.rows[n]), dtype=float)
 
     def _check_index(self, n: int) -> None:
         if not 0 <= n <= self.n_max:
@@ -218,6 +216,30 @@ def _exact_rows(params: ModelParams, n_max: int, one, arithmetic=contextlib.null
     yield row
 
 
+def iter_int_rows(params: ModelParams, n_max: int,
+                  bit_budget: int | None = DEFAULT_BIT_BUDGET) -> Iterator[list[int]]:
+    """Yield the int rows 0..n_max, two rows in memory.  CapacityError at the
+    first row whose running integer size (row 0 counts one bit) passes
+    `bit_budget` bits; None disables the check."""
+    if n_max < 0:
+        raise DomainError(f"n_max must be nonnegative, got {n_max}")
+    bits_used = 1
+    for n, row in enumerate(_exact_rows(params, n_max, 1)):
+        if n and bit_budget is not None:
+            bits_used += sum(map(int.bit_length, row))
+            if bits_used > bit_budget:
+                raise CapacityError(
+                    f"exact triangle exceeds {bit_budget} bits at row {n}; "
+                    "use representation='log_space' or raise bit_budget"
+                )
+        yield row
+
+
+def _log_weights(row: list[int]) -> list[float]:
+    """The natural logs of an int row; zero weights map to -inf."""
+    return [math.log(w) if w > 0 else LOG_ZERO for w in row]
+
+
 def iter_decimal_rows(params: ModelParams, n_max: int) -> Iterator[list[str]]:
     """Yield exact rows 0..n_max as the digit strings of the int rows, two
     rows in memory: str() of a Decimal takes linear time, of an int quadratic."""
@@ -242,29 +264,13 @@ def build_triangle(
 ) -> Triangle:
     """Build rows 0..n_max of the weight triangle.
 
-    Exact builds raise CapacityError once the cumulative integer size passes
-    `bit_budget` bits (None disables the check).
+    Exact builds list `iter_int_rows` under `bit_budget`.
     """
-    if n_max < 0:
-        raise DomainError(f"n_max must be nonnegative, got {n_max}")
     if representation == "log_space":
         return Triangle(params, n_max, representation, list(iter_log_rows(params, n_max)))
     if representation != "exact":
         raise DomainError(f"unknown representation {representation!r}")
-
-    built = _exact_rows(params, n_max, 1)
-    rows: list[list[int]] = [next(built)]
-    bits_used = 1
-    for row in built:
-        rows.append(row)
-        if bit_budget is not None:
-            bits_used += sum(w.bit_length() for w in row)
-            if bits_used > bit_budget:
-                raise CapacityError(
-                    f"exact triangle exceeds {bit_budget} bits at row {len(rows) - 1}; "
-                    "use representation='log_space' or raise bit_budget"
-                )
-    return Triangle(params, n_max, "exact", rows)
+    return Triangle(params, n_max, "exact", list(iter_int_rows(params, n_max, bit_budget)))
 
 
 @dataclass

@@ -1,13 +1,15 @@
 import decimal
+import functools
 import json
 import math
+import re
 import subprocess
 import sys
 import tracemalloc
 
 import pytest
 
-from wmotzkin import ModelParams, build_triangle, exact
+from wmotzkin import CapacityError, ModelParams, build_triangle, exact
 from wmotzkin.cli import (
     ASYM_HEADER,
     CHUNK_ROWS,
@@ -382,6 +384,16 @@ def test_log_space_triangle_streams(tmp_path):
     assert peak < 5 * 2**20
 
 
+def test_exact_triangle_streams(tmp_path):
+    # A build that holds the whole int triangle peaks near 12 MB here.
+    out = tmp_path / "tri.csv"
+    code, peak = _traced_peak(["triangle", "--params", SHOWCASE_ARG, "--n", "300",
+                               "--out", str(out)])
+    assert code == 0
+    assert len(out.read_text().splitlines()) == 1 + 301 * 302 // 2
+    assert peak < 3 * 2**20
+
+
 def test_log_space_triangle_json_streams(tmp_path):
     # n = 190 is the smallest n at which a writer that dumps the whole
     # document at once peaks above 3x the bound (16.6 MB); streaming stays
@@ -394,7 +406,7 @@ def test_log_space_triangle_json_streams(tmp_path):
     assert peak < 5 * 2**20
 
 
-def test_failing_run_writes_nothing(tmp_path, capsys):
+def test_failing_run_writes_nothing(tmp_path, capsys, monkeypatch):
     # Contour extraction misses its 1e-10 agreement at n = 30 on this model.
     args = ["egf-check", "--params", "a=1 b=1 c=2 alpha0=1 beta0=1 gamma0=0",
             "--n", "30", "--x", "1"]
@@ -404,6 +416,33 @@ def test_failing_run_writes_nothing(tmp_path, capsys):
     code, out, _ = run_main(args + ["--out", str(target)], capsys)
     assert code == 3 and out == ""
     assert not target.exists()
+    # Blocks ten times too long lose a log-space row at n = 367, after the
+    # rows before it went out; the partial --out file must go with them.
+    monkeypatch.setattr(exact, "_BLOCK_BUDGET", 6000.0)
+    target = tmp_path / "log.csv"
+    args = ["triangle", "--params", SHOWCASE_ARG, "--n", "400", "--representation", "log_space"]
+    code, out, err = run_main(args + ["--out", str(target)], capsys)
+    assert code == 3 and out == "" and "log-space row 367" in err
+    assert not target.exists()
+
+
+def test_streamed_capacity_error_removes_out_file(tmp_path, capsys, monkeypatch):
+    # The int rows pass a small bit budget mid-stream: exit 4 with the
+    # budget's row, no --out file, and on stdout the rows before it.
+    with pytest.raises(CapacityError) as raised:
+        build_triangle(ModelParams.parse(SHOWCASE_ARG), 200, bit_budget=10_000)
+    at = int(re.search(r"at row (\d+);", str(raised.value))[1])
+    monkeypatch.setattr(exact, "iter_int_rows",
+                        functools.partial(exact.iter_int_rows, bit_budget=10_000))
+    args = ["triangle", "--params", SHOWCASE_ARG, "--n", "200"]
+    target = tmp_path / "exact.csv"
+    code, out, err = run_main(args + ["--out", str(target)], capsys)
+    assert code == 4 and out == ""
+    assert err == f"capacity error: {raised.value}\n"
+    assert not target.exists()
+    code, out, _ = run_main(args, capsys)
+    assert code == 4
+    assert out.splitlines()[-1].startswith(f"{at - 1},{at - 1},")
 
 
 # ----- svg_plot unit behaviour ----- #

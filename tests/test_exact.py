@@ -192,18 +192,26 @@ def test_variance_matches_big_int_moment():
 
 def test_capacity_budget():
     # Row 0 counts one bit; the error names the first row whose running
-    # total passes the budget.
+    # total passes the budget.  The streamed int rows raise at that row too,
+    # after yielding every row before it.
+    full = build_triangle(SHOWCASE, 200, bit_budget=None).rows
     bits, row = 0, None
-    for n, weights in enumerate(build_triangle(SHOWCASE, 200, bit_budget=None).rows):
+    for n, weights in enumerate(full):
         bits += sum(w.bit_length() for w in weights)
         if bits > 10_000:
             row = n
             break
     assert build_triangle(SHOWCASE, 0, bit_budget=0).rows == [[1]]
-    with pytest.raises(CapacityError, match=f"exceeds 10000 bits at row {row};"):
-        build_triangle(SHOWCASE, 200, bit_budget=10_000)
-    with pytest.raises(CapacityError, match="exceeds 1 bits at row 1;"):
-        build_triangle(SHOWCASE, 200, bit_budget=1)
+    assert list(exact.iter_int_rows(SHOWCASE, 0, bit_budget=0)) == [[1]]
+    for budget, at in ((10_000, row), (1, 1)):
+        match = f"exceeds {budget} bits at row {at};"
+        with pytest.raises(CapacityError, match=match):
+            build_triangle(SHOWCASE, 200, bit_budget=budget)
+        yielded = []
+        with pytest.raises(CapacityError, match=match):
+            for weights in exact.iter_int_rows(SHOWCASE, 200, bit_budget=budget):
+                yielded.append(weights)
+        assert yielded == full[:at]
 
 
 @pytest.mark.parametrize("params", CORPUS, ids=str)
