@@ -51,7 +51,6 @@ from .saddlepoint import CumulantEvaluator, ProfileRow, SaddleResult, profile
 from .specfun import (
     LOG_ZERO,
     CgfValues,
-    hermite_kdf_sequence,
     lambert_w0,
     log_sum_exp,
 )

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .closedform import ModulusSaddle, SingularityMap, modulus_saddle
 from .errors import DomainError
 from .model import QUADRATIC, DriftKind, ModelParams, Regime, classify, require
-from .specfun import hermite_kdf_sequence, hermite_ratios, lambert_w0
+from .specfun import hermite_ratios, lambert_w0
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -27,9 +27,6 @@ class AsymptoticEstimate:
     log_pn: float
     mu: float
     sigma2: float
-    regime: Regime
-    n: int
-    x: float
 
 
 def log_pn_quadratic(params: ModelParams, x: float, n: int) -> AsymptoticEstimate:
@@ -51,7 +48,7 @@ def log_pn_quadratic(params: ModelParams, x: float, n: int) -> AsymptoticEstimat
         + n * (math.log(n) - 1.0 - math.log(tau))
     )
     mu, sigma2 = _moments(regime, smap, n)
-    return AsymptoticEstimate(log_pn, mu, sigma2, regime, n, x)
+    return AsymptoticEstimate(log_pn, mu, sigma2)
 
 
 def asymptotic_moments(params: ModelParams, n: int) -> tuple[float, float]:
@@ -63,7 +60,7 @@ def asymptotic_moments(params: ModelParams, n: int) -> tuple[float, float]:
 def _moments(regime: Regime, smap: SingularityMap, n: int) -> tuple[float, float]:
     """The moments of `asymptotic_moments`.  At r = 0 (B = 0), F''(0) = 0, but
     w = e^{c0 t}(1 - A t x)^{-nu} there, so n - height tends to Poisson(c0/A)."""
-    if regime.kind is DriftKind.DOUBLE_ROOT and regime.coeffs.B == 0:
+    if regime.double_root_at_zero:
         return n - regime.c0 / regime.coeffs.A, regime.c0 / regime.coeffs.A
     cgf = smap.cgf(0.0)
     return n * cgf.deriv1, n * cgf.deriv2
@@ -95,12 +92,11 @@ def log_pn_constant_drift(params: ModelParams, x: float, n: int) -> AsymptoticEs
     The saddle and its Laplace data come from `closedform.modulus_saddle`.
     Moments come from the exact Hermite-ratio identities.
     """
-    regime = require(params, (DriftKind.CONSTANT,), degenerate="weighted")
+    require(params, (DriftKind.CONSTANT,), degenerate="weighted")
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     log_pn = _laplace_tail(n, modulus_saddle(params, x, n))
-    mu, sigma2 = constant_drift_moments(params, n)
-    return AsymptoticEstimate(log_pn, mu, sigma2, regime, n, x)
+    return AsymptoticEstimate(log_pn, *constant_drift_moments(params, n))
 
 
 def log_pn_constant_drift_exact(params: ModelParams, x: float, n: int) -> float:
@@ -115,7 +111,7 @@ def log_pn_constant_drift_exact(params: ModelParams, x: float, n: int) -> float:
     Y = params.alpha0 * regime.coeffs.C
     if Y == 0.0:
         return n * math.log(X)
-    return hermite_kdf_sequence(X, Y, n)[n]
+    return sum(map(math.log, hermite_ratios(X, Y, n)), 0.0)
 
 
 def constant_drift_moments(params: ModelParams, n: int) -> tuple[float, float]:
@@ -152,7 +148,7 @@ def log_pn_linear_drift(params: ModelParams, x: float, n: int) -> AsymptoticEsti
     w_s = lambert_w0(n / ((params.alpha0 / B) * (1.0 + C / B)))
     mu = frac_up * n / w_s
     sigma2 = frac_up * (1.0 - frac_up) * n / w_s + frac_up**2 * n / (w_s * w_s + w_s)
-    return AsymptoticEstimate(log_pn, mu, sigma2, regime, n, x)
+    return AsymptoticEstimate(log_pn, mu, sigma2)
 
 
 def log_pn_estimate(params: ModelParams, x: float, n: int) -> AsymptoticEstimate:

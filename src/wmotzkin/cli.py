@@ -63,8 +63,12 @@ _JSON_NON_FINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
 
 
 def _load_params(source: str) -> ModelParams:
-    path = Path(source)
-    return ModelParams.parse(path.read_text() if path.is_file() else source)
+    """Parameters from the file named `source`, else from `source` itself."""
+    try:
+        text = Path(source).read_text()
+    except (OSError, ValueError):
+        text = source
+    return ModelParams.parse(text)
 
 
 def _in_range(kind, lo, hi, *, open_ends: bool = False):
@@ -115,12 +119,6 @@ class Series:
     y: tuple
 
 
-@dataclass(frozen=True)
-class SvgPlot:
-    document: str
-    dropped_points: int
-
-
 def _svg_text(x, y, anchor: str, body, size: int = 10, fill: str = "") -> str:
     fill_attr = f' fill="{fill}"' if fill else ""
     return (
@@ -129,15 +127,15 @@ def _svg_text(x, y, anchor: str, body, size: int = 10, fill: str = "") -> str:
     )
 
 
-def svg_plot(series: list[Series], scale: str = "linear", title: str = "") -> SvgPlot:
-    """Render named series as polylines in a standalone deterministic SVG.
+def svg_plot(series: list[Series], scale: str = "linear", title: str = "") -> str:
+    """The document of a standalone deterministic SVG that draws each named
+    series as a polyline.
 
     With scale="log10" the y values are log-transformed; nonpositive or
-    non-finite points are dropped and counted.
+    non-finite points are dropped.
     """
     if scale not in ("linear", "log10"):
         raise ConfigError(f"scale must be linear or log10, got {scale!r}")
-    dropped = 0
     cleaned: list[tuple[str, list[tuple[float, float]]]] = []
     for s in series:
         if len(s.x) != len(s.y):
@@ -146,7 +144,6 @@ def svg_plot(series: list[Series], scale: str = "linear", title: str = "") -> Sv
         for xv, yv in zip(s.x, s.y):
             yv = float(yv)
             if not math.isfinite(yv) or (scale == "log10" and yv <= 0.0):
-                dropped += 1
                 continue
             points.append((float(xv), math.log10(yv) if scale == "log10" else yv))
         cleaned.append((s.name, points))
@@ -198,7 +195,7 @@ def svg_plot(series: list[Series], scale: str = "linear", title: str = "") -> Sv
         legend_y = top + 14 + 14 * idx
         lines.append(_svg_text(width - right - 8, legend_y, "end", name, 11, color))
     lines.append("</svg>")
-    return SvgPlot("\n".join(lines) + "\n", dropped)
+    return "\n".join(lines) + "\n"
 
 
 # ----- tabular results and their writers ----- #
@@ -366,7 +363,7 @@ def _run_triangle(args) -> Table:
 
 
 def _run_dist(args) -> Table:
-    dist = _distribution_from_log_row(args.n, final_log_row(args.params, args.n))
+    dist = exact.height_distribution(args.params, args.n)
     log_p = dist.log_p.tolist()
     meta = {
         "n": args.n,
@@ -476,7 +473,7 @@ def _run_figures(args) -> None:
     for name, table in tables.items():
         _write_csv(table, out_dir / name)
     for name, plot in plots.items():
-        (out_dir / name).write_text(plot.document)
+        (out_dir / name).write_text(plot)
     print("\n".join(str(out_dir / name) for name in [*tables, *plots]))
 
 

@@ -35,7 +35,6 @@ class SingularityMap:
     """
 
     def __init__(self, params: ModelParams):
-        self.params = params
         self.regime = require(params, QUADRATIC, balanced=False, degenerate="accept")
 
     @functools.cached_property
@@ -219,8 +218,12 @@ class EgfEvaluator:
         Each doubling evaluates only the new odd nodes, in one array call:
         node j of N is node 2j of 2N bit for bit (2*pi*(2j) is an exact
         doubling, and cos, sin and the closed form work element by element),
-        so the kept samples are those a fresh rule would compute.
+        so the kept samples are those a fresh rule would compute.  A radius
+        whose power rho^(n_terms - 1) underflows to 0 raises DomainError.
         """
+        powers = rho ** np.arange(n_terms)
+        if not powers[-1] > 0:
+            raise DomainError(f"contour radius {rho:g} at x={x}: rho^{n_terms - 1} underflows")
 
         def sample(first: int, stride: int, nodes: int) -> np.ndarray:
             phi = _TWO_PI * np.arange(first, nodes, stride) / nodes
@@ -231,7 +234,7 @@ class EgfEvaluator:
         samples = sample(0, 1, nodes)
         while True:
             spectrum = np.fft.fft(samples)[:n_terms]
-            coeffs = spectrum.real / (nodes * rho ** np.arange(n_terms))
+            coeffs = spectrum.real / (nodes * powers)
             if previous is not None:
                 scale = np.maximum(np.abs(coeffs), 1e-300)
                 if np.max(np.abs(coeffs - previous) / scale) <= 1e-10:
@@ -269,7 +272,8 @@ def modulus_saddle(params: ModelParams, x: float, n: int) -> ModulusSaddle:
     by `safeguarded_root` from the seed W(n/y)/B, y = (alpha0/B)(x + C/B).
     With alpha0 = 0, log w = gamma0 t and t = (n+1)/gamma0, or 1.0 when w is
     constant (gamma0 = 0).  The seed is t except in the linear case.
-    Unbalanced and A > 0 models raise RegimeError; x <= 0 and x = inf raise
+    Unbalanced and A > 0 models raise RegimeError; x <= 0, x = inf and
+    Laplace data that is not finite (t^2 underflows at x near 1e300) raise
     DomainError.
     """
     regime = require(params, (DriftKind.CONSTANT, DriftKind.LINEAR), degenerate="accept")
@@ -277,7 +281,7 @@ def modulus_saddle(params: ModelParams, x: float, n: int) -> ModulusSaddle:
         raise DomainError(f"x must be positive and finite, got {x}")
     if params.alpha0 == 0:
         t = (n + 1) / params.gamma0 if params.gamma0 else 1.0
-        return ModulusSaddle(t, t, params.gamma0 * t, (n + 1) / (t * t))
+        return _laplace_data(n, t, t, params.gamma0 * t, 0.0)
     B, C = regime.coeffs.B, regime.coeffs.C
     if regime.kind is DriftKind.CONSTANT:
         X = params.alpha0 * x + params.gamma0
@@ -286,7 +290,7 @@ def modulus_saddle(params: ModelParams, x: float, n: int) -> ModulusSaddle:
             t = (n + 1) / X
         else:
             t = (-X + math.sqrt(X * X + 4.0 * Y * (n + 1))) / (2.0 * Y)
-        return ModulusSaddle(t, t, X * t + 0.5 * Y * t * t, Y + (n + 1) / (t * t))
+        return _laplace_data(n, t, t, X * t + 0.5 * Y * t * t, Y)
     y = (params.alpha0 / B) * (x + C / B)
     a_lin = params.gamma0 - params.alpha0 * C / B
     seed = lambert_w0(n / y) / B
@@ -301,8 +305,16 @@ def modulus_saddle(params: ModelParams, x: float, n: int) -> ModulusSaddle:
     # tolerance keeps the residual a decade inside 1e-12 * (n + 1).
     t, _ = safeguarded_root(excess, seed, tol=1e-13 * (n + 1), limit=1e9)
     lam = (params.alpha0 / B) * math.expm1(B * t)
-    curvature = B * B * y * math.exp(B * t) + (n + 1) / (t * t)
-    return ModulusSaddle(t, seed, a_lin * t + (C / B + x) * lam, curvature)
+    return _laplace_data(n, t, seed, a_lin * t + (C / B + x) * lam, B * B * y * math.exp(B * t))
+
+
+def _laplace_data(n: int, t: float, seed: float, log_w: float, bend: float) -> ModulusSaddle:
+    """The record at t, curvature bend + (n+1)/t^2; DomainError if not finite."""
+    square = t * t
+    curvature = bend + (n + 1) / square if square else math.inf
+    if not (math.isfinite(log_w) and math.isfinite(curvature)):
+        raise DomainError(f"Laplace data at the modulus saddle t={t:g} is not finite")
+    return ModulusSaddle(t, seed, log_w, curvature)
 
 
 def _principal_pow(base: complex | np.ndarray, exponent: float) -> complex | np.ndarray:

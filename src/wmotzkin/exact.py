@@ -40,19 +40,9 @@ class Triangle:
     rows: list  # list[list[int]] for "exact", list[np.ndarray] for "log_space"
 
     def row(self, n: int):
-        self._check_index(n)
-        return self.rows[n]
-
-    def log_row(self, n: int) -> np.ndarray:
-        """Row n as log weights (converting on demand for exact builds)."""
-        self._check_index(n)
-        if self.representation == "log_space":
-            return self.rows[n]
-        return np.array(_log_weights(self.rows[n]), dtype=float)
-
-    def _check_index(self, n: int) -> None:
         if not 0 <= n <= self.n_max:
             raise DomainError(f"row {n} outside built range 0..{self.n_max}")
+        return self.rows[n]
 
 
 # One column scale serves a block of steps; every scaled entry must stay

@@ -17,7 +17,7 @@ import numpy as np
 from .closedform import SingularityMap
 from .errors import DomainError
 from .exact import final_log_row
-from .model import QUADRATIC, DriftKind, ModelParams, require
+from .model import QUADRATIC, ModelParams, require
 from .specfun import CgfValues, conjugate_root, log_sum_exp
 
 THETA_LIMIT = 60.0  # |theta| beyond this saturates F' in double precision
@@ -66,7 +66,7 @@ def rate_profile(params: ModelParams, u_grid) -> RateProfile:
     F(theta) = theta, so I(u) = +inf for every u < 1.
     """
     regime = require(params, QUADRATIC)
-    if regime.kind is DriftKind.DOUBLE_ROOT and regime.coeffs.B == 0:
+    if regime.double_root_at_zero:
         raise DomainError("double root at r = 0: K_n/n tends to a point mass at u = 1, "
                           "so I(u) = +inf for every u < 1 and there is no rate profile")
     smap = SingularityMap(params)

@@ -82,7 +82,7 @@ class ModelParams:
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"parameter values must be integers: {exc}") from exc
         for name in PARAM_NAMES:
-            if values[name] != data[name]:
+            if values[name] != data[name] or isinstance(data[name], bool):
                 raise ConfigError(f"{name} must be an integer, got {data[name]!r}")
         return cls(**values)
 
@@ -169,6 +169,11 @@ class Regime:
     @property
     def is_quadratic(self) -> bool:
         return self.kind in QUADRATIC
+
+    @property
+    def double_root_at_zero(self) -> bool:
+        """A double root at r = 0 (B = 0), where n - height tends to Poisson(c0/A)."""
+        return self.kind is DriftKind.DOUBLE_ROOT and self.coeffs.B == 0
 
     def describe(self) -> str:
         if self.kind is DriftKind.TWO_REAL_ROOTS:

@@ -4,7 +4,7 @@
 All cumulants are sums over the exact log-space row, less terms below e^-64 of
 the largest, so they hold for unbalanced parameters too; the uniform O(1/n)
 interior error guarantee is only established for balanced A > 0 models outside
-the complex-roots c = 0 family, and `uniform_error_applies` decides that.
+the complex-roots c = 0 family.
 """
 
 from __future__ import annotations
@@ -14,10 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import asymptotics
-from .errors import BoundaryError, DomainError, RegimeError
+from .errors import BoundaryError, DomainError
 from .exact import _distribution_from_log_row, final_log_row
-from .model import QUADRATIC, DriftKind, ModelParams, require
+from .model import ModelParams
 from .specfun import LOG_ZERO, CgfValues, conjugate_root
 
 # kappa sums only the k window of tilted terms within e^-64 of the largest.  The
@@ -26,19 +25,6 @@ from .specfun import LOG_ZERO, CgfValues, conjugate_root
 # (the third and fourth central moments by < n^3 (n + 1) e^-64 = 2.6e-11 and
 # n^4 (n + 1) e^-64 = 5.1e-7, against a fourth cumulant of order n).
 _WINDOW_NATS = 64.0
-
-
-def uniform_error_applies(params: ModelParams) -> bool:
-    """Whether Daniels' uniform O(1/n) interior error bound covers the model:
-    the domain of the quadratic asymptotics (balanced, A > 0, alpha0 > 0),
-    but not complex roots with c = 0, whose law oscillates in k (relative
-    error 0.1-1.1 on [0.2n, 0.8n] at every n).
-    """
-    try:
-        regime = require(params, QUADRATIC)
-    except (DomainError, RegimeError):
-        return False
-    return not (regime.kind is DriftKind.COMPLEX_ROOTS and params.c == 0)
 
 
 @dataclass(frozen=True)
@@ -59,7 +45,6 @@ class CumulantEvaluator:
         if np.all(log_row == LOG_ZERO):
             raise DomainError("row carries no mass")
         self.log_row = log_row
-        self.n = log_row.size - 1
         self.k = np.arange(log_row.size, dtype=float)
         finite = np.nonzero(log_row > LOG_ZERO)[0]
         self.k_min = int(finite[0])
@@ -108,7 +93,6 @@ class CumulantEvaluator:
             None if near is None else (near.theta, near.cgf),
             at_zero=self.at_zero,
             tol=1e-9 * max(1.0, float(k)),
-            max_iter=80,
         )
         log_p = (
             -0.5 * math.log(2.0 * math.pi * vals.deriv2)
@@ -136,8 +120,9 @@ def profile(params: ModelParams, n: int, epsilon: float) -> list[ProfileRow]:
     """Exact / Daniels / Gaussian log probabilities for k in [eps*n, (1-eps)*n].
 
     A window with no integer k raises DomainError.  Each Daniels saddle
-    solve starts from the previous k's saddle.  The Gaussian column
-    evaluates the central window law at the exact row mean and variance.
+    solve starts from the previous k's saddle.  The Gaussian column is the
+    log of the normal density at k, computed in logs, with the exact row
+    mean and variance sigma2 (DomainError unless sigma2 > 0).
     """
     if not 0.0 < epsilon < 0.5:
         raise DomainError(f"epsilon must be in (0, 1/2), got {epsilon}")
@@ -146,18 +131,20 @@ def profile(params: ModelParams, n: int, epsilon: float) -> list[ProfileRow]:
         raise DomainError(f"no integer k in [{epsilon}*{n}, (1 - {epsilon})*{n}]")
     log_row = final_log_row(params, n)
     dist = _distribution_from_log_row(n, log_row)
+    if not dist.variance > 0:
+        raise DomainError(f"sigma2 must be positive, got {dist.variance}")
+    log_peak = -0.5 * math.log(2.0 * math.pi * dist.variance)
     ev = CumulantEvaluator(log_row)
     rows = []
     saddle = None
     for k in ks:
-        gauss = asymptotics.gaussian_local_law(dist.mean, dist.variance, k)
         saddle = ev.solve_saddle(k, near=saddle)
         rows.append(
             ProfileRow(
                 k=k,
                 log_p_exact=float(dist.log_p[k]),
                 log_p_daniels=saddle.log_p_daniels,
-                log_p_gaussian=math.log(gauss) if gauss > 0 else LOG_ZERO,
+                log_p_gaussian=log_peak - (k - dist.mean) ** 2 / (2.0 * dist.variance),
             )
         )
     return rows

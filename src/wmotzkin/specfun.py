@@ -8,7 +8,6 @@ own CGF, so there is a single audited solve for them.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -18,7 +17,8 @@ from .errors import ConvergenceError, DomainError
 
 LOG_ZERO = float("-inf")
 
-_INV_E = math.exp(-1.0)
+# Newton steps that `safeguarded_root` (and so `conjugate_root`) takes at most.
+MAX_STEPS = 100
 
 
 def log_sum_exp(values) -> float:
@@ -39,36 +39,25 @@ def log_sum_exp(values) -> float:
 
 
 def lambert_w0(z: float) -> float:
-    """Principal branch of the Lambert W function, w*exp(w) = z, z >= -1/e.
+    """Principal branch of the Lambert W function, w*exp(w) = z, for z >= 0.
 
-    Seeds: the Maclaurin series for small |z|, the branch-point expansion in
-    sqrt(2(e*z+1)) near -1/e, and log(z) - log(log(z)) for large z (Corless
-    et al. 1996); Halley iterations then polish to ~1e-15 relative.
+    Seeds: the Maclaurin series for small z and log(z) - log(log(z)) for
+    large z (Corless et al. 1996); Halley iterations then polish to ~1e-15
+    relative.  z < 0 and NaN raise DomainError.
     """
-    if math.isnan(z):
-        raise DomainError("lambert_w0 is undefined for NaN")
-    if z < -_INV_E:
-        # Allow roundoff dust below the branch point.
-        if z < -_INV_E * (1.0 + 1e-12) - 1e-300:
-            raise DomainError(f"lambert_w0 requires z >= -1/e, got {z}")
-        z = -_INV_E
+    if not z >= 0:
+        raise DomainError(f"lambert_w0 requires z >= 0, got {z}")
     if z == 0.0:
         return 0.0
 
-    if z < -0.32:
-        # Branch-point series in p = sqrt(2(e z + 1)).
-        p = math.sqrt(max(2.0 * (math.e * z + 1.0), 0.0))
-        w = -1.0 + p * (1.0 + p * (-1.0 / 3.0 + p * (11.0 / 72.0 - p * 43.0 / 540.0)))
-        if p == 0.0:
-            return -1.0
-    elif abs(z) < 0.3:
+    if z < 0.3:
         w = z * (1.0 + z * (-1.0 + z * (1.5 + z * (-8.0 / 3.0))))
     elif z > 3.0:
         l1 = math.log(z)
         l2 = math.log(l1)
         w = l1 - l2 + l2 / l1
     else:
-        w = 0.5 * math.log1p(z)  # crude but inside Halley's basin on (0.3, 3]
+        w = 0.5 * math.log1p(z)  # crude but inside Halley's basin on [0.3, 3]
 
     for _ in range(20):
         ew = math.exp(w)
@@ -84,9 +73,7 @@ def lambert_w0(z: float) -> float:
     return w
 
 
-def safeguarded_root(
-    f, start, *, tol, limit=math.inf, f_start=None, first=None, step=1.0, max_iter=100
-):
+def safeguarded_root(f, start, *, tol, limit=math.inf, f_start=None, first=None, step=1.0):
     """Root of an increasing function, given f(x) -> (f(x), f'(x)).
 
     One loop of Newton steps, each from the last evaluated point; `first`,
@@ -113,7 +100,7 @@ def safeguarded_root(
     edge = start + sign * limit
     lo, hi = (-math.inf, start) if value > 0 else (start, math.inf)
     x, reach, moved = start, step, 0.0
-    for steps in range(1, max_iter + 1):
+    for steps in range(1, MAX_STEPS + 1):
         proposal = first if steps == 1 and first is not None else (
             x - value / slope if slope > 0 else math.nan
         )
@@ -146,7 +133,7 @@ def safeguarded_root(
         closed = lo > -math.inf and hi < math.inf
         if abs(value) <= tol and (closed or 2.0 * abs(value) <= moved * slope):
             return x, steps
-    raise ConvergenceError(f"root not within |f| <= {tol:g} after {max_iter} steps")
+    raise ConvergenceError(f"root not within |f| <= {tol:g} after {MAX_STEPS} steps")
 
 
 @dataclass(frozen=True)
@@ -161,9 +148,7 @@ class CgfValues:
     deriv4: float
 
 
-def conjugate_root(
-    cgf, target, near=None, *, at_zero=None, tol, wall=math.inf, max_iter=100
-):
+def conjugate_root(cgf, target, near=None, *, at_zero=None, tol, wall=math.inf):
     """theta with F'(theta) = target for a convex cgf(theta) -> CgfValues F.
 
     Cold, the solve starts from theta = 0 (F there is `at_zero`, if known)
@@ -197,8 +182,7 @@ def conjugate_root(
     # Distance from start to the wall on the root's side.
     reach = wall + (start if f_start[0] > 0 else -start)
     theta, steps = safeguarded_root(
-        excess, start, tol=tol, limit=reach, f_start=f_start, first=first, step=step,
-        max_iter=max_iter,
+        excess, start, tol=tol, limit=reach, f_start=f_start, first=first, step=step
     )
     return theta, vals, steps
 
@@ -221,9 +205,3 @@ def hermite_ratios(x_coeff: float, y_coeff: float, n: int) -> list[float]:
     for m in range(1, n):
         ratios.append(x_coeff + m * y_coeff / ratios[-1])
     return ratios[:n]
-
-
-def hermite_kdf_sequence(x_coeff: float, y_coeff: float, n: int) -> list[float]:
-    """[log H_0, ..., log H_n]: the running sums of the logs of `hermite_ratios`."""
-    ratios = hermite_ratios(x_coeff, y_coeff, n)
-    return [0.0, *itertools.accumulate(map(math.log, ratios))]

@@ -4,7 +4,8 @@ Each one is written apart from the engine it checks: path enumeration for
 the triangle recurrence, the whole-row tilted sums for the windowed
 cumulants, the x-parametrization of the rate profile for the Legendre solve,
 the closed-form double-root rate, and a fixed value of Lambert W.  None of
-them is part of the library.
+them is part of the library.  `uniform_error_applies` names the models that
+the O(1/n) Daniels error bounds of the tests cover.
 """
 
 import math
@@ -12,7 +13,8 @@ import math
 import numpy as np
 
 from wmotzkin import (
-    CapacityError, CgfValues, DomainError, ModelParams, RateProfile, SingularityMap,
+    CapacityError, CgfValues, DomainError, DriftKind, ModelParams, RateProfile, RegimeError,
+    SingularityMap,
 )
 from wmotzkin.model import QUADRATIC, require
 
@@ -22,6 +24,24 @@ INFINITE_RATE = math.inf
 
 # Omega constant W(1), a fixed reference value of Lambert W.
 OMEGA = 0.5671432904097838
+
+
+def uniform_error_applies(params: ModelParams) -> bool:
+    """Whether Daniels' uniform O(1/n) interior error bound covers the model:
+    the domain of the quadratic asymptotics (balanced, A > 0, alpha0 > 0),
+    but not complex roots with c = 0, whose law oscillates in k (relative
+    error 0.1-1.1 on [0.2n, 0.8n] at every n).
+    """
+    try:
+        regime = require(params, QUADRATIC)
+    except (DomainError, RegimeError):
+        return False
+    return not (regime.kind is DriftKind.COMPLEX_ROOTS and params.c == 0)
+
+
+def exact_log_row(tri, n: int) -> np.ndarray:
+    """Row n of an exact triangle as natural logs; zero weights map to -inf."""
+    return np.array([math.log(w) if w else -math.inf for w in tri.row(n)])
 
 
 def brute_force_oracle(params: ModelParams, n: int) -> list[int]:

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import pytest
 
@@ -226,6 +227,41 @@ def test_point_mass_profile_exit_code(tmp_path, capsys):
         assert (code, out) == (3, ""), args
         assert "point mass at u = 1" in err, args
     assert not (tmp_path / "figs").exists()
+
+
+A0_LINEAR = "a=0 b=1 c=1 alpha0=1 beta0=1 gamma0=1"
+A0_CONSTANT = "a=0 b=0 c=0 alpha0=2 beta0=0 gamma0=3"
+
+
+@pytest.mark.parametrize("args, expected", [
+    # --params text too long to be a file name is read as inline parameters
+    (["triangle", "--params", "x" * 300, "--n", "3"], 2),
+    # a JSON boolean is not an integer parameter
+    (["triangle", "--params", '{"a": true, "b": 1, "c": 1, "alpha0": 1, "beta0": 1, '
+      '"gamma0": 1}', "--n", "3"], 2),
+    # A = 0 Laplace data that is not finite (t^2 underflows at x = 1e300)
+    (["asym", "--params", A0_LINEAR, "--x", "1e300"], 3),
+    (["asym", "--params", A0_CONSTANT, "--x", "1e300"], 3),
+    (["egf-check", "--params", A0_LINEAR, "--x", "1e300"], 3),
+    (["egf-check", "--params", A0_CONSTANT, "--x", "1e300"], 3),
+    # a contour radius whose powers underflow
+    (["egf-check", "--params", SHOWCASE_ARG, "--x", "1e300"], 3),
+])
+def test_error_exits_without_traceback(args, expected, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_main(args, capsys)
+    assert (code, out) == (expected, "")
+    assert err.startswith("error: " if expected == 2 else "numeric-domain error: ")
+
+
+def test_long_inline_params_run(capsys):
+    # 301-digit a: longer than a file name may be, and still valid inline.
+    a = 10**300
+    params = f"a={a} b=1 c=1 alpha0=1 beta0=1 gamma0=1"
+    code, out, _ = run_main(["triangle", "--params", params, "--n", "3"], capsys)
+    assert code == 0
+    assert out.splitlines()[-1].endswith(f",{(a + 1) * (2 * a + 1)}")  # w(3, 3)
 
 
 def test_capacity_exit_code(capsys, monkeypatch):
@@ -449,18 +485,18 @@ def test_streamed_capacity_error_removes_out_file(tmp_path, capsys, monkeypatch)
 
 
 def test_svg_single_series_single_polyline():
-    plot = svg_plot([Series("line", (0.0, 1.0), (2.0, 3.0))])
-    assert plot.document.count("<polyline") == 1
-    assert plot.dropped_points == 0
-    assert plot.document.startswith("<svg ")
+    doc = svg_plot([Series("line", (0.0, 1.0), (2.0, 3.0))])
+    assert doc.count("<polyline") == 1
+    assert doc.startswith("<svg ")
 
 
 def test_svg_log_scale_drops_zeros():
-    plot = svg_plot(
+    doc = svg_plot(
         [Series("p", (0.0, 1.0, 2.0), (0.5, 0.0, 2.0))], scale="log10"
     )
-    assert plot.dropped_points == 1
-    assert plot.document.count("<polyline") == 1
+    assert doc.count("<polyline") == 1
+    points = re.search(r'points="([^"]*)"', doc).group(1)
+    assert len(points.split()) == 2
 
 
 def test_svg_empty_series_error():
@@ -472,4 +508,4 @@ def test_svg_empty_series_error():
 
 def test_svg_deterministic():
     series = [Series("a", (0, 1, 2), (5.0, 2.5, 1.25))]
-    assert svg_plot(series).document == svg_plot(series).document
+    assert svg_plot(series) == svg_plot(series)

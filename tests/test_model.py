@@ -16,8 +16,7 @@ from wmotzkin import (
     is_balanced,
 )
 from wmotzkin.closedform import modulus_saddle
-from wmotzkin.saddlepoint import uniform_error_applies
-from oracles import parametrized_profile
+from oracles import parametrized_profile, uniform_error_applies
 from corpus import CORPUS, DEGENERATE, DEGENERATE_QUADRATIC, SHOWCASE
 
 nonneg = st.integers(min_value=0, max_value=9)

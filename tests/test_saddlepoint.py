@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -10,11 +11,12 @@ from wmotzkin import (
     LOG_ZERO,
     ModelParams,
     final_log_row,
+    gaussian_local_law,
     height_distribution,
     profile,
 )
-from wmotzkin.saddlepoint import _WINDOW_NATS, uniform_error_applies
-from oracles import brute_force_oracle, full_row_kappa
+from wmotzkin.saddlepoint import _WINDOW_NATS
+from oracles import brute_force_oracle, full_row_kappa, uniform_error_applies
 from corpus import CLASSIC, CORPUS, DEGENERATE, DEGENERATE_QUADRATIC, SHOWCASE
 
 
@@ -183,6 +185,22 @@ def test_profile_shape_and_finiteness():
     assert all(math.isfinite(r.log_p_daniels) for r in rows)
     with pytest.raises(DomainError):
         profile(SHOWCASE, 50, 0.7)
+
+
+def test_profile_gaussian_column_in_logs():
+    # Written in logs, the normal density stays finite at every height, also
+    # where it underflows a double; where it is a normal double, the two agree.
+    n = 2000
+    dist = height_distribution(SHOWCASE, n)
+    rows = profile(SHOWCASE, n, 0.01)
+    assert len(rows) == 1961
+    assert all(math.isfinite(r.log_p_gaussian) for r in rows)
+    for r in rows:
+        density = gaussian_local_law(dist.mean, dist.variance, r.k)
+        if density >= sys.float_info.min:
+            assert math.isclose(r.log_p_gaussian, math.log(density), rel_tol=1e-12), r.k
+    with pytest.raises(DomainError, match="sigma2 must be positive"):
+        profile(DEGENERATE, 10, 0.1)  # a point mass at height 0
 
 
 def test_profile_refuses_empty_window():
