@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,8 +95,9 @@ class SingularityMap:
         and chi'' = 2 chi chi' - 2A/(Q^2 tau) + 2Q'^2/(Q^3 tau) - Q'/(Q^3 tau^2).
         F''' and F'''' are written in the scale-free ratios x*Q'/Q and
         x^2*Q''/Q, so no Q^3 is formed.  DomainError, not a wrong F' or F'',
-        where e^theta or Q(e^theta)^2 is no finite double (theta past about
-        177 at A = 1).
+        where Q(e^theta)^2 is not a normal finite double (theta past about 177
+        at A = 1, and below about -354 when r2 = 0 or -177 at a double root
+        r = 0) or a value is not finite.
         """
         try:
             x = math.exp(theta)
@@ -104,8 +106,8 @@ class SingularityMap:
         coeffs = self.regime.coeffs
         q_val = coeffs.poly(x)
         q_sq = q_val * q_val
-        if not math.isfinite(q_sq):
-            raise DomainError(f"theta={theta}: Q(e^theta)^2 is not a finite double")
+        if not sys.float_info.min <= q_sq < math.inf:
+            raise DomainError(f"theta={theta}: Q(e^theta)^2 is not a normal finite double")
         tau = self.tau(x)
         chi = (1.0 / q_val) / tau
         q_prime = coeffs.poly_deriv(x)
@@ -121,13 +123,16 @@ class SingularityMap:
         p1 = r - mean
         p2 = s - r * mean
         x4_chi3 = mean * (6.0 * p1 * p2 - 6.0 * p1**3 + mean * (2.0 * s - r * r))
-        return CgfValues(
-            value=self._log_tau_one - math.log(tau),
-            deriv1=mean,
-            deriv2=mean + x2_chi1,
-            deriv3=mean + 3.0 * x2_chi1 + x3_chi2,
-            deriv4=mean + 7.0 * x2_chi1 + 6.0 * x3_chi2 + x4_chi3,
+        values = (
+            self._log_tau_one - math.log(tau),
+            mean,
+            mean + x2_chi1,
+            mean + 3.0 * x2_chi1 + x3_chi2,
+            mean + 7.0 * x2_chi1 + 6.0 * x3_chi2 + x4_chi3,
         )
+        if not all(map(math.isfinite, values)):
+            raise DomainError(f"theta={theta}: F or a derivative is not a finite double")
+        return CgfValues(*values)
 
 
 class EgfEvaluator:
@@ -137,26 +142,6 @@ class EgfEvaluator:
         self.regime = require(params, degenerate="accept")
         self.params = params
         self.singularities = SingularityMap(params) if self.regime.is_quadratic else None
-
-    def eval(self, x: float, t: float) -> float:
-        """w(x, t) for real arguments inside the validity region.
-
-        Quadratic regimes require t < tau(x), and complex roots also
-        t > tau(x) - pi/(A q), where the cosine phase reaches -pi/2; for
-        A = 0 the function is entire in t.  The value is the real part of
-        the contour's closed form.  Non-finite x or t raises DomainError.
-        """
-        if not (math.isfinite(x) and math.isfinite(t)):
-            raise DomainError(f"(x={x}, t={t}) is not a finite point")
-        regime = self.regime
-        if regime.is_quadratic:
-            tau = self.singularities.tau(x)
-            low = -math.inf
-            if regime.kind is DriftKind.COMPLEX_ROOTS:  # phase A*q*(t - tau) + pi/2
-                low = tau - math.pi / (regime.coeffs.A * regime.q)
-            if not low < t < tau:
-                raise DomainError(f"t={t} outside the validity window ({low}, {tau}) at x={x}")
-        return float(self._eval_complex(x, complex(t)).real)
 
     def _eval_complex(self, x: float, t: complex | np.ndarray) -> complex | np.ndarray:
         """w(x, t) for complex t (a scalar or an array, element by element)
@@ -256,7 +241,6 @@ class ModulusSaddle:
     """The A = 0 modulus saddle t and the Laplace data there (`modulus_saddle`)."""
 
     t: float
-    seed: float
     log_w: float
     curvature: float
 
@@ -269,9 +253,9 @@ def modulus_saddle(params: ModelParams, x: float, n: int) -> ModulusSaddle:
     Constant drift: log w = X t + Y t^2/2 with X = alpha0*x + gamma0 and
     Y = alpha0*C, and t in closed form.  Linear drift: log w = a_lin t +
     (x + C/B)(alpha0/B)(e^{B t} - 1) with a_lin = gamma0 - alpha0*C/B, and t
-    by `safeguarded_root` from the seed W(n/y)/B, y = (alpha0/B)(x + C/B).
-    With alpha0 = 0, log w = gamma0 t and t = (n+1)/gamma0, or 1.0 when w is
-    constant (gamma0 = 0).  The seed is t except in the linear case.
+    by `safeguarded_root` from W(n/y)/B, y = (alpha0/B)(x + C/B).  With
+    alpha0 = 0, log w = gamma0 t and t = (n+1)/gamma0, or 1.0 when w is
+    constant (gamma0 = 0).
     Unbalanced and A > 0 models raise RegimeError; x <= 0, x = inf and
     Laplace data that is not finite (t^2 underflows at x near 1e300) raise
     DomainError.
@@ -281,7 +265,7 @@ def modulus_saddle(params: ModelParams, x: float, n: int) -> ModulusSaddle:
         raise DomainError(f"x must be positive and finite, got {x}")
     if params.alpha0 == 0:
         t = (n + 1) / params.gamma0 if params.gamma0 else 1.0
-        return _laplace_data(n, t, t, params.gamma0 * t, 0.0)
+        return _laplace_data(n, t, params.gamma0 * t, 0.0)
     B, C = regime.coeffs.B, regime.coeffs.C
     if regime.kind is DriftKind.CONSTANT:
         X = params.alpha0 * x + params.gamma0
@@ -290,10 +274,9 @@ def modulus_saddle(params: ModelParams, x: float, n: int) -> ModulusSaddle:
             t = (n + 1) / X
         else:
             t = (-X + math.sqrt(X * X + 4.0 * Y * (n + 1))) / (2.0 * Y)
-        return _laplace_data(n, t, t, X * t + 0.5 * Y * t * t, Y)
+        return _laplace_data(n, t, X * t + 0.5 * Y * t * t, Y)
     y = (params.alpha0 / B) * (x + C / B)
     a_lin = params.gamma0 - params.alpha0 * C / B
-    seed = lambert_w0(n / y) / B
 
     def excess(t: float) -> tuple[float, float]:
         grow = B * y * math.exp(B * t)
@@ -303,18 +286,18 @@ def modulus_saddle(params: ModelParams, x: float, n: int) -> ModulusSaddle:
     # positive root.  Below it the steps go up; above it a Newton step on a
     # convex function stays above it, so no point reaches t <= 0.  The
     # tolerance keeps the residual a decade inside 1e-12 * (n + 1).
-    t, _ = safeguarded_root(excess, seed, tol=1e-13 * (n + 1), limit=1e9)
+    t, _ = safeguarded_root(excess, lambert_w0(n / y) / B, tol=1e-13 * (n + 1), limit=1e9)
     lam = (params.alpha0 / B) * math.expm1(B * t)
-    return _laplace_data(n, t, seed, a_lin * t + (C / B + x) * lam, B * B * y * math.exp(B * t))
+    return _laplace_data(n, t, a_lin * t + (C / B + x) * lam, B * B * y * math.exp(B * t))
 
 
-def _laplace_data(n: int, t: float, seed: float, log_w: float, bend: float) -> ModulusSaddle:
+def _laplace_data(n: int, t: float, log_w: float, bend: float) -> ModulusSaddle:
     """The record at t, curvature bend + (n+1)/t^2; DomainError if not finite."""
     square = t * t
     curvature = bend + (n + 1) / square if square else math.inf
     if not (math.isfinite(log_w) and math.isfinite(curvature)):
         raise DomainError(f"Laplace data at the modulus saddle t={t:g} is not finite")
-    return ModulusSaddle(t, seed, log_w, curvature)
+    return ModulusSaddle(t, log_w, curvature)
 
 
 def _principal_pow(base: complex | np.ndarray, exponent: float) -> complex | np.ndarray:

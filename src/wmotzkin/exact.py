@@ -32,16 +32,14 @@ DEFAULT_BIT_BUDGET = 1 << 30
 
 @dataclass
 class Triangle:
-    """Weight array rows[n][k], n = 0..n_max, in one representation."""
+    """Weight array rows[n][k] from row 0 on, in one representation."""
 
-    params: ModelParams
-    n_max: int
     representation: Representation
     rows: list  # list[list[int]] for "exact", list[np.ndarray] for "log_space"
 
     def row(self, n: int):
-        if not 0 <= n <= self.n_max:
-            raise DomainError(f"row {n} outside built range 0..{self.n_max}")
+        if not 0 <= n < len(self.rows):
+            raise DomainError(f"row {n} outside built range 0..{len(self.rows) - 1}")
         return self.rows[n]
 
 
@@ -55,17 +53,15 @@ _LOG2 = math.log(2.0)
 
 
 def _support_size(params: ModelParams, n: int) -> int:
-    """Number of structurally nonzero entries of row n.
+    """Number of structurally nonzero entries of row n >= 1.
 
-    alpha0 = 0 pins the walk at height 0.  Otherwise row n >= 1 holds the
+    alpha0 = 0 pins the walk at height 0.  Otherwise row n holds the
     heights n, n - step, ... down to the lowest reachable height lo, where
     step is 2 without level steps (c = gamma0 = 0) and 1 with them.  Height
     0 is reached by staying (gamma0 > 0) or by returning (beta0 > 0,
     n >= 2); otherwise lo is 1, or n when there are neither level nor down
     steps.
     """
-    if n == 0:
-        return 1
     if params.alpha0 == 0:
         return 1 if params.gamma0 else 0
     step = 1 if params.c or params.gamma0 else 2
@@ -207,15 +203,15 @@ def _exact_rows(params: ModelParams, n_max: int, one, arithmetic=contextlib.null
 
 
 def iter_int_rows(params: ModelParams, n_max: int,
-                  bit_budget: int | None = DEFAULT_BIT_BUDGET) -> Iterator[list[int]]:
+                  bit_budget: int = DEFAULT_BIT_BUDGET) -> Iterator[list[int]]:
     """Yield the int rows 0..n_max, two rows in memory.  CapacityError at the
     first row whose running integer size (row 0 counts one bit) passes
-    `bit_budget` bits; None disables the check."""
+    `bit_budget` bits."""
     if n_max < 0:
         raise DomainError(f"n_max must be nonnegative, got {n_max}")
     bits_used = 1
     for n, row in enumerate(_exact_rows(params, n_max, 1)):
-        if n and bit_budget is not None:
+        if n:
             bits_used += sum(map(int.bit_length, row))
             if bits_used > bit_budget:
                 raise CapacityError(
@@ -250,17 +246,17 @@ def build_triangle(
     params: ModelParams,
     n_max: int,
     representation: Representation = "exact",
-    bit_budget: int | None = DEFAULT_BIT_BUDGET,
+    bit_budget: int = DEFAULT_BIT_BUDGET,
 ) -> Triangle:
     """Build rows 0..n_max of the weight triangle.
 
     Exact builds list `iter_int_rows` under `bit_budget`.
     """
     if representation == "log_space":
-        return Triangle(params, n_max, representation, list(iter_log_rows(params, n_max)))
+        return Triangle(representation, list(iter_log_rows(params, n_max)))
     if representation != "exact":
         raise DomainError(f"unknown representation {representation!r}")
-    return Triangle(params, n_max, "exact", list(iter_int_rows(params, n_max, bit_budget)))
+    return Triangle("exact", list(iter_int_rows(params, n_max, bit_budget)))
 
 
 @dataclass
@@ -271,7 +267,6 @@ class HeightDistribution:
     normalizing row sum.
     """
 
-    n: int
     log_p: np.ndarray
     mean: float
     variance: float
@@ -288,7 +283,7 @@ def _distribution_from_log_row(n: int, log_row: np.ndarray) -> HeightDistributio
         mean = math.exp(log_sum_exp(log_p + np.log(k))) if n >= 1 else 0.0
     # Compensated second central moment: no cancellation between moments.
     variance = math.fsum(np.exp(log_p) * (k - mean) ** 2)
-    return HeightDistribution(n, log_p, mean, variance, log_total)
+    return HeightDistribution(log_p, mean, variance, log_total)
 
 
 def height_distribution(params: ModelParams, n: int) -> HeightDistribution:

@@ -10,6 +10,7 @@ speed-n decay rate of p_{n, floor(u n)}.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +21,7 @@ from .exact import final_log_row
 from .model import QUADRATIC, ModelParams, require
 from .specfun import CgfValues, conjugate_root, log_sum_exp
 
-THETA_LIMIT = 60.0  # |theta| beyond this saturates F' in double precision
+THETA_LIMIT = 60.0  # |theta| beyond this saturates F' in double precision unless r2 = 0
 
 
 def limit_cgf(params: ModelParams, theta: float) -> CgfValues:
@@ -42,7 +43,9 @@ def rate_function(params: ModelParams, u: float) -> RatePoint:
 
     The one-point `rate_profile`, solved cold from theta = 0; a
     ConvergenceError signals that u is numerically indistinguishable from 0
-    or 1 within |theta| <= 60.
+    or 1 within the theta range that `rate_profile` searches: |theta| <= 60,
+    or down to theta about -353 when r2 = 0, where F'(theta) ~ 1/|theta|,
+    so that u below about 0.0028 is refused there.
     """
     prof = rate_profile(params, [u])
     return RatePoint(float(prof.u[0]), float(prof.theta[0]), float(prof.rate[0]))
@@ -61,7 +64,9 @@ def rate_profile(params: ModelParams, u_grid) -> RateProfile:
     """Rate profile via the Legendre transform at each u in u_grid, in grid
     order: `conjugate_root` on F, cold at the first u and then warm from the
     previous u's solve, first evaluated at its third-order predictor.  Every
-    solve searches out to |theta| = THETA_LIMIT, no further.
+    solve searches out to |theta| = THETA_LIMIT, no further; when r2 = 0,
+    where F'(theta) ~ 1/|theta| as theta -> -inf, it searches down to where
+    `SingularityMap.cgf` still holds (theta about -353 at B = 1).
     A double root at r = 0 raises DomainError before any solve: there
     F(theta) = theta, so I(u) = +inf for every u < 1.
     """
@@ -69,13 +74,16 @@ def rate_profile(params: ModelParams, u_grid) -> RateProfile:
     if regime.double_root_at_zero:
         raise DomainError("double root at r = 0: K_n/n tends to a point mass at u = 1, "
                           "so I(u) = +inf for every u < 1 and there is no rate profile")
+    low = -THETA_LIMIT
+    if regime.r2 == 0:  # a nat above where Q(e^theta)^2 ~ (B e^theta)^2 is subnormal
+        low = math.log(math.sqrt(sys.float_info.min) / regime.coeffs.B) + 1.0
     smap = SingularityMap(params)
     points, near = [], None
     for u in u_grid:
         u = float(u)
         if not 0.0 < u < 1.0:
             raise DomainError(f"u must be in (0, 1), got {u}")
-        theta, vals, _ = conjugate_root(smap.cgf, u, near, tol=1e-13, wall=THETA_LIMIT)
+        theta, vals, _ = conjugate_root(smap.cgf, u, near, tol=1e-13, walls=(low, THETA_LIMIT))
         near = (theta, vals)
         points.append((u, theta, u * theta - vals.value))
     u, theta, rate = np.array(points, dtype=float).reshape(-1, 3).T

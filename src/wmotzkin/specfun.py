@@ -148,7 +148,7 @@ class CgfValues:
     deriv4: float
 
 
-def conjugate_root(cgf, target, near=None, *, at_zero=None, tol, wall=math.inf):
+def conjugate_root(cgf, target, near=None, *, at_zero=None, tol, walls=(-math.inf, math.inf)):
     """theta with F'(theta) = target for a convex cgf(theta) -> CgfValues F.
 
     Cold, the solve starts from theta = 0 (F there is `at_zero`, if known)
@@ -158,8 +158,8 @@ def conjugate_root(cgf, target, near=None, *, at_zero=None, tol, wall=math.inf):
     predictor theta0 + d - a d^2/2 + (a^2/2 - b/6) d^3, the reverted Taylor
     series of F' about theta0, with d = (target - F')/F'', a = F'''/F'' and
     b = F''''/F''.  The first step goes at most 2|d| (1.0 where F'' is not
-    positive: F'' rounds to zero where F' saturates).  Steps stop at
-    |theta| = `wall`.  Returns (theta, F at theta, evaluations of F after
+    positive: F'' rounds to zero where F' saturates).  Steps stop at the
+    `walls` (low, high).  Returns (theta, F at theta, evaluations of F after
     the start).
     """
     if near is None:
@@ -180,7 +180,7 @@ def conjugate_root(cgf, target, near=None, *, at_zero=None, tol, wall=math.inf):
         return vals.deriv1 - target, vals.deriv2
 
     # Distance from start to the wall on the root's side.
-    reach = wall + (start if f_start[0] > 0 else -start)
+    reach = start - walls[0] if f_start[0] > 0 else walls[1] - start
     theta, steps = safeguarded_root(
         excess, start, tol=tol, limit=reach, f_start=f_start, first=first, step=step
     )

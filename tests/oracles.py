@@ -4,8 +4,9 @@ Each one is written apart from the engine it checks: path enumeration for
 the triangle recurrence, the whole-row tilted sums for the windowed
 cumulants, the x-parametrization of the rate profile for the Legendre solve,
 the closed-form double-root rate, and a fixed value of Lambert W.  None of
-them is part of the library.  `uniform_error_applies` names the models that
-the O(1/n) Daniels error bounds of the tests cover.
+them is part of the library.  `egf_value` reads the library's one closed
+form at a real point, for the tests of its values.  `uniform_error_applies`
+names the models that the O(1/n) Daniels error bounds of the tests cover.
 """
 
 import math
@@ -13,8 +14,8 @@ import math
 import numpy as np
 
 from wmotzkin import (
-    CapacityError, CgfValues, DomainError, DriftKind, ModelParams, RateProfile, RegimeError,
-    SingularityMap,
+    CapacityError, CgfValues, DomainError, DriftKind, EgfEvaluator, ModelParams, RateProfile,
+    RegimeError, SingularityMap,
 )
 from wmotzkin.model import QUADRATIC, require
 
@@ -37,6 +38,12 @@ def uniform_error_applies(params: ModelParams) -> bool:
     except (DomainError, RegimeError):
         return False
     return not (regime.kind is DriftKind.COMPLEX_ROOTS and params.c == 0)
+
+
+def egf_value(params: ModelParams, x: float, t: float) -> float:
+    """w(x, t) at one real t: the real part of the contour's closed form
+    (`EgfEvaluator._eval_complex`), with no check of the validity window."""
+    return float(EgfEvaluator(params)._eval_complex(x, complex(t)).real)
 
 
 def exact_log_row(tri, n: int) -> np.ndarray:

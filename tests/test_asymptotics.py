@@ -13,6 +13,7 @@ from wmotzkin import (
     final_log_row,
     gaussian_local_law,
     height_distribution,
+    lambert_w0,
     log_pn_constant_drift,
     log_pn_constant_drift_exact,
     log_pn_estimate,
@@ -266,10 +267,13 @@ def test_constant_moments_oracle(b, alpha0, beta0, gamma0, n):
 
 
 def test_linear_seed_quality_improves():
+    # The Lambert-W start W(n/y)/B of the linear saddle solve, y = (alpha0/B)(x + C/B).
+    B, C, alpha0 = 1.0, 1.0, 1.0
+    y = (alpha0 / B) * (1.0 + C / B)
     rel = {}
     for n in (50, 200):
-        saddle = modulus_saddle(LINEAR_BALANCED, 1.0, n)
-        rel[n] = abs(saddle.t - saddle.seed) / saddle.t
+        t = modulus_saddle(LINEAR_BALANCED, 1.0, n).t
+        rel[n] = abs(t - lambert_w0(n / y) / B) / t
     assert rel[200] <= 0.05
     assert rel[200] < rel[50]
 

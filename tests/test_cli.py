@@ -1,5 +1,6 @@
 import decimal
 import functools
+import importlib
 import json
 import math
 import re
@@ -7,6 +8,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -284,6 +286,32 @@ def test_console_entry_point(tmp_path):
     )
     assert result.returncode == 0
     assert result.stdout.splitlines()[0] == DIST_HEADER
+
+
+def _console_script_target() -> str:
+    """The `wmotzkin` entry of [project.scripts] in pyproject.toml."""
+    text = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+    try:
+        import tomllib
+    except ModuleNotFoundError:  # Python 3.10: match the entry's line
+        return re.search(r'^wmotzkin\s*=\s*"([^"]+)"', text, re.M).group(1)
+    return tomllib.loads(text)["project"]["scripts"]["wmotzkin"]
+
+
+def test_console_script_exit_codes(monkeypatch, capsys):
+    # The installed `wmotzkin` script calls this target with no arguments and
+    # exits with what it raises.
+    module, _, name = _console_script_target().partition(":")
+    entry = getattr(importlib.import_module(module), name)
+    for argv, code in ((["saddle", "--n", "50"], 0), (["--help"], 0),
+                       (["saddle", "--n", "50", "--no-such-flag"], 2)):
+        monkeypatch.setattr(sys, "argv", ["wmotzkin", *argv])
+        with pytest.raises(SystemExit) as exc:
+            entry()
+        assert exc.value.code == code, argv
+        out = capsys.readouterr().out
+        if argv[0] == "saddle" and code == 0:
+            assert out.splitlines()[0] == PROFILE_HEADER
 
 
 # ----- one table model: CSV and JSON agree, rows stream, failures write nothing ----- #

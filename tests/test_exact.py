@@ -194,7 +194,7 @@ def test_capacity_budget():
     # Row 0 counts one bit; the error names the first row whose running
     # total passes the budget.  The streamed int rows raise at that row too,
     # after yielding every row before it.
-    full = build_triangle(SHOWCASE, 200, bit_budget=None).rows
+    full = build_triangle(SHOWCASE, 200).rows  # 2.0e7 bits, inside the default 2**30
     bits, row = 0, None
     for n, weights in enumerate(full):
         bits += sum(w.bit_length() for w in weights)

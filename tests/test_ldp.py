@@ -1,4 +1,6 @@
+import functools
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -29,6 +31,9 @@ from corpus import (
     balanced_quadratic,
     quadratic_interior,
 )
+
+R2_ZERO = ModelParams(1, 0, 1, 2, 0, 1)  # two real roots, r1 = -1 and r2 = 0
+R_ZERO = ModelParams(1, 0, 0, 2, 0, 1)  # double root at r = 0, where F(theta) = theta
 
 
 def test_cgf_at_zero():
@@ -64,23 +69,48 @@ def _ulps_around(value, count):
     return out
 
 
+def _assert_cgf_in_range(vals, where):
+    assert all(map(math.isfinite, astuple(vals))), where
+    assert 0.0 <= vals.deriv1 <= 1.0 + 1e-12 and vals.deriv2 >= -1e-12, where
+
+
 def test_cgf_accepts_bracket_reach_and_refuses_overflow():
     # rate_profile's bracket stops at |theta| = THETA_LIMIT, give or take
     # the rounding of conjugate_root's reach; F must be finite up to there.
     # Q(e^theta)^2 overflows near theta = 177.4 for A = 1, and e^theta past
     # theta = 709.78; both raise DomainError instead of a wrong F' or F''.
+    # Far below the bracket, where Q(e^theta)^2 underflows on the r2 = 0 and
+    # r = 0 models (F'' was -inf, nan or a ZeroDivisionError there), each
+    # value is finite and in range, or DomainError is raised.
     reach = _ulps_around(THETA_LIMIT, 4) + _ulps_around(-THETA_LIMIT, 4)
     for params in balanced_quadratic():
         smap = SingularityMap(params)
         for theta in [*reach, *np.linspace(-THETA_LIMIT, THETA_LIMIT, 241)]:
-            vals = smap.cgf(float(theta))
-            assert all(map(math.isfinite, (vals.value, vals.deriv1, vals.deriv2)))
-            assert 0.0 <= vals.deriv1 <= 1.0 + 1e-12 and vals.deriv2 >= -1e-12, (params, theta)
+            _assert_cgf_in_range(smap.cgf(float(theta)), (params, theta))
         for theta in (200.0, 400.0, 710.0, math.inf, math.nan):
             with pytest.raises(DomainError):
                 smap.cgf(theta)
             with pytest.raises(DomainError):
                 limit_cgf(params, theta)
+        for theta in (-355.0, -365.0, -380.0, -700.0):
+            for cgf in (smap.cgf, functools.partial(limit_cgf, params)):
+                try:
+                    vals = cgf(theta)
+                except DomainError:
+                    continue
+                _assert_cgf_in_range(vals, (params, theta))
+
+
+def test_cgf_exact_or_refused_where_q_squared_is_subnormal():
+    # On the r = 0 double root, Q(e^theta)^2 = e^{4 theta} is subnormal from
+    # theta about -177; F'' read 2.3e-6 at -183 and 0.447 at -186 there.
+    smap = SingularityMap(R_ZERO)
+    for theta in np.linspace(-190.0, -170.0, 41):
+        try:
+            vals = smap.cgf(float(theta))
+        except DomainError:
+            continue
+        assert abs(vals.deriv1 - 1.0) <= 1e-12 and abs(vals.deriv2) <= 1e-12, theta
 
 
 def test_cgf_regime_errors():
@@ -233,6 +263,23 @@ def test_rate_matches_closed_form_all_r():
 def test_rate_convergence_error_in_deep_tail():
     with pytest.raises(ConvergenceError):
         rate_function(SHOWCASE, 1e-300)
+
+
+def test_rate_r2_zero_below_theta_limit():
+    # At r2 = 0, F'(theta) ~ 1/|theta| as theta -> -inf, so small u lie far
+    # below -THETA_LIMIT: u = 0.01 near theta = -100, u = 0.003 near -333.
+    # The solve goes down to about -353, and refuses u below F' there.
+    for u in (0.01, 0.003):
+        point = rate_function(R2_ZERO, u)
+        assert point.theta < -THETA_LIMIT
+        assert abs(limit_cgf(R2_ZERO, point.theta).deriv1 - u) <= 1e-13
+    with pytest.raises(ConvergenceError):
+        rate_function(R2_ZERO, 1e-3)
+    # The x-parametrized profile agrees down there.
+    prof = parametrized_profile(R2_ZERO, np.exp(np.linspace(-350.0, -50.0, 13)))
+    solved = rate_profile(R2_ZERO, prof.u)
+    assert np.allclose(solved.theta, prof.theta, rtol=1e-9, atol=0)
+    assert np.allclose(solved.rate, prof.rate, rtol=1e-12, atol=0)
 
 
 def test_parametrized_profile_matches_legendre():

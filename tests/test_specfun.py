@@ -286,13 +286,18 @@ def test_conjugate_root_wall():
     cgf = _double_root_cgf([])
     # F'(5) < 0.999, so the root log(999) ~ 6.9 lies past a wall at 5.
     with pytest.raises(ConvergenceError):
-        conjugate_root(cgf, 0.999, tol=1e-13, wall=5.0)
+        conjugate_root(cgf, 0.999, tol=1e-13, walls=(-5.0, 5.0))
     with pytest.raises(ConvergenceError):
-        conjugate_root(cgf, 0.001, (1.0, cgf(1.0)), tol=1e-13, wall=5.0)
-    # The wall is absolute, not a distance from the start: from theta = 3 a
-    # root at -3.5 is found inside a wall at 4.
+        conjugate_root(cgf, 0.001, (1.0, cgf(1.0)), tol=1e-13, walls=(-5.0, 5.0))
+    # The walls are absolute, not distances from the start: from theta = 3 a
+    # root at -3.5 is found inside a wall at -4.
     u = 1.0 / (1.0 + math.exp(3.5))
-    theta, _, _ = conjugate_root(cgf, u, (3.0, cgf(3.0)), tol=1e-13, wall=4.0)
+    theta, _, _ = conjugate_root(cgf, u, (3.0, cgf(3.0)), tol=1e-13, walls=(-4.0, 4.0))
     assert math.isclose(theta, -3.5, rel_tol=0, abs_tol=1e-11)
-    theta, _, _ = conjugate_root(cgf, 0.99, tol=1e-13, wall=5.0)
+    theta, _, _ = conjugate_root(cgf, 0.99, tol=1e-13, walls=(-5.0, 5.0))
     assert math.isclose(theta, math.log(99.0), rel_tol=0, abs_tol=1e-11)
+    # Each side has its own wall: -3.5 lies inside (-4, 1) but past (-3, 10).
+    theta, _, _ = conjugate_root(cgf, u, tol=1e-13, walls=(-4.0, 1.0))
+    assert math.isclose(theta, -3.5, rel_tol=0, abs_tol=1e-11)
+    with pytest.raises(ConvergenceError):
+        conjugate_root(cgf, u, tol=1e-13, walls=(-3.0, 10.0))
