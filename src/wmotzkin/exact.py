@@ -109,7 +109,9 @@ def iter_log_rows(params: ModelParams, n_max: int) -> Iterator[np.ndarray]:
     beta_k e^{s_{k+1}-s_k}, then a division of u by the power of two that
     puts its maximum in [1/2, 1), which c records.  Structural zeros stay
     exactly 0 (-inf).  A nonzero entry that falls below 2^-960 of the row
-    maximum raises AccuracyError rather than yield a wrong row.
+    maximum raises AccuracyError rather than yield a wrong row.  Sending
+    True after row 0 asks for row n_max alone: every row is still built and
+    checked, but only block ends (the next scale) and row n_max get logs.
     """
     if n_max < 0:
         raise DomainError(f"n_max must be nonnegative, got {n_max}")
@@ -120,7 +122,7 @@ def iter_log_rows(params: ModelParams, n_max: int) -> Iterator[np.ndarray]:
     level = params.c * k + params.gamma0
     block = _block_size(params, n_max)
     row = np.zeros(1)
-    yield row
+    last_only = yield row
     n = 0
     while n < n_max:
         steps = min(block, n_max - n)
@@ -140,17 +142,19 @@ def iter_log_rows(params: ModelParams, n_max: int) -> Iterator[np.ndarray]:
             drop = np.exp(log_down[:width] + ds)
         stay = level[:width]
 
-        # cur[1 + k] holds u_k; cur[0] and cur[-1] stay 0.
-        cur, nxt = np.zeros(width + 2), np.zeros(width + 2)
-        cur[1 : n + 2] = finite
+        # buf[1 + k] holds u_k; buf[0] and buf[-1] stay 0.  A step reads one
+        # buffer's centre, left and right views and writes the other's centre.
+        bufs = np.zeros(width + 2), np.zeros(width + 2)
+        bufs[0][1 : n + 2] = finite
+        views = [(buf[1:-1], buf[:-2], buf[2:]) for buf in bufs]
         term = np.empty(width)
         exponent = 0
-        for _ in range(steps):
-            new = nxt[1:-1]
-            np.multiply(stay, cur[1:-1], out=new)
-            np.multiply(lift, cur[:-2], out=term)
+        for step in range(steps):
+            (mid, left, right), new = views[step % 2], views[1 - step % 2][0]
+            np.multiply(stay, mid, out=new)
+            np.multiply(lift, left, out=term)
             new += term
-            np.multiply(drop, cur[2:], out=term)
+            np.multiply(drop, right, out=term)
             new += term
             n += 1
             support = _support_size(params, n)
@@ -163,6 +167,8 @@ def iter_log_rows(params: ModelParams, n_max: int) -> Iterator[np.ndarray]:
                 new *= 2.0**-shift
             if np.count_nonzero(new > _TINY) != support:
                 raise _precision_lost(params, n)
+            if last_only and step + 1 < steps:
+                continue  # no one reads this row's logs
             if support == n + 1:
                 row = np.log(new[: n + 1])
             else:  # structural zeros become -inf
@@ -170,14 +176,18 @@ def iter_log_rows(params: ModelParams, n_max: int) -> Iterator[np.ndarray]:
                     row = np.log(new[: n + 1])
             row += s[: n + 1]
             row += exponent * _LOG2
-            cur, nxt = nxt, cur
-            yield row
+            if not last_only or n == n_max:
+                yield row
 
 
 def final_log_row(params: ModelParams, n: int) -> np.ndarray:
-    """Log-space row n only (streaming build)."""
-    for row in iter_log_rows(params, n):
-        pass
+    """Log-space row n only (streaming build): the rows before it are built
+    and checked, but their logs are skipped, except at block ends."""
+    rows = iter_log_rows(params, n)
+    row = next(rows)
+    with contextlib.suppress(StopIteration):
+        row = rows.send(True)  # row n, the only row after row 0
+        next(rows)  # ends the build
     return row
 
 

@@ -93,8 +93,12 @@ def rate_profile(params: ModelParams, u_grid) -> RateProfile:
 def empirical_rates(params: ModelParams, u_grid, n_list) -> list[list[float]]:
     """Exact finite-N decay rates -(1/N) log p_{N, floor(uN)}.
 
-    Returns one list over `u_grid` per N, in the order of `n_list`.
+    Returns one list over `u_grid` per N, in the order of `n_list`.  A u
+    outside [0, 1] or an N below 1 raises DomainError before any row is built.
     """
+    u_grid, n_list = list(u_grid), list(n_list)  # read once, then once per N
+    if not all(0.0 <= u <= 1.0 for u in u_grid) or not all(n >= 1 for n in n_list):
+        raise DomainError(f"need every u in [0, 1] and every N >= 1, got {u_grid} and {n_list}")
     columns = []
     for n in n_list:
         log_row = final_log_row(params, n)

@@ -1,3 +1,5 @@
+import functools
+import itertools
 import math
 from fractions import Fraction
 
@@ -15,7 +17,7 @@ from wmotzkin import (
     height_distribution,
     log_sum_exp,
 )
-from wmotzkin import exact
+from wmotzkin import cli, exact, ldp
 from wmotzkin.closedform import SingularityMap
 from oracles import brute_force_oracle, exact_log_row
 from corpus import (
@@ -222,12 +224,6 @@ def test_decimal_rows_match_int_rows(params):
     assert rows == [list(map(str, tri.row(n))) for n in range(41)]
 
 
-def test_streaming_matches_full_build():
-    logs = build_triangle(SHOWCASE, 50, "log_space")
-    streamed = final_log_row(SHOWCASE, 50)
-    assert np.array_equal(logs.rows[50], streamed)
-
-
 # ----- log-space rows: zero structure, accuracy, reach ----- #
 
 
@@ -246,19 +242,20 @@ def _assert_log_rows_match_exact(params, n_max, rel_tol):
         assert err.size == 0 or err.max() <= rel_tol, (params, n, err.max())
 
 
+ZERO_STRUCTURE = [
+    ModelParams(1, 1, 2, 0, 1, 1),  # alpha0 = 0: point mass at 0
+    ModelParams(1, 1, 2, 0, 1, 0),  # alpha0 = gamma0 = 0: empty rows
+    ModelParams(1, 0, 2, 3, 0, 1),  # b = beta0 = 0: no down steps
+    ModelParams(2, 0, 0, 1, 0, 0),  # up steps only: one entry per row
+    ModelParams(0, 1, 0, 2, 2, 0),  # c = gamma0 = 0: parity zeros
+    ModelParams(1, 2, 0, 1, 0, 0),  # parity zeros, height 0 never regained
+    DEGENERATE,
+    DEGENERATE_QUADRATIC,
+]
+
+
 @pytest.mark.parametrize(
-    "params",
-    [
-        ModelParams(1, 1, 2, 0, 1, 1),  # alpha0 = 0: point mass at 0
-        ModelParams(1, 1, 2, 0, 1, 0),  # alpha0 = gamma0 = 0: empty rows
-        ModelParams(1, 0, 2, 3, 0, 1),  # b = beta0 = 0: no down steps
-        ModelParams(2, 0, 0, 1, 0, 0),  # up steps only: one entry per row
-        ModelParams(0, 1, 0, 2, 2, 0),  # c = gamma0 = 0: parity zeros
-        ModelParams(1, 2, 0, 1, 0, 0),  # parity zeros, height 0 never regained
-        DEGENERATE,
-        DEGENERATE_QUADRATIC,
-    ],
-    ids=lambda p: ",".join(map(str, p.as_tuple())),
+    "params", ZERO_STRUCTURE, ids=lambda p: ",".join(map(str, p.as_tuple()))
 )
 def test_log_space_zero_structure(params):
     _assert_log_rows_match_exact(params, 120, 1e-12)
@@ -325,7 +322,82 @@ def test_log_space_cap_is_finite():
 
 def test_lost_precision_raises(monkeypatch):
     # Blocks ten times too long let the tail fall out of a double's range
-    # under one column scale; the row check must refuse, not yield -inf.
+    # under one column scale; the row check must refuse, not yield -inf,
+    # at the same row whether every row or the last row alone is asked for.
     monkeypatch.setattr(exact, "_BLOCK_BUDGET", 6000.0)
-    with pytest.raises(AccuracyError):
+    with pytest.raises(AccuracyError, match=r"log-space row \d+ ") as last_only:
         final_log_row(SHOWCASE, 400)
+    with pytest.raises(AccuracyError) as every_row:
+        list(exact.iter_log_rows(SHOWCASE, 400))
+    assert str(last_only.value) == str(every_row.value)
+
+
+# ----- last-row builds: the logs of unread rows are skipped ----- #
+
+
+def _block_lengths(params):
+    """Lengths 0 and 1, and for each of B - 1, B, B + 1 and 3B + 2 the
+    shortest length n at or past it, with B the block size of a build to n
+    (it shrinks as n grows, so n = B itself may not occur)."""
+    lengths = {0, 1}
+    for blocks, extra in ((1, -1), (1, 0), (1, 1), (3, 2)):
+        past = (n for n in itertools.count(1)
+                if n >= blocks * exact._block_size(params, n) + extra)
+        lengths.add(next(past))
+    return sorted(lengths)
+
+
+def test_streaming_matches_full_build():
+    # final_log_row takes no logs of the rows it does not return; its row
+    # must still be the last row of a build that yields every row.
+    for params in CORPUS + ZERO_STRUCTURE:
+        for n in _block_lengths(params):
+            logs = build_triangle(params, n, "log_space")
+            assert len(logs.rows) == n + 1
+            assert np.array_equal(final_log_row(params, n), logs.rows[n]), (params, n)
+
+
+def test_row_builds_pass_through_a_yield_from_wrapper(monkeypatch, capsys):
+    # A span wrapper that forwards the generator with `yield from`, as the
+    # benchmark's tracer around the module's iter_log_rows does: every
+    # final-row caller builds once per N through the module global, with
+    # (params, n), and runs each build to its end rather than closing it.
+    unwrapped = exact.iter_log_rows
+    calls, drained = [], []
+
+    @functools.wraps(unwrapped)
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        yield from unwrapped(*args, **kwargs)
+        drained.append(args)
+
+    def last_row(n):
+        return list(unwrapped(SHOWCASE, n))[-1]
+
+    def traced(fn, *args):
+        calls.clear()
+        drained.clear()
+        with monkeypatch.context() as m:
+            m.setattr(exact, "iter_log_rows", wrapper)
+            result = fn(*args)
+        assert drained == calls
+        return result
+
+    for n in (0, 1, 57, 400):
+        assert np.array_equal(traced(final_log_row, SHOWCASE, n), last_row(n))
+        assert calls == [(SHOWCASE, n)]
+    dist = traced(height_distribution, SHOWCASE, 100)
+    assert calls == [(SHOWCASE, 100)]
+    assert np.array_equal(dist.log_p, height_distribution(SHOWCASE, 100).log_p)
+    u_grid, n_list = [0.0, 0.25, 0.5, 1.0], [50, 100, 200]
+    rates = traced(ldp.empirical_rates, SHOWCASE, u_grid, n_list)
+    assert calls == [(SHOWCASE, n) for n in n_list]
+    assert rates == ldp.empirical_rates(SHOWCASE, u_grid, n_list)
+    argv = ["asym", "--params", " ".join(f"{k}={v}" for k, v in SHOWCASE.to_dict().items()),
+            "--N-list", ",".join(map(str, n_list))]
+    assert traced(cli.main, argv) == 0
+    assert calls == [(SHOWCASE, n) for n in n_list]
+    wrapped_out = capsys.readouterr().out
+    assert cli.main(argv) == 0
+    assert wrapped_out.count("\n") == len(n_list) + 1
+    assert wrapped_out == capsys.readouterr().out

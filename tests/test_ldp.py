@@ -19,6 +19,7 @@ from wmotzkin import (
     rate_function,
     rate_profile,
 )
+from wmotzkin import ldp
 from wmotzkin.ldp import THETA_LIMIT, empirical_rates
 from wmotzkin.saddlepoint import k_window
 from oracles import parametrized_profile, rate_closed_form_double_root
@@ -378,8 +379,18 @@ def test_empirical_rate_rows():
     u_grid = [0.15, 0.5, 0.85]
     rates = rate_profile(SHOWCASE, u_grid).rate
     emp_200, emp_400 = empirical_rates(SHOWCASE, u_grid, [200, 400])
+    assert empirical_rates(SHOWCASE, iter(u_grid), iter([200, 400])) == [emp_200, emp_400]
     for rate, e200, e400 in zip(rates, emp_200, emp_400):
         assert abs(e400 - rate) < abs(e200 - rate)
+
+
+@pytest.mark.parametrize("u, n", [(-0.1, 100), (1.1, 100), (0.5, 0), (math.nan, 100)])
+def test_empirical_rates_refuse_bad_input(u, n, monkeypatch):
+    # A negative u would wrap the row index and return a rate; every bad
+    # input is refused before any row is built.
+    monkeypatch.setattr(ldp, "final_log_row", None)
+    with pytest.raises(DomainError, match=r"u in \[0, 1\] and every N >= 1"):
+        empirical_rates(SHOWCASE, [0.5, u], [50, n])
 
 
 def test_empirical_rate_at_typical_value():
