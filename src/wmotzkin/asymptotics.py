@@ -54,6 +54,8 @@ def log_pn_quadratic(params: ModelParams, x: float, n: int) -> AsymptoticEstimat
 def asymptotic_moments(params: ModelParams, n: int) -> tuple[float, float]:
     """Leading-order mean and variance for A > 0: n*F'(0) and n*F''(0), F the
     limit CGF (`SingularityMap.cgf`), or n - c0/A and c0/A at a double root r = 0."""
+    if n < 1:
+        raise DomainError(f"n must be >= 1, got {n}")
     return _moments(require(params, QUADRATIC), SingularityMap(params), n)
 
 
@@ -105,8 +107,8 @@ def log_pn_constant_drift_exact(params: ModelParams, x: float, n: int) -> float:
     With Y = 0 this is the closed power form n*log(alpha0*x + gamma0).
     """
     regime = require(params, (DriftKind.CONSTANT,), degenerate="weighted")
-    if not x > 0:
-        raise DomainError(f"x must be positive, got {x}")
+    if not 0 < x < math.inf or n < 0:
+        raise DomainError(f"need a positive finite x and n >= 0, got x={x} and n={n}")
     X = params.alpha0 * x + params.gamma0
     Y = params.alpha0 * regime.coeffs.C
     if Y == 0.0:

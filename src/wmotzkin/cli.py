@@ -54,8 +54,10 @@ EGF_HEADER = "x,n,coeff_exact,coeff_egf,rel_err"
 
 # Rows per group of a flat table: large enough to amortise a group's %
 # operation, small enough that its cells and text stay well under a
-# megabyte, which peak memory shows (1,024 rows peak 4.5 MB above 256 on
-# the tables benchmark).
+# megabyte.  Peak RSS on the showcase (2 vCPU, py3.11): `dist --n 20000`
+# 33.6 MB in 256-row groups against 37.1 MB as one group (JSON: 33.2
+# against 44.2 MB), `saddle --n 20000` 38.6 against 43.0 MB.  Triangles
+# stream one group per row, so only these long flat tables feel it.
 CHUNK_ROWS = 256
 
 # How json.dumps spells the non-finite floats.
@@ -98,25 +100,9 @@ def _list_of(kind):
     return parse
 
 
-def _check_window(n: int, epsilon: float) -> None:
-    """Raise ConfigError when [epsilon*n, (1-epsilon)*n] holds no integer k."""
-    if not k_window(n, epsilon):
-        raise ConfigError(
-            f"--n {n} with --epsilon {epsilon} leaves no integer k in "
-            "[epsilon*n, (1-epsilon)*n]"
-        )
-
-
 # ----- SVG emission ----- #
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
-
-
-@dataclass(frozen=True)
-class Series:
-    name: str
-    x: tuple
-    y: tuple
 
 
 def _svg_text(x, y, anchor: str, body, size: int = 10, fill: str = "") -> str:
@@ -127,26 +113,16 @@ def _svg_text(x, y, anchor: str, body, size: int = 10, fill: str = "") -> str:
     )
 
 
-def svg_plot(series: list[Series], scale: str = "linear", title: str = "") -> str:
-    """The document of a standalone deterministic SVG that draws each named
-    series as a polyline.
-
-    With scale="log10" the y values are log-transformed; nonpositive or
-    non-finite points are dropped.
-    """
-    if scale not in ("linear", "log10"):
-        raise ConfigError(f"scale must be linear or log10, got {scale!r}")
-    cleaned: list[tuple[str, list[tuple[float, float]]]] = []
-    for s in series:
-        if len(s.x) != len(s.y):
-            raise ConfigError(f"series {s.name!r} has mismatched x/y lengths")
-        points = []
-        for xv, yv in zip(s.x, s.y):
-            yv = float(yv)
-            if not math.isfinite(yv) or (scale == "log10" and yv <= 0.0):
-                continue
-            points.append((float(xv), math.log10(yv) if scale == "log10" else yv))
-        cleaned.append((s.name, points))
+def svg_plot(header: str, rows: Sequence[Sequence], title: str) -> str:
+    """The document of a standalone deterministic SVG that draws each column
+    of a table after the first against the first: one polyline per column,
+    named by its `header` field.  Non-finite points are dropped."""
+    names = header.split(",")[1:]
+    cleaned = [
+        (name, [(float(row[0]), float(row[j])) for row in rows
+                if math.isfinite(row[0]) and math.isfinite(row[j])])
+        for j, name in enumerate(names, 1)
+    ]
     all_points = [p for _, points in cleaned for p in points]
     if not all_points:
         raise ConfigError("svg_plot received no plottable point")
@@ -172,10 +148,7 @@ def svg_plot(series: list[Series], scale: str = "linear", title: str = "") -> st
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
         f'height="{height}" viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
-    ]
-    if title:
-        lines.append(_svg_text(width // 2, 18, "middle", title, size=13))
-    lines += [  # axes
+        _svg_text(width // 2, 18, "middle", title, size=13),
         f'<line x1="{left}" y1="{base}" x2="{width - right}" y2="{base}" stroke="black"/>',
         f'<line x1="{left}" y1="{top}" x2="{left}" y2="{base}" stroke="black"/>',
     ]
@@ -389,26 +362,39 @@ def _run_asym(args) -> Table:
     return Table(ASYM_HEADER, _flat(rows), {"x": args.x})
 
 
-def _profile_log10(rows) -> list[tuple]:
-    """(k, log10 exact, log10 Daniels, log10 Gaussian) of each profile row."""
-    return [
+def _profile(args) -> tuple[list, list[tuple]]:
+    """The profile rows at --n over the --epsilon window, and each as (k,
+    log10 exact, log10 Daniels, log10 Gaussian); ConfigError when the
+    window holds no integer k."""
+    if not k_window(args.n, args.epsilon):
+        raise ConfigError(
+            f"--n {args.n} with --epsilon {args.epsilon} leaves no integer k in "
+            "[epsilon*n, (1-epsilon)*n]"
+        )
+    rows = profile(args.params, args.n, args.epsilon)
+    return rows, [
         (r.k, r.log_p_exact / LOG10, r.log_p_daniels / LOG10, r.log_p_gaussian / LOG10)
         for r in rows
     ]
 
 
+def _rates(args) -> tuple[ldp.RateProfile, list[list[float]], str]:
+    """The --u-grid rate profile, the exact rates at each --N-list N, and
+    the `,emp_N` header fields of those columns."""
+    prof = ldp.rate_profile(args.params, args.u_grid)
+    columns = ldp.empirical_rates(args.params, args.u_grid, args.n_list)
+    return prof, columns, "".join(f",emp_{n}" for n in args.n_list)
+
+
 def _run_saddle(args) -> Table:
-    _check_window(args.n, args.epsilon)
-    rows = _profile_log10(profile(args.params, args.n, args.epsilon))
+    _, rows = _profile(args)
     return Table(PROFILE_HEADER, _flat(rows), {"n": args.n, "epsilon": args.epsilon})
 
 
 def _run_ldp(args) -> Table:
-    prof = ldp.rate_profile(args.params, args.u_grid)
-    columns = ldp.empirical_rates(args.params, args.u_grid, args.n_list)
-    header = LDP_HEADER_BASE + "".join(f",emp_{n}" for n in args.n_list)
+    prof, columns, emp = _rates(args)
     rows = zip(args.u_grid, prof.theta.tolist(), prof.rate.tolist(), *columns)
-    return Table(header, _flat(rows), {"N_list": args.n_list})
+    return Table(LDP_HEADER_BASE + emp, _flat(rows), {"N_list": args.n_list})
 
 
 def _run_egf_check(args) -> Table:
@@ -425,56 +411,36 @@ def _run_egf_check(args) -> Table:
 
 
 def _run_figures(args) -> None:
-    """Compute every figure table (and plot, with --format svg), then write
-    them under --out and print their paths."""
-    _check_window(args.n, args.epsilon)
-    params, n, u_grid, n_list = args.params, args.n, args.u_grid, args.n_list
-
-    rows = profile(params, n, args.epsilon)
-    rates = ldp.rate_profile(params, [r.k / n for r in rows]).rate.tolist()
-    line = [-n * rate / LOG10 for rate in rates]
-    u_rates = ldp.rate_profile(params, u_grid).rate.tolist()
-    columns = ldp.empirical_rates(params, u_grid, n_list)
+    """Compute every figure table (and with --format svg its plot), then
+    write them under --out and print their paths."""
+    rows, log10_rows = _profile(args)
+    n = args.n
+    rates = ldp.rate_profile(args.params, [r.k / n for r in rows]).rate.tolist()
+    prof, columns, emp = _rates(args)
     linear = [
         (r.k, math.exp(r.log_p_exact), math.exp(r.log_p_daniels), math.exp(r.log_p_gaussian))
         for r in rows
     ]
-    tables = {
-        "profile_linear.csv": Table(PROFILE_LINEAR_HEADER, _flat(linear)),
-        # Log-scale profile with the rate line -n I(u) / log 10.
-        "profile_log.csv": Table(
-            PROFILE_LOG_HEADER, _flat((*row, y) for row, y in zip(_profile_log10(rows), line))
-        ),
-        "rate_scaling.csv": Table(
-            "u,I" + "".join(f",emp_{m}" for m in n_list),
-            _flat(zip(u_grid, u_rates, *columns)),
-        ),
+    # Log-scale profile with the rate line -n I(u) / log 10.
+    log = [(*row, -n * rate / LOG10) for row, rate in zip(log10_rows, rates)]
+    scaling = list(zip(args.u_grid, prof.rate.tolist(), *columns))
+    tables = {  # file stem: (header, rows, plot title)
+        "profile_linear": (PROFILE_LINEAR_HEADER, linear, "terminal-height profile"),
+        "profile_log": (PROFILE_LOG_HEADER, log, "terminal-height profile (log scale)"),
+        "rate_scaling": ("u,I" + emp, scaling, "rate scaling"),
     }
-    plots = {}
+    files = {f"{stem}.csv": Table(head, _flat(body)) for stem, (head, body, _) in tables.items()}
     if args.format == "svg":
-        ks = tuple(r.k for r in rows)
-        curves = [
-            Series(name, ks, tuple(row[i] for row in linear))
-            for name, i in (("exact", 1), ("gaussian", 3), ("daniels", 2))
-        ]
-        rate_series = [
-            Series(f"N={m}", tuple(u_grid), tuple(col)) for m, col in zip(n_list, columns)
-        ] + [Series("I(u)", tuple(u_grid), tuple(u_rates))]
-        plots = {
-            "profile_linear.svg": svg_plot(curves, "linear", "terminal-height profile"),
-            "profile_log.svg": svg_plot(
-                curves, "log10", "terminal-height profile (log scale)"
-            ),
-            "rate_scaling.svg": svg_plot(rate_series, "linear", "rate scaling"),
-        }
+        files.update((f"{stem}.svg", svg_plot(*table)) for stem, table in tables.items())
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for name, table in tables.items():
-        _write_csv(table, out_dir / name)
-    for name, plot in plots.items():
-        (out_dir / name).write_text(plot)
-    print("\n".join(str(out_dir / name) for name in [*tables, *plots]))
+    for name, item in files.items():
+        if isinstance(item, Table):
+            _write_csv(item, out_dir / name)
+        else:
+            (out_dir / name).write_text(item)
+    print("\n".join(str(out_dir / name) for name in files))
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -204,7 +204,8 @@ class EgfEvaluator:
         node j of N is node 2j of 2N bit for bit (2*pi*(2j) is an exact
         doubling, and cos, sin and the closed form work element by element),
         so the kept samples are those a fresh rule would compute.  A radius
-        whose power rho^(n_terms - 1) underflows to 0 raises DomainError.
+        whose power rho^(n_terms - 1) underflows to 0, or a sample that is
+        not finite, raises DomainError.
         """
         powers = rho ** np.arange(n_terms)
         if not powers[-1] > 0:
@@ -212,7 +213,11 @@ class EgfEvaluator:
 
         def sample(first: int, stride: int, nodes: int) -> np.ndarray:
             phi = _TWO_PI * np.arange(first, nodes, stride) / nodes
-            return self._eval_complex(x, rho * (np.cos(phi) + 1j * np.sin(phi)))
+            with np.errstate(all="ignore"):
+                values = self._eval_complex(x, rho * (np.cos(phi) + 1j * np.sin(phi)))
+            if not np.isfinite(values).all():
+                raise DomainError(f"the closed form at x={x} is not finite on |t| = {rho:g}")
+            return values
 
         previous = None
         nodes = 64

@@ -94,22 +94,32 @@ class ModelParams:
             raise ConfigError("empty parameter string")
         if stripped.startswith("{"):
             try:
-                data = json.loads(stripped)
+                data = json.loads(stripped, object_pairs_hook=_unique_keys)
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"invalid JSON parameters: {exc}") from exc
             if not isinstance(data, dict):
                 raise ConfigError("JSON parameters must be an object")
             return cls.from_dict(data)
-        data = {}
+        pairs = []
         for token in stripped.replace(",", " ").split():
             key, sep, value = token.partition("=")
             if not sep:
                 raise ConfigError(f"expected key=value, got {token!r}")
             try:
-                data[key.strip()] = int(value)
+                pairs.append((key.strip(), int(value)))
             except ValueError as exc:
                 raise ConfigError(f"{key} must be an integer, got {value!r}") from exc
-        return cls.from_dict(data)
+        return cls.from_dict(_unique_keys(pairs))
+
+
+def _unique_keys(pairs: Iterable[tuple[str, object]]) -> dict:
+    """`pairs` as a dict; ConfigError when a key repeats."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ConfigError(f"parameter key {key!r} is given more than once")
+        data[key] = value
+    return data
 
 
 def is_balanced(params: ModelParams) -> bool:

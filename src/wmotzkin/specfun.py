@@ -43,10 +43,10 @@ def lambert_w0(z: float) -> float:
 
     Seeds: the Maclaurin series for small z and log(z) - log(log(z)) for
     large z (Corless et al. 1996); Halley iterations then polish to ~1e-15
-    relative.  z < 0 and NaN raise DomainError.
+    relative.  z < 0, z = inf and NaN raise DomainError.
     """
-    if not z >= 0:
-        raise DomainError(f"lambert_w0 requires z >= 0, got {z}")
+    if not 0 <= z < math.inf:
+        raise DomainError(f"lambert_w0 requires a finite z >= 0, got {z}")
     if z == 0.0:
         return 0.0
 

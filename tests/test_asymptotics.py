@@ -134,6 +134,20 @@ def test_regime_and_balance_errors():
             log_pn_linear_drift(LINEAR_BALANCED, x, 10)
 
 
+# Each of these returned a confident wrong number before it was refused.
+@pytest.mark.parametrize("call", [
+    lambda: asymptotic_moments(ModelParams(1, 0, 0, 2, 0, 1), 0),  # mean -1.0 at r = 0
+    lambda: asymptotic_moments(SHOWCASE, -3),  # (-0.91, -0.58)
+    lambda: log_pn_constant_drift_exact(ModelParams(0, 0, 0, 2, 0, 3), 1.0, -1),  # -1.609
+    lambda: log_pn_constant_drift_exact(ModelParams(0, 0, 0, 2, 0, 3), math.inf, 5),  # inf
+    lambda: lambert_w0(math.inf),  # nan
+], ids=["moments_n0_double_root", "moments_negative_n", "constant_exact_negative_n",
+        "constant_exact_infinite_x", "lambert_w0_inf"])
+def test_out_of_domain_input_refused(call):
+    with pytest.raises(DomainError):
+        call()
+
+
 def test_quadratic_with_alpha0_zero_is_degenerate():
     # a > 0 does not help: the walk cannot leave height 0.
     assert DEGENERATE_QUADRATIC.is_degenerate

@@ -22,7 +22,6 @@ from wmotzkin.cli import (
     TRIANGLE_HEADER_EXACT,
     TRIANGLE_HEADER_LOG,
     ConfigError,
-    Series,
     main,
     svg_plot,
 )
@@ -165,7 +164,28 @@ def test_figures_svg(tmp_path, capsys):
     )
     assert code == 0
     doc = (tmp_path / "profile_linear.svg").read_text()
-    assert doc.count("<polyline") == 3  # exact, gaussian, daniels
+    assert doc.count("<polyline") == 3  # p_exact, p_daniels, p_gaussian
+
+
+def test_figures_svg_draws_its_tables(tmp_path, capsys):
+    # Each SVG draws the CSV beside it: one polyline per column after the
+    # first, named by its header field.  At n = 1000 the exact and Daniels
+    # tails underflow a double, and profile_log.svg still draws every row.
+    code, out, _ = run_main(["figures", "--params", SHOWCASE_ARG, "--n", "1000",
+                             "--format", "svg", "--out", str(tmp_path)], capsys)
+    assert code == 0
+    stems = ("profile_linear", "profile_log", "rate_scaling")
+    assert out.splitlines() == [str(tmp_path / f"{stem}.{ext}")
+                                for ext in ("csv", "svg") for stem in stems]
+    for stem in stems:
+        header, *rows = (tmp_path / f"{stem}.csv").read_text().splitlines()
+        doc = (tmp_path / f"{stem}.svg").read_text()
+        polylines = re.findall(r'points="([^"]*)"', doc)
+        names = header.split(",")[1:]
+        assert len(polylines) == len(names), stem
+        assert re.findall(r">([^<]*)</text>", doc)[-len(names):] == names, stem
+        if stem == "profile_log":
+            assert [len(points.split()) for points in polylines] == [len(rows)] * 4
 
 
 def test_exit_codes(tmp_path, capsys):
@@ -248,6 +268,8 @@ A0_CONSTANT = "a=0 b=0 c=0 alpha0=2 beta0=0 gamma0=3"
     (["egf-check", "--params", A0_CONSTANT, "--x", "1e300"], 3),
     # a contour radius whose powers underflow
     (["egf-check", "--params", SHOWCASE_ARG, "--x", "1e300"], 3),
+    # a closed form that is not finite on the contour
+    (["egf-check", "--params", SHOWCASE_ARG, "--x", "1e20"], 3),
 ])
 def test_error_exits_without_traceback(args, expected, capsys):
     with warnings.catch_warnings():
@@ -255,6 +277,16 @@ def test_error_exits_without_traceback(args, expected, capsys):
         code, out, err = run_main(args, capsys)
     assert (code, out) == (expected, "")
     assert err.startswith("error: " if expected == 2 else "numeric-domain error: ")
+
+
+@pytest.mark.parametrize("params", [
+    "a=1 a=2 b=5 c=6 alpha0=8 beta0=5 gamma0=1",
+    '{"a": 1, "a": 2, "b": 5, "c": 6, "alpha0": 8, "beta0": 5, "gamma0": 1}',
+], ids=["inline", "json"])
+def test_repeated_parameter_key_refused(params, capsys):
+    code, out, err = run_main(["dist", "--params", params, "--n", "3"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: parameter key 'a' is given more than once\n"
 
 
 def test_long_inline_params_run(capsys):
@@ -513,27 +545,28 @@ def test_streamed_capacity_error_removes_out_file(tmp_path, capsys, monkeypatch)
 
 
 def test_svg_single_series_single_polyline():
-    doc = svg_plot([Series("line", (0.0, 1.0), (2.0, 3.0))])
+    doc = svg_plot("x,line", [(0.0, 2.0), (1.0, 3.0)], "t")
     assert doc.count("<polyline") == 1
     assert doc.startswith("<svg ")
+    assert ">line</text>" in doc  # the legend is the header field
 
 
-def test_svg_log_scale_drops_zeros():
-    doc = svg_plot(
-        [Series("p", (0.0, 1.0, 2.0), (0.5, 0.0, 2.0))], scale="log10"
-    )
-    assert doc.count("<polyline") == 1
-    points = re.search(r'points="([^"]*)"', doc).group(1)
-    assert len(points.split()) == 2
+def test_svg_drops_non_finite_cells():
+    rows = [(0, -0.5, 1.0), (1, -math.inf, 2.0), (2, math.nan, math.inf), (3, 0.25, 3.0)]
+    doc = svg_plot("k,a,b", rows, "t")
+    polylines = re.findall(r'points="([^"]*)"', doc)
+    assert [len(points.split()) for points in polylines] == [2, 3]
 
 
 def test_svg_empty_series_error():
     with pytest.raises(ConfigError):
-        svg_plot([])
+        svg_plot("x", [(0.0,), (1.0,)], "t")
     with pytest.raises(ConfigError):
-        svg_plot([Series("p", (), ())])
+        svg_plot("x,p", [], "t")
+    with pytest.raises(ConfigError):
+        svg_plot("x,p", [(0.0, math.nan)], "t")
 
 
 def test_svg_deterministic():
-    series = [Series("a", (0, 1, 2), (5.0, 2.5, 1.25))]
-    assert svg_plot(series) == svg_plot(series)
+    rows = [(0, 5.0), (1, 2.5), (2, 1.25)]
+    assert svg_plot("x,a", rows, "t") == svg_plot("x,a", rows, "t")
