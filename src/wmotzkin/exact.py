@@ -4,11 +4,11 @@ The triangle row recurrence is
 
     w[n+1][k] = alpha_{k-1} w[n][k-1] + gamma_k w[n][k] + beta_k w[n][k+1]
 
-with w[0][0] = 1 and out-of-range entries zero.  Two representations are
-supported: exact arbitrary-precision integers (weights grow factorially for
-height-linear multiplicities) and log-space doubles, which carry n into the
-tens of thousands.  Log-space rows are computed in linear space under
-per-column scales (see `iter_log_rows`); zero weights map to -inf.
+with w[0][0] = 1 and out-of-range entries zero.  Exact arbitrary-precision
+integers (weights grow factorially for height-linear multiplicities) fill
+`build_triangle`; log-space doubles, which carry n into the tens of
+thousands, come from `iter_log_rows` alone, in linear space under
+per-column scales; zero weights map to -inf.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import contextlib
 import math
 from dataclasses import dataclass
-from typing import Iterator, Literal
+from typing import Iterator
 
 import numpy as np
 
@@ -24,18 +24,16 @@ from .errors import AccuracyError, CapacityError, DomainError
 from .model import ModelParams
 from .specfun import LOG_ZERO, log_sum_exp
 
-Representation = Literal["exact", "log_space"]
-
 # Default budget on the total stored integer size of an exact build (bits).
 DEFAULT_BIT_BUDGET = 1 << 30
 
 
 @dataclass
 class Triangle:
-    """Weight array rows[n][k] from row 0 on, in one representation."""
+    """Exact weight array rows[n][k] from row 0 on."""
 
-    representation: Representation
-    rows: list  # list[list[int]] for "exact", list[np.ndarray] for "log_space"
+    representation = "exact"  # not a field: perfbench/tracing.py reads it
+    rows: list[list[int]]
 
     def row(self, n: int):
         if not 0 <= n < len(self.rows):
@@ -86,7 +84,7 @@ def _block_size(params: ModelParams, n_max: int) -> int:
     """
     p = params
     w = (p.a + p.b + p.c) * (n_max + 1) + p.alpha0 + p.beta0 + p.gamma0
-    per_step = math.log(3.0 * max(w, 1) ** 2 * (n_max + 1))
+    per_step = math.log(3 * max(w, 1) ** 2 * (n_max + 1))
     return max(1, int(_BLOCK_BUDGET / per_step))
 
 
@@ -109,17 +107,21 @@ def iter_log_rows(params: ModelParams, n_max: int) -> Iterator[np.ndarray]:
     beta_k e^{s_{k+1}-s_k}, then a division of u by the power of two that
     puts its maximum in [1/2, 1), which c records.  Structural zeros stay
     exactly 0 (-inf).  A nonzero entry that falls below 2^-960 of the row
-    maximum raises AccuracyError rather than yield a wrong row.  Sending
-    True after row 0 asks for row n_max alone: every row is still built and
-    checked, but only block ends (the next scale) and row n_max get logs.
+    maximum raises AccuracyError rather than yield a wrong row; a step weight
+    past the doubles, DomainError.  Sending True after row 0 asks for row
+    n_max alone: every row is still built and checked, but only block ends
+    (the next scale) and row n_max get logs.
     """
     if n_max < 0:
         raise DomainError(f"n_max must be nonnegative, got {n_max}")
     k = np.arange(n_max + 1, dtype=float)
-    with np.errstate(divide="ignore"):
-        log_up = np.log(params.a * k + params.alpha0)
-        log_down = np.log(params.b * k + params.beta0)
-    level = params.c * k + params.gamma0
+    try:
+        with np.errstate(divide="ignore", over="raise"):
+            log_up = np.log(params.a * k + params.alpha0)
+            log_down = np.log(params.b * k + params.beta0)
+            level = params.c * k + params.gamma0
+    except (OverflowError, FloatingPointError):
+        raise DomainError(f"step weights of {params.as_tuple()} leave the doubles") from None
     block = _block_size(params, n_max)
     row = np.zeros(1)
     last_only = yield row
@@ -169,11 +171,8 @@ def iter_log_rows(params: ModelParams, n_max: int) -> Iterator[np.ndarray]:
                 raise _precision_lost(params, n)
             if last_only and step + 1 < steps:
                 continue  # no one reads this row's logs
-            if support == n + 1:
+            with np.errstate(divide="ignore"):  # structural zeros become -inf
                 row = np.log(new[: n + 1])
-            else:  # structural zeros become -inf
-                with np.errstate(divide="ignore"):
-                    row = np.log(new[: n + 1])
             row += s[: n + 1]
             row += exponent * _LOG2
             if not last_only or n == n_max:
@@ -196,6 +195,8 @@ def _exact_rows(params: ModelParams, n_max: int, one, arithmetic=contextlib.null
 
     `arithmetic()` is entered around each row's arithmetic and never across
     a yield, so a context it sets is not in force while the caller runs."""
+    if n_max < 0:
+        raise DomainError(f"n_max must be nonnegative, got {n_max}")
     with arithmetic():
         zero = one * 0
         # ups[k] multiplies row[k - 1]; row[-1] is zero.
@@ -217,8 +218,6 @@ def iter_int_rows(params: ModelParams, n_max: int,
     """Yield the int rows 0..n_max, two rows in memory.  CapacityError at the
     first row whose running integer size (row 0 counts one bit) passes
     `bit_budget` bits."""
-    if n_max < 0:
-        raise DomainError(f"n_max must be nonnegative, got {n_max}")
     bits_used = 1
     for n, row in enumerate(_exact_rows(params, n_max, 1)):
         if n:
@@ -226,7 +225,7 @@ def iter_int_rows(params: ModelParams, n_max: int,
             if bits_used > bit_budget:
                 raise CapacityError(
                     f"exact triangle exceeds {bit_budget} bits at row {n}; "
-                    "use representation='log_space' or raise bit_budget"
+                    "use the log-space rows (iter_log_rows) or raise bit_budget"
                 )
         yield row
 
@@ -240,8 +239,6 @@ def iter_decimal_rows(params: ModelParams, n_max: int) -> Iterator[list[str]]:
     """Yield exact rows 0..n_max as the digit strings of the int rows, two
     rows in memory: str() of a Decimal takes linear time, of an int quadratic."""
     import decimal  # deferred: its import costs 2 ms and 0.5 MB, needed only here
-    if n_max < 0:
-        raise DomainError(f"n_max must be nonnegative, got {n_max}")
     # Decimal arithmetic that never rounds: any inexact step raises.
     exact = decimal.Context(
         prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
@@ -252,21 +249,10 @@ def iter_decimal_rows(params: ModelParams, n_max: int) -> Iterator[list[str]]:
         yield list(map(str, row))
 
 
-def build_triangle(
-    params: ModelParams,
-    n_max: int,
-    representation: Representation = "exact",
-    bit_budget: int = DEFAULT_BIT_BUDGET,
-) -> Triangle:
-    """Build rows 0..n_max of the weight triangle.
-
-    Exact builds list `iter_int_rows` under `bit_budget`.
-    """
-    if representation == "log_space":
-        return Triangle(representation, list(iter_log_rows(params, n_max)))
-    if representation != "exact":
-        raise DomainError(f"unknown representation {representation!r}")
-    return Triangle("exact", list(iter_int_rows(params, n_max, bit_budget)))
+def build_triangle(params: ModelParams, n_max: int,
+                   bit_budget: int = DEFAULT_BIT_BUDGET) -> Triangle:
+    """Rows 0..n_max of the exact weight triangle: `iter_int_rows`, listed."""
+    return Triangle(list(iter_int_rows(params, n_max, bit_budget)))
 
 
 @dataclass

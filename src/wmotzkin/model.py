@@ -79,7 +79,7 @@ class ModelParams:
             raise ConfigError(f"missing parameter keys: {sorted(missing)}")
         try:
             values = {name: int(data[name]) for name in PARAM_NAMES}
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"parameter values must be integers: {exc}") from exc
         for name in PARAM_NAMES:
             if values[name] != data[name] or isinstance(data[name], bool):
@@ -200,10 +200,17 @@ def classify(params: ModelParams) -> Regime:
 
     The branch is decided on the exact integer discriminant, so regime
     selection never suffers floating-point ambiguity; the derived root
-    constants are double precision.
+    constants are double precision, so DomainError when a parameter or the
+    discriminant is not a finite double.
     """
     coeffs = DriftCoefficients(A=params.a, B=params.c, C=params.b)
     A, B, delta = coeffs.A, coeffs.B, coeffs.delta
+    try:
+        for value in (*params.as_tuple(), delta):
+            float(value)
+    except OverflowError:
+        raise DomainError(f"a coefficient or B^2 - 4AC of {params.as_tuple()} "
+                          "is not a finite double") from None
     fields = {}
     if A == 0:
         kind = DriftKind.LINEAR if B else DriftKind.CONSTANT

@@ -270,6 +270,13 @@ A0_CONSTANT = "a=0 b=0 c=0 alpha0=2 beta0=0 gamma0=3"
     (["egf-check", "--params", SHOWCASE_ARG, "--x", "1e300"], 3),
     # a closed form that is not finite on the contour
     (["egf-check", "--params", SHOWCASE_ARG, "--x", "1e20"], 3),
+    # coefficients past the doubles: step weights, then the regime constants
+    (["dist", "--params", f"a={10**400} b=1 c=1 alpha0=1 beta0=1 gamma0=1", "--n", "200"], 3),
+    (["asym", "--params", f"a={10**400} b=1 c=1 alpha0=1 beta0=1 gamma0=1"], 3),
+    (["egf-check", "--params", f"a=0 b=0 c=0 alpha0={10**400} beta0=0 gamma0=1"], 3),
+    # a JSON parameter that no integer equals
+    (["dist", "--params", '{"a": Infinity, "b": 1, "c": 1, "alpha0": 1, "beta0": 1, '
+      '"gamma0": 1}', "--n", "3"], 2),
 ])
 def test_error_exits_without_traceback(args, expected, capsys):
     with warnings.catch_warnings():
@@ -296,6 +303,14 @@ def test_long_inline_params_run(capsys):
     code, out, _ = run_main(["triangle", "--params", params, "--n", "3"], capsys)
     assert code == 0
     assert out.splitlines()[-1].endswith(f",{(a + 1) * (2 * a + 1)}")  # w(3, 3)
+
+
+def test_large_coefficient_runs_in_log_space(capsys):
+    # the block size's weight bound squares a = 1e160 past the doubles
+    params = f"a={10**160} b=1 c=1 alpha0=1 beta0=1 gamma0=1"
+    code, out, err = run_main(["dist", "--params", params, "--n", "200"], capsys)
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == 202
 
 
 def test_capacity_exit_code(capsys, monkeypatch):

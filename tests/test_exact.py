@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from wmotzkin import (
     AccuracyError,
     CapacityError,
+    DomainError,
     LOG_ZERO,
     ModelParams,
     build_triangle,
@@ -131,13 +132,13 @@ def test_polynomial_eval():
 
 def test_log_space_matches_exact():
     for params in CORPUS:
-        exact = build_triangle(params, 60)
-        logs = build_triangle(params, 60, "log_space")
+        exact_tri = build_triangle(params, 60)
+        logs = list(exact.iter_log_rows(params, 60))
         for n in (10, 30, 60):
-            reference = exact_log_row(exact, n)
-            got = logs.rows[n]
+            reference = exact_log_row(exact_tri, n)
+            got = logs[n]
             for k in range(n + 1):
-                if exact.row(n)[k] == 0:
+                if exact_tri.row(n)[k] == 0:
                     assert got[k] == LOG_ZERO
                 elif n <= 30:
                     assert abs(got[k] - reference[k]) <= 1e-12
@@ -231,9 +232,9 @@ def _assert_log_rows_match_exact(params, n_max, rel_tol):
     """Every log-space row equals the logs of the big-int row: zeros exactly
     -inf, every other entry finite and within rel_tol * max(1, |L|)."""
     exact_tri = build_triangle(params, n_max)
-    logs = build_triangle(params, n_max, "log_space")
+    logs = list(exact.iter_log_rows(params, n_max))
     for n in range(n_max + 1):
-        got = logs.rows[n]
+        got = logs[n]
         zero = np.array([w == 0 for w in exact_tri.row(n)])
         assert np.all(got[zero] == LOG_ZERO), (params, n)
         assert np.all(np.isfinite(got[~zero])), (params, n)
@@ -347,14 +348,22 @@ def _block_lengths(params):
     return sorted(lengths)
 
 
+@pytest.mark.parametrize("rows", [exact.iter_log_rows, exact.iter_int_rows,
+                                  exact.iter_decimal_rows])
+def test_negative_n_max_refused_at_first_row(rows):
+    stream = rows(SHOWCASE, -1)  # nothing is checked before the first row
+    with pytest.raises(DomainError, match="^n_max must be nonnegative, got -1$"):
+        next(stream)
+
+
 def test_streaming_matches_full_build():
     # final_log_row takes no logs of the rows it does not return; its row
     # must still be the last row of a build that yields every row.
     for params in CORPUS + ZERO_STRUCTURE:
         for n in _block_lengths(params):
-            logs = build_triangle(params, n, "log_space")
-            assert len(logs.rows) == n + 1
-            assert np.array_equal(final_log_row(params, n), logs.rows[n]), (params, n)
+            logs = list(exact.iter_log_rows(params, n))
+            assert len(logs) == n + 1
+            assert np.array_equal(final_log_row(params, n), logs[n]), (params, n)
 
 
 def test_row_builds_pass_through_a_yield_from_wrapper(monkeypatch, capsys):
