@@ -52,7 +52,6 @@ from .specfun import (
     LOG_ZERO,
     CgfValues,
     lambert_w0,
-    log_sum_exp,
 )
 
 __version__ = "0.1.0"

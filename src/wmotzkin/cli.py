@@ -22,15 +22,12 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-import numpy as np
-
 from . import asymptotics, exact, ldp
 from .closedform import EgfEvaluator
 from .errors import CapacityError, ConfigError, MotzkinError
-from .exact import build_triangle, final_log_row, _distribution_from_log_row
+from .exact import build_triangle
 from .model import ModelParams
-from .saddlepoint import k_window, profile
-from .specfun import log_sum_exp
+from .saddlepoint import CumulantEvaluator, k_window, profile
 
 LOG10 = math.log(10.0)
 
@@ -351,14 +348,11 @@ def _run_dist(args) -> Table:
 def _run_asym(args) -> Table:
     rows = []
     for n in args.n_list:
-        log_row = final_log_row(args.params, n)
-        k = np.arange(n + 1, dtype=float)
-        log_exact = log_sum_exp(log_row + k * math.log(args.x))
-        dist = _distribution_from_log_row(n, log_row)
+        # log P_n(x) = kappa_n(log x); the exact moments are kappa_n'(0), kappa_n''(0).
+        ev = CumulantEvaluator.from_params(args.params, n)
+        log_exact, at_zero = ev.kappa(math.log(args.x)).value, ev.at_zero
         est = asymptotics.log_pn_estimate(args.params, args.x, n)
-        rows.append(
-            (n, log_exact, est.log_pn, dist.mean, est.mu, dist.variance, est.sigma2)
-        )
+        rows.append((n, log_exact, est.log_pn, at_zero.deriv1, est.mu, at_zero.deriv2, est.sigma2))
     return Table(ASYM_HEADER, _flat(rows), {"x": args.x})
 
 

@@ -183,18 +183,21 @@ class EgfEvaluator:
         the quadratic regimes; for A = 0 (entire in t) each coefficient gets
         its own saddle-tuned radius.  Node counts double until successive
         estimates agree to 1e-10; failure to converge raises AccuracyError.
+        So does a stabilized coefficient 0 off P_0(x) = 1 by more than 1e-8.
         """
         if not 1 <= n_terms <= 30:
             raise DomainError(f"n_terms must be in 1..30, got {n_terms}")
         if not x > 0:
             raise DomainError(f"x must be positive, got {x}")
         if self.regime.is_quadratic:
-            rho = 0.5 * self.singularities.tau(x)
-            return self._contour_coefficients(x, rho, n_terms)
-        out = np.empty(n_terms)
-        for n in range(n_terms):
-            rho = modulus_saddle(self.params, x, n).t
-            out[n] = self._contour_coefficients(x, rho, n + 1)[n]
+            out = self._contour_coefficients(x, 0.5 * self.singularities.tau(x), n_terms)
+        else:
+            out = np.empty(n_terms)
+            for n in range(n_terms):
+                rho = modulus_saddle(self.params, x, n).t
+                out[n] = self._contour_coefficients(x, rho, n + 1)[n]
+        if not abs(out[0] - 1.0) <= 1e-8:
+            raise AccuracyError(f"contour coefficient 0 at x={x} is {out[0]:.6g}, not P_0(x) = 1")
         return out
 
     def _contour_coefficients(self, x: float, rho: float, n_terms: int) -> np.ndarray:

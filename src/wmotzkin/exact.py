@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import AccuracyError, CapacityError, DomainError
 from .model import ModelParams
-from .specfun import LOG_ZERO, log_sum_exp
+from .specfun import LOG_ZERO, tilted_cgf
 
 # Default budget on the total stored integer size of an exact build (bits).
 DEFAULT_BIT_BUDGET = 1 << 30
@@ -259,8 +259,9 @@ def build_triangle(params: ModelParams, n_max: int,
 class HeightDistribution:
     """Normalized terminal-height law at a fixed length n.
 
-    log_p holds the n+1 log probabilities; log_total is the log of the
-    normalizing row sum.
+    log_p holds the n+1 log probabilities; mean and variance are
+    kappa_n'(0) and kappa_n''(0), and log_total = kappa_n(0) is the log of
+    the normalizing row sum, all from one `tilted_cgf` at theta = 0.
     """
 
     log_p: np.ndarray
@@ -270,16 +271,8 @@ class HeightDistribution:
 
 
 def _distribution_from_log_row(n: int, log_row: np.ndarray) -> HeightDistribution:
-    log_total = log_sum_exp(log_row)
-    if log_total == LOG_ZERO:
-        raise DomainError(f"row {n} carries no mass")
-    log_p = log_row - log_total
-    k = np.arange(n + 1, dtype=float)
-    with np.errstate(divide="ignore"):
-        mean = math.exp(log_sum_exp(log_p + np.log(k))) if n >= 1 else 0.0
-    # Compensated second central moment: no cancellation between moments.
-    variance = math.fsum(np.exp(log_p) * (k - mean) ** 2)
-    return HeightDistribution(log_p, mean, variance, log_total)
+    c = tilted_cgf(log_row, np.arange(n + 1, dtype=float), 0.0)
+    return HeightDistribution(log_row - c.value, c.deriv1, c.deriv2, c.value)
 
 
 def height_distribution(params: ModelParams, n: int) -> HeightDistribution:

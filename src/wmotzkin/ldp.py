@@ -17,9 +17,9 @@ import numpy as np
 
 from .closedform import SingularityMap
 from .errors import DomainError
-from .exact import final_log_row
+from .exact import height_distribution
 from .model import QUADRATIC, ModelParams, require
-from .specfun import CgfValues, conjugate_root, log_sum_exp
+from .specfun import CgfValues, conjugate_root
 
 THETA_LIMIT = 60.0  # |theta| beyond this saturates F' in double precision unless r2 = 0
 
@@ -101,10 +101,7 @@ def empirical_rates(params: ModelParams, u_grid, n_list) -> list[list[float]]:
         raise DomainError(f"need every u in [0, 1] and every N >= 1, got {u_grid} and {n_list}")
     columns = []
     for n in n_list:
-        log_row = final_log_row(params, n)
-        log_total = log_sum_exp(log_row)
-        columns.append(
-            [-(float(log_row[math.floor(u * n)]) - log_total) / n for u in u_grid]
-        )
+        log_p = height_distribution(params, n).log_p
+        columns.append([-float(log_p[math.floor(u * n)]) / n for u in u_grid])
     return columns
 

@@ -1,6 +1,6 @@
-"""Numerical special functions (log-sum-exp, Lambert W, the two-variable
-Hermite values in log space), the safeguarded root finder and the conjugate
-solve built on it.
+"""Numerical special functions (the windowed tilted CGF of a log row,
+Lambert W, the two-variable Hermite values in log space), the safeguarded
+root finder and the conjugate solve built on it.
 
 The Daniels saddle and the Legendre rate are both `conjugate_root` on their
 own CGF, so there is a single audited solve for them.
@@ -20,22 +20,12 @@ LOG_ZERO = float("-inf")
 # Newton steps that `safeguarded_root` (and so `conjugate_root`) takes at most.
 MAX_STEPS = 100
 
-
-def log_sum_exp(values) -> float:
-    """log(sum(exp(values))) for nonnegative-term sums, max-shifted.
-
-    -inf entries denote exact zeros and are skipped by the shift; the empty
-    sum and the all--inf sum both return -inf.
-    """
-    arr = np.asarray(values, dtype=float)
-    if arr.size == 0:
-        return LOG_ZERO
-    m = float(np.max(arr))
-    if m == LOG_ZERO:
-        return LOG_ZERO
-    if math.isinf(m):  # +inf dominates
-        return m
-    return m + math.log(float(np.sum(np.exp(arr - m))))
+# tilted_cgf sums only the k window of tilted terms within e^-64 of the largest.
+# The n + 1 or fewer left out hold < (n + 1) e^-64 of the total and move the
+# variance by < n^2 (n + 1) e^-64, as (k - mean)^2 <= n^2: 3.3e-24 and 1.3e-15 at
+# n = 20000 (the third and fourth central moments by < n^3 (n + 1) e^-64 = 2.6e-11
+# and n^4 (n + 1) e^-64 = 5.1e-7, against a fourth cumulant of order n).
+_WINDOW_NATS = 64.0
 
 
 def lambert_w0(z: float) -> float:
@@ -146,6 +136,36 @@ class CgfValues:
     deriv2: float
     deriv3: float
     deriv4: float
+
+
+def tilted_cgf(log_row: np.ndarray, k: np.ndarray, theta: float) -> CgfValues:
+    """kappa(theta) = log sum_k e^{log_row[k] + theta k} over row n (its n + 1
+    entries finite or -inf, k = 0..n as floats) with the tilted mean,
+    variance, third central moment and fourth cumulant, each summed over
+    the window of k within e^-64 of the largest term (see _WINDOW_NATS).
+    A row with no finite entry raises DomainError naming n.
+    """
+    z = k * theta
+    z += log_row
+    m = float(z.max())
+    if m == LOG_ZERO:
+        raise DomainError(f"row {z.size - 1} carries no mass")
+    inside = z > m - _WINDOW_NATS
+    lo, hi = int(inside.argmax()), z.size - int(inside[::-1].argmax())
+    z, k = z[lo:hi], k[lo:hi]
+    z -= m
+    np.exp(z, out=z)
+    total = float(z.sum())
+    # Moments of the tilted law z / total, dividing each dot by total.
+    mean = float(np.dot(z, k)) / total
+    d = k - mean
+    dd = d * d
+    variance = max(float(np.dot(z, dd)) / total, 0.0)
+    dd *= d
+    third = float(np.dot(z, dd)) / total
+    dd *= d
+    fourth = float(np.dot(z, dd)) / total - 3.0 * variance * variance
+    return CgfValues(m + math.log(total), mean, variance, third, fourth)
 
 
 def conjugate_root(cgf, target, near=None, *, at_zero=None, tol, walls=(-math.inf, math.inf)):

@@ -1,9 +1,10 @@
 """Reference computations the tests compare the library against.
 
 Each one is written apart from the engine it checks: path enumeration for
-the triangle recurrence, the whole-row tilted sums for the windowed
-cumulants, the x-parametrization of the rate profile for the Legendre solve,
-the closed-form double-root rate, and a fixed value of Lambert W.  None of
+the triangle recurrence, the whole-row `log_sum_exp` and tilted sums for
+the windowed `tilted_cgf` (the library's one reduction of a log row), the
+x-parametrization of the rate profile for the Legendre solve, the
+closed-form double-root rate, and a fixed value of Lambert W.  None of
 them is part of the library.  `egf_value` reads the library's one closed
 form at a real point, for the tests of its values.  `uniform_error_applies`
 names the models that the O(1/n) Daniels error bounds of the tests cover.
@@ -18,6 +19,7 @@ from wmotzkin import (
     RegimeError, SingularityMap,
 )
 from wmotzkin.model import QUADRATIC, require
+from wmotzkin.specfun import LOG_ZERO
 
 ORACLE_MAX_N = 14
 
@@ -85,11 +87,28 @@ def brute_force_oracle(params: ModelParams, n: int) -> list[int]:
     return totals
 
 
+def log_sum_exp(values) -> float:
+    """log(sum(exp(values))) for nonnegative-term sums over every entry,
+    max-shifted.
+
+    -inf entries denote exact zeros and are skipped by the shift; the empty
+    sum and the all--inf sum both return -inf.
+    """
+    arr = np.asarray(values, dtype=float)
+    if arr.size == 0:
+        return LOG_ZERO
+    m = float(np.max(arr))
+    if m == LOG_ZERO:
+        return LOG_ZERO
+    if math.isinf(m):  # +inf dominates
+        return m
+    return m + math.log(float(np.sum(np.exp(arr - m))))
+
+
 def full_row_kappa(log_row: np.ndarray, theta: float) -> CgfValues:
     """kappa_n(theta) = log sum_k e^{log_row[k] + theta k} with the tilted mean,
     variance, third central moment and fourth cumulant, every sum over the
-    whole row: `CumulantEvaluator.kappa` leaves out the terms below e^-64 of
-    the largest."""
+    whole row: `tilted_cgf` leaves out the terms below e^-64 of the largest."""
     k = np.arange(len(log_row), dtype=float)
     z = k * theta
     z += log_row

@@ -20,12 +20,11 @@ from wmotzkin import (
     limit_cgf,
     log_pn_constant_drift_exact,
     log_pn_linear_drift,
-    log_sum_exp,
     rate_function,
 )
 from wmotzkin.exact import _distribution_from_log_row
 from wmotzkin.model import DriftKind, classify, is_balanced
-from oracles import brute_force_oracle, exact_log_row, rate_closed_form_double_root
+from oracles import brute_force_oracle, exact_log_row, log_sum_exp, rate_closed_form_double_root
 from corpus import CORPUS, DOUBLE_ROOT, LINEAR_BALANCED, SHOWCASE, balanced_corpus
 
 

@@ -19,10 +19,10 @@ from wmotzkin import (
     log_pn_estimate,
     log_pn_linear_drift,
     log_pn_quadratic,
-    log_sum_exp,
 )
 from wmotzkin.closedform import modulus_saddle
 from wmotzkin.model import DriftKind, classify
+from oracles import log_sum_exp
 from corpus import (
     CONSTANT_BALANCED,
     DEGENERATE,

@@ -277,6 +277,8 @@ A0_CONSTANT = "a=0 b=0 c=0 alpha0=2 beta0=0 gamma0=3"
     # a JSON parameter that no integer equals
     (["dist", "--params", '{"a": Infinity, "b": 1, "c": 1, "alpha0": 1, "beta0": 1, '
       '"gamma0": 1}', "--n", "3"], 2),
+    # a contour that stabilizes with coefficient 0 far from P_0(x) = 1
+    (["egf-check", "--params", SHOWCASE_ARG, "--x", "5e16"], 3),
 ])
 def test_error_exits_without_traceback(args, expected, capsys):
     with warnings.catch_warnings():
@@ -284,6 +286,18 @@ def test_error_exits_without_traceback(args, expected, capsys):
         code, out, err = run_main(args, capsys)
     assert (code, out) == (expected, "")
     assert err.startswith("error: " if expected == 2 else "numeric-domain error: ")
+
+
+@pytest.mark.parametrize("args", [
+    ["asym", "--N-list", "7,9"],
+    ["dist", "--n", "7"],
+    ["saddle", "--n", "7"],
+])
+def test_no_mass_error_names_the_row(args, capsys):
+    # Every step weight is zero, so row 7 holds no path.
+    zero = "a=0 b=0 c=0 alpha0=0 beta0=0 gamma0=0"
+    code, out, err = run_main([*args, "--params", zero], capsys)
+    assert (code, out, err) == (3, "", "numeric-domain error: row 7 carries no mass\n")
 
 
 @pytest.mark.parametrize("params", [

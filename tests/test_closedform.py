@@ -192,6 +192,16 @@ def test_contour_reuses_nodes_exactly(monkeypatch):
         EgfEvaluator(DOUBLE_ROOT).taylor_coefficients(1.0, 30)
 
 
+def test_coefficient_zero_is_one():
+    # P_0(x) = 1 for every model.  On the showcase at x = 5e16 the contour
+    # stabilizes on coefficients that are all wrong (c_0 comes out as 0.00098);
+    # at x = 1e6 c_0 is off by 5.4e-10.
+    ev = EgfEvaluator(SHOWCASE)
+    with pytest.raises(AccuracyError, match="coefficient 0 at x=5e\\+16"):
+        ev.taylor_coefficients(5e16, 9)
+    assert abs(ev.taylor_coefficients(1e6, 9)[0] - 1.0) <= 1e-8
+
+
 def test_special_case_power_one_matches_general_path():
     # alpha0 == A gives nu = 1, where w is the plain ratio
     # e^{c0 t} (r1 - r2) / ((x - r2) - (x - r1) e^{A (r1 - r2) t}); the

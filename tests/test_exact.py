@@ -16,11 +16,10 @@ from wmotzkin import (
     build_triangle,
     final_log_row,
     height_distribution,
-    log_sum_exp,
 )
 from wmotzkin import cli, exact, ldp
 from wmotzkin.closedform import SingularityMap
-from oracles import brute_force_oracle, exact_log_row
+from oracles import brute_force_oracle, exact_log_row, log_sum_exp
 from corpus import (
     CORPUS,
     CLASSIC,

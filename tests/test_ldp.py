@@ -15,14 +15,13 @@ from wmotzkin import (
     SingularityMap,
     final_log_row,
     limit_cgf,
-    log_sum_exp,
     rate_function,
     rate_profile,
 )
 from wmotzkin import ldp
 from wmotzkin.ldp import THETA_LIMIT, empirical_rates
 from wmotzkin.saddlepoint import k_window
-from oracles import parametrized_profile, rate_closed_form_double_root
+from oracles import log_sum_exp, parametrized_profile, rate_closed_form_double_root
 from corpus import (
     CLASSIC,
     DEGENERATE_QUADRATIC,
@@ -388,7 +387,7 @@ def test_empirical_rate_rows():
 def test_empirical_rates_refuse_bad_input(u, n, monkeypatch):
     # A negative u would wrap the row index and return a rate; every bad
     # input is refused before any row is built.
-    monkeypatch.setattr(ldp, "final_log_row", None)
+    monkeypatch.setattr(ldp, "height_distribution", None)
     with pytest.raises(DomainError, match=r"u in \[0, 1\] and every N >= 1"):
         empirical_rates(SHOWCASE, [0.5, u], [50, n])
 

@@ -10,10 +10,9 @@ from wmotzkin import (
     DomainError,
     LOG_ZERO,
     lambert_w0,
-    log_sum_exp,
 )
 from wmotzkin.specfun import CgfValues, conjugate_root, hermite_ratios, safeguarded_root
-from oracles import OMEGA
+from oracles import OMEGA, log_sum_exp
 
 
 def log_hermite_values(X, Y, n):
