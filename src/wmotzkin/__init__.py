@@ -40,7 +40,6 @@ from .ldp import (
     rate_profile,
 )
 from .model import (
-    DriftCoefficients,
     DriftKind,
     ModelParams,
     Regime,

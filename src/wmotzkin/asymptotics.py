@@ -63,7 +63,7 @@ def _moments(regime: Regime, smap: SingularityMap, n: int) -> tuple[float, float
     """The moments of `asymptotic_moments`.  At r = 0 (B = 0), F''(0) = 0, but
     w = e^{c0 t}(1 - A t x)^{-nu} there, so n - height tends to Poisson(c0/A)."""
     if regime.double_root_at_zero:
-        return n - regime.c0 / regime.coeffs.A, regime.c0 / regime.coeffs.A
+        return n - regime.c0 / regime.A, regime.c0 / regime.A
     cgf = smap.cgf(0.0)
     return n * cgf.deriv1, n * cgf.deriv2
 
@@ -110,7 +110,7 @@ def log_pn_constant_drift_exact(params: ModelParams, x: float, n: int) -> float:
     if not 0 < x < math.inf or n < 0:
         raise DomainError(f"need a positive finite x and n >= 0, got x={x} and n={n}")
     X = params.alpha0 * x + params.gamma0
-    Y = params.alpha0 * regime.coeffs.C
+    Y = params.alpha0 * regime.C
     if Y == 0.0:
         return n * math.log(X)
     return sum(map(math.log, hermite_ratios(X, Y, n)), 0.0)
@@ -122,7 +122,7 @@ def constant_drift_moments(params: ModelParams, n: int) -> tuple[float, float]:
     if params.is_degenerate or n == 0:
         return (0.0, 0.0)  # a point mass at height 0
     X1 = params.alpha0 + params.gamma0
-    Y = params.alpha0 * regime.coeffs.C
+    Y = params.alpha0 * regime.C
     ratios = hermite_ratios(X1, Y, n)  # H_m/H_{m-1}, m = 1..n
     mu = params.alpha0 * n / ratios[-1]
     if n >= 2:
@@ -144,8 +144,7 @@ def log_pn_linear_drift(params: ModelParams, x: float, n: int) -> AsymptoticEsti
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     log_pn = _laplace_tail(n, modulus_saddle(params, x, n))
-    B = regime.coeffs.B
-    C = regime.coeffs.C
+    B, C = regime.B, regime.C
     frac_up = B / (B + C)
     w_s = lambert_w0(n / ((params.alpha0 / B) * (1.0 + C / B)))
     mu = frac_up * n / w_s

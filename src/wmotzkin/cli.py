@@ -176,16 +176,15 @@ class Table:
     """One subcommand's result: the CSV header, its rows in groups, and the
     metadata that only the JSON payload carries.
 
-    A group is (lead, columns): its row i holds the lead (no value, or one
-    number), then i when the table is `indexed`, then each column's i-th
-    value.  `groups` may be a lazy iterator (the triangle streams one group
+    A group is (lead, columns): a triangle row's lead is its (n,), and its
+    row i holds n, then i, then each column's i-th value; other groups have
+    no lead.  `groups` may be a lazy iterator (the triangle streams one group
     per row); every other handler finishes its solves before it returns.
     """
 
     header: str
     groups: Iterable[tuple[tuple, Sequence[Sequence]]]
     meta: dict = field(default_factory=dict)
-    indexed: bool = False
 
 
 def _flat(rows: Iterable[Sequence]) -> Iterator[tuple[tuple, list]]:
@@ -225,7 +224,7 @@ def _render(table: Table, order: Sequence[int], hole, convert, row_text) -> Iter
     if first is None:
         return
     lead, columns = first
-    width = len(lead) + table.indexed  # header positions before the columns
+    width = 2 * len(lead)  # header positions before the columns: lead and index
     samples = [column[0] for column in columns]
     picked = [j - width for j in order if j >= width]
 
@@ -236,7 +235,7 @@ def _render(table: Table, order: Sequence[int], hole, convert, row_text) -> Iter
         ]
         return (row_text(cells) + "\0").split("\0")[:2]
 
-    fixed = None if table.indexed else fragments(0)
+    fixed = None if lead else fragments(0)
     joints, tails = [""], []  # joints[i]: tails[i - 1] + the text before row i's lead
     for lead, columns in itertools.chain([first], groups):
         m = len(columns[0])
@@ -325,11 +324,11 @@ def _run_triangle(args) -> Table:
                    exact.iter_decimal_rows(args.params, args.n))
         groups = (((n,), [exact._log_weights(ints), digits])
                   for n, (ints, digits) in enumerate(rows))
-        return Table(TRIANGLE_HEADER_EXACT, groups, indexed=True)
+        return Table(TRIANGLE_HEADER_EXACT, groups)
     # Looked up on the module so that wrappers installed there see the build.
     log_rows = exact.iter_log_rows(args.params, args.n)
     groups = (((n,), [row.tolist()]) for n, row in enumerate(log_rows))
-    return Table(TRIANGLE_HEADER_LOG, groups, indexed=True)
+    return Table(TRIANGLE_HEADER_LOG, groups)
 
 
 def _run_dist(args) -> Table:

@@ -59,7 +59,7 @@ class SingularityMap:
                 f"for {self.regime.describe()}"
             )
         regime = self.regime
-        A = regime.coeffs.A
+        A = regime.A
         if regime.kind is DriftKind.TWO_REAL_ROOTS:
             # log((x-r1)/(x-r2)) written via log1p for stability at large x.
             return math.log1p((regime.r2 - regime.r1) / (x - regime.r2)) / (
@@ -83,7 +83,7 @@ class SingularityMap:
             radial = math.hypot(x - regime.p, regime.q)
         else:
             radial = x - self.domain_low
-        return -regime.nu * (math.log(regime.coeffs.A) + math.log(tau) + math.log(radial))
+        return -regime.nu * (math.log(regime.A) + math.log(tau) + math.log(radial))
 
     def cgf(self, theta: float) -> CgfValues:
         """F(theta) = log(tau(1)/tau(e^theta)) with F', F'', F''' and F''''.
@@ -103,19 +103,19 @@ class SingularityMap:
             x = math.exp(theta)
         except OverflowError:
             x = math.inf
-        coeffs = self.regime.coeffs
-        q_val = coeffs.poly(x)
+        A, B, C = self.regime.A, self.regime.B, self.regime.C
+        q_val = (A * x + B) * x + C
         q_sq = q_val * q_val
         if not sys.float_info.min <= q_sq < math.inf:
             raise DomainError(f"theta={theta}: Q(e^theta)^2 is not a normal finite double")
         tau = self.tau(x)
         chi = (1.0 / q_val) / tau
-        q_prime = coeffs.poly_deriv(x)
+        q_prime = 2 * A * x + B
         mean = x * chi
         x2_chi1 = x * x * (chi * chi - q_prime / q_sq / tau)
         # x^3 chi'' in the ratios r = x Q'/Q and s = x^2 Q''/Q.
         r = x * q_prime / q_val
-        s = x * x * (2.0 * coeffs.A) / q_val
+        s = x * x * (2.0 * A) / q_val
         x3_chi2 = mean * (2.0 * x2_chi1 - s + 2.0 * r * r - mean * r)
         # x^4 chi''' from chi = 1/u, u = Q tau, whose scaled derivatives are
         # x u'/u = r - x chi, x^2 u''/u = s - r x chi and x^3 u'''/u =
@@ -154,15 +154,15 @@ class EgfEvaluator:
         regime = self.regime
         kind = regime.kind
         if kind is DriftKind.CONSTANT:
-            C = regime.coeffs.C
+            C = regime.C
             quadratic = params.alpha0 * x * t + 0.5 * params.alpha0 * C * t * t
             return np.exp(quadratic + params.gamma0 * t)
         if kind is DriftKind.LINEAR:
-            B, C = regime.coeffs.B, regime.coeffs.C
+            B, C = regime.B, regime.C
             lam = (params.alpha0 / B) * (np.exp(B * t) - 1.0)
             return np.exp(lam * (x + C / B) + (params.gamma0 - params.alpha0 * C / B) * t)
 
-        A = regime.coeffs.A
+        A = regime.A
         nu = regime.nu
         if kind is DriftKind.COMPLEX_ROOTS:
             phase = A * regime.q * t + math.atan((x - regime.p) / regime.q)
@@ -274,7 +274,7 @@ def modulus_saddle(params: ModelParams, x: float, n: int) -> ModulusSaddle:
     if params.alpha0 == 0:
         t = (n + 1) / params.gamma0 if params.gamma0 else 1.0
         return _laplace_data(n, t, params.gamma0 * t, 0.0)
-    B, C = regime.coeffs.B, regime.coeffs.C
+    B, C = regime.B, regime.C
     if regime.kind is DriftKind.CONSTANT:
         X = params.alpha0 * x + params.gamma0
         Y = params.alpha0 * C

@@ -117,9 +117,9 @@ def iter_log_rows(params: ModelParams, n_max: int) -> Iterator[np.ndarray]:
     k = np.arange(n_max + 1, dtype=float)
     try:
         with np.errstate(divide="ignore", over="raise"):
-            log_up = np.log(params.a * k + params.alpha0)
-            log_down = np.log(params.b * k + params.beta0)
-            level = params.c * k + params.gamma0
+            log_up = np.log(params.up_weight(k))
+            log_down = np.log(params.down_weight(k))
+            level = params.level_weight(k)
     except (OverflowError, FloatingPointError):
         raise DomainError(f"step weights of {params.as_tuple()} leave the doubles") from None
     block = _block_size(params, n_max)
@@ -190,26 +190,21 @@ def final_log_row(params: ModelParams, n: int) -> np.ndarray:
     return row
 
 
-def _exact_rows(params: ModelParams, n_max: int, one, arithmetic=contextlib.nullcontext):
-    """Yield exact rows 0..n_max over the number type of `one` (int or Decimal).
-
-    `arithmetic()` is entered around each row's arithmetic and never across
-    a yield, so a context it sets is not in force while the caller runs."""
+def _exact_rows(params: ModelParams, n_max: int, one):
+    """Yield exact rows 0..n_max over the number type of `one` (int or Decimal)."""
     if n_max < 0:
         raise DomainError(f"n_max must be nonnegative, got {n_max}")
-    with arithmetic():
-        zero = one * 0
-        # ups[k] multiplies row[k - 1]; row[-1] is zero.
-        ups = [zero] + [one * params.up_weight(k) for k in range(n_max)]
-        levels = [one * params.level_weight(k) for k in range(n_max + 1)]
-        downs = [one * params.down_weight(k) for k in range(n_max + 1)]
+    zero = one * 0
+    # ups[k] multiplies row[k - 1]; row[-1] is zero.
+    ups = [zero] + [one * params.up_weight(k) for k in range(n_max)]
+    levels = [one * params.level_weight(k) for k in range(n_max + 1)]
+    downs = [one * params.down_weight(k) for k in range(n_max + 1)]
     row = [one]
     for _ in range(n_max):
         yield row
         padded = [zero, *row, zero, zero]  # padded[k + 1] holds row[k]
         terms = zip(ups, levels, downs, padded, padded[1:], padded[2:])
-        with arithmetic():
-            row = [u * left + l * mid + d * right for u, l, d, left, mid, right in terms]
+        row = [u * left + l * mid + d * right for u, l, d, left, mid, right in terms]
     yield row
 
 
@@ -244,8 +239,14 @@ def iter_decimal_rows(params: ModelParams, n_max: int) -> Iterator[list[str]]:
         prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
         traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation],
     )
-    rows = _exact_rows(params, n_max, decimal.Decimal(1), lambda: decimal.localcontext(exact))
-    for row in rows:
+    rows = _exact_rows(params, n_max, decimal.Decimal(1))
+    while True:
+        # The recurrence runs in the caller's context, so this one is in
+        # force for each row's arithmetic and never across a yield.
+        with decimal.localcontext(exact):
+            row = next(rows, None)
+        if row is None:
+            return
         yield list(map(str, row))
 
 

@@ -76,7 +76,7 @@ def rate_profile(params: ModelParams, u_grid) -> RateProfile:
                           "so I(u) = +inf for every u < 1 and there is no rate profile")
     low = -THETA_LIMIT
     if regime.r2 == 0:  # a nat above where Q(e^theta)^2 ~ (B e^theta)^2 is subnormal
-        low = math.log(math.sqrt(sys.float_info.min) / regime.coeffs.B) + 1.0
+        low = math.log(math.sqrt(sys.float_info.min) / regime.B) + 1.0
     smap = SingularityMap(params)
     points, near = [], None
     for u in u_grid:

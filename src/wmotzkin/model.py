@@ -54,6 +54,7 @@ class ModelParams:
         """
         return self.alpha0 == 0
 
+    # The step weights at height k, an int or a float array of heights.
     def up_weight(self, k: int) -> int:
         return self.a * k + self.alpha0
 
@@ -78,13 +79,9 @@ class ModelParams:
         if missing:
             raise ConfigError(f"missing parameter keys: {sorted(missing)}")
         try:
-            values = {name: int(data[name]) for name in PARAM_NAMES}
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"parameter values must be integers: {exc}") from exc
-        for name in PARAM_NAMES:
-            if values[name] != data[name] or isinstance(data[name], bool):
-                raise ConfigError(f"{name} must be an integer, got {data[name]!r}")
-        return cls(**values)
+            return cls(**{name: data[name] for name in PARAM_NAMES})
+        except DomainError as exc:
+            raise ConfigError(str(exc)) from exc
 
     @classmethod
     def parse(cls, text: str) -> "ModelParams":
@@ -127,25 +124,6 @@ def is_balanced(params: ModelParams) -> bool:
     return params.beta0 == params.b
 
 
-@dataclass(frozen=True)
-class DriftCoefficients:
-    """Quadratic drift Q(x) = A*x^2 + B*x + C with A=a, B=c, C=b."""
-
-    A: int
-    B: int
-    C: int
-
-    @property
-    def delta(self) -> int:
-        return self.B * self.B - 4 * self.A * self.C
-
-    def poly(self, x: float) -> float:
-        return (self.A * x + self.B) * x + self.C
-
-    def poly_deriv(self, x: float) -> float:
-        return 2 * self.A * x + self.B
-
-
 class DriftKind(Enum):
     CONSTANT = "constant"
     LINEAR = "linear"
@@ -161,13 +139,16 @@ QUADRATIC = (DriftKind.TWO_REAL_ROOTS, DriftKind.DOUBLE_ROOT, DriftKind.COMPLEX_
 class Regime:
     """Drift classification plus the constants used by the closed forms.
 
+    A, B and C are the coefficients of the drift Q(x) = A*x^2 + B*x + C.
     Quadratic kinds carry nu = alpha0/A and the exponential prefactor rate
     c0; the root fields are populated per kind (r1 < r2, double root r, or
     complex pair p +/- i*q with q > 0).
     """
 
     kind: DriftKind
-    coeffs: DriftCoefficients
+    A: int
+    B: int
+    C: int
     r1: float | None = None
     r2: float | None = None
     r: float | None = None
@@ -183,7 +164,7 @@ class Regime:
     @property
     def double_root_at_zero(self) -> bool:
         """A double root at r = 0 (B = 0), where n - height tends to Poisson(c0/A)."""
-        return self.kind is DriftKind.DOUBLE_ROOT and self.coeffs.B == 0
+        return self.kind is DriftKind.DOUBLE_ROOT and self.B == 0
 
     def describe(self) -> str:
         if self.kind is DriftKind.TWO_REAL_ROOTS:
@@ -203,8 +184,8 @@ def classify(params: ModelParams) -> Regime:
     constants are double precision, so DomainError when a parameter or the
     discriminant is not a finite double.
     """
-    coeffs = DriftCoefficients(A=params.a, B=params.c, C=params.b)
-    A, B, delta = coeffs.A, coeffs.B, coeffs.delta
+    A, B, C = params.a, params.c, params.b
+    delta = B * B - 4 * A * C
     try:
         for value in (*params.as_tuple(), delta):
             float(value)
@@ -230,7 +211,7 @@ def classify(params: ModelParams) -> Regime:
             fields = {"p": lead, "q": math.sqrt(-delta) / (2 * A)}
         c0 = params.alpha0 * lead + params.gamma0
         fields.update(nu=params.alpha0 / A, c0=c0)
-    return Regime(kind=kind, coeffs=coeffs, **fields)
+    return Regime(kind, A, B, C, **fields)
 
 
 def require(

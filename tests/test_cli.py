@@ -279,6 +279,12 @@ A0_CONSTANT = "a=0 b=0 c=0 alpha0=2 beta0=0 gamma0=3"
       '"gamma0": 1}', "--n", "3"], 2),
     # a contour that stabilizes with coefficient 0 far from P_0(x) = 1
     (["egf-check", "--params", SHOWCASE_ARG, "--x", "5e16"], 3),
+    # parameter values the model refuses are configuration errors in both formats
+    (["dist", "--params", "a=-1 b=1 c=1 alpha0=1 beta0=1 gamma0=1", "--n", "3"], 2),
+    (["dist", "--params", '{"a": 1.0, "b": 1, "c": 1, "alpha0": 1, "beta0": 1, '
+      '"gamma0": 1}', "--n", "3"], 2),
+    (["dist", "--params", '{"a": -1, "b": 1, "c": 1, "alpha0": 1, "beta0": 1, '
+      '"gamma0": 1}', "--n", "3"], 2),
 ])
 def test_error_exits_without_traceback(args, expected, capsys):
     with warnings.catch_warnings():
@@ -434,7 +440,7 @@ def test_json_is_one_document(case, chunk_rows, capsys, monkeypatch):
 
     def keep_groups(table, path=None):
         groups = [(lead, [list(c) for c in columns]) for lead, columns in table.groups]
-        tables.append(cli_mod.Table(table.header, groups, table.meta, table.indexed))
+        tables.append(cli_mod.Table(table.header, groups, table.meta))
         write_csv(tables[-1], path)
 
     monkeypatch.setattr(cli_mod, "_write_csv", keep_groups)
@@ -443,7 +449,7 @@ def test_json_is_one_document(case, chunk_rows, capsys, monkeypatch):
     assert code == 0
     (table,) = tables
     rows = [
-        (*lead, *([i] if table.indexed else []), *cells)
+        (*lead, *([i] if lead else []), *cells)
         for lead, columns in table.groups
         for i, cells in enumerate(zip(*columns))
     ]

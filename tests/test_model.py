@@ -81,7 +81,8 @@ def test_step_weights_affine(params, k):
 def test_classify_total_and_exclusive(params):
     regime = classify(params)
     A, B = params.a, params.c
-    delta = regime.coeffs.delta
+    assert (regime.A, regime.B, regime.C) == (params.a, params.c, params.b)
+    delta = regime.B * regime.B - 4 * regime.A * regime.C
     if A == 0 and B == 0:
         assert regime.kind is DriftKind.CONSTANT
     elif A == 0:
@@ -104,7 +105,7 @@ def test_two_real_roots_invariants():
         regime = classify(params)
         if regime.kind is not DriftKind.TWO_REAL_ROOTS:
             continue
-        A, B, C = regime.coeffs.A, regime.coeffs.B, regime.coeffs.C
+        A, B, C = regime.A, regime.B, regime.C
         assert regime.r1 < regime.r2
         assert regime.r2 <= 1e-12  # nonnegative B, C force the big root <= 0
         assert abs(regime.r1 + regime.r2 + B / A) <= 1e-12 * max(1.0, abs(B / A))
@@ -115,12 +116,12 @@ def test_regime_constants_per_kind():
     for params in CORPUS:
         regime = classify(params)
         if regime.kind is DriftKind.DOUBLE_ROOT:
-            assert regime.r == -regime.coeffs.B / (2 * regime.coeffs.A)
+            assert regime.r == -regime.B / (2 * regime.A)
         if regime.kind is DriftKind.COMPLEX_ROOTS:
             assert regime.q > 0
-            assert regime.p == -regime.coeffs.B / (2 * regime.coeffs.A)
+            assert regime.p == -regime.B / (2 * regime.A)
         if regime.is_quadratic:
-            assert regime.nu == float(Fraction(params.alpha0, regime.coeffs.A))
+            assert regime.nu == float(Fraction(params.alpha0, regime.A))
 
 
 def test_validation_rejects_bad_values():
@@ -128,6 +129,10 @@ def test_validation_rejects_bad_values():
         ModelParams(-1, 0, 0, 1, 1, 1)
     with pytest.raises(DomainError):
         ModelParams(1, 0, 0, 1, 1, 1.5)
+    # from_dict re-raises the constructor's DomainError as a ConfigError.
+    for bad in (-1, 1.0, 1.5, True, math.inf, "1"):
+        with pytest.raises(ConfigError, match="must be"):
+            ModelParams.from_dict({**SHOWCASE.to_dict(), "a": bad})
 
 
 def test_degenerate_flagged_but_accepted():
