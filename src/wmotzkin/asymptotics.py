@@ -14,15 +14,17 @@ from dataclasses import dataclass
 
 from .closedform import ModulusSaddle, SingularityMap, modulus_saddle
 from .errors import DomainError
-from .model import QUADRATIC, DriftKind, ModelParams, Regime, classify, require
-from .specfun import hermite_ratios, lambert_w0
+from .model import QUADRATIC, DriftKind, ModelParams, classify, require
+from .specfun import hermite_ratios
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
 class AsymptoticEstimate:
-    """Leading-order log row sum at (x, n) plus the length-n moments."""
+    """Leading-order log row sum at (x, n), and the length-n mean and
+    variance: the theta-derivatives of the estimate's log P_n(e^theta) at
+    theta = 0 (exact Hermite moments for constant drift)."""
 
     log_pn: float
     mu: float
@@ -30,42 +32,43 @@ class AsymptoticEstimate:
 
 
 def log_pn_quadratic(params: ModelParams, x: float, n: int) -> AsymptoticEstimate:
-    """Master estimate of log P_n(x) for A > 0, any quadratic sub-regime."""
+    """Master estimate of log P_n(x) for A > 0, any quadratic sub-regime.
+
+    In theta = log x it reads (n + nu) F(theta) - nu log R(e^theta) +
+    c0 tau(e^theta) + const, F the limit CGF (`SingularityMap.cgf`) and
+    R^2 = (x - p)^2 + q^2 for the root p (+/- iq) that bounds the domain.
+    Its theta-derivatives at 0 follow from x tau' = -F' tau, with
+    T = tau(1) and s = (1 - p)/R(1)^2.
+    """
     regime = require(params, QUADRATIC)
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     smap = SingularityMap(params)
     tau = smap.tau(x)
-    nu = regime.nu
-    log_amp = smap.log_amplitude(x, tau)
+    nu, c0 = regime.nu, regime.c0
     # sqrt(2 pi)/Gamma(nu) * amp(x) * e^{c0 tau} * n^{nu-1/2} * (n/(e tau))^n
     log_pn = (
         _LOG_SQRT_2PI
         - math.lgamma(nu)
-        + log_amp
-        + regime.c0 * tau
+        + smap.log_amplitude(x, tau)
+        + c0 * tau
         + (nu - 0.5) * math.log(n)
         + n * (math.log(n) - 1.0 - math.log(tau))
     )
-    mu, sigma2 = _moments(regime, smap, n)
+    cgf, c0_T = smap.cgf(0.0), c0 * smap.tau(1.0)
+    p = regime.p if regime.kind is DriftKind.COMPLEX_ROOTS else smap.domain_low
+    r_sq = (1.0 - p) ** 2 + (regime.q or 0.0) ** 2
+    s = (1.0 - p) / r_sq
+    mu = (n + nu - c0_T) * cgf.deriv1 - nu * s
+    sigma2 = ((n + nu - c0_T) * cgf.deriv2 + c0_T * cgf.deriv1**2
+              - nu * ((2.0 - p) / r_sq - 2.0 * s * s))
     return AsymptoticEstimate(log_pn, mu, sigma2)
 
 
 def asymptotic_moments(params: ModelParams, n: int) -> tuple[float, float]:
-    """Leading-order mean and variance for A > 0: n*F'(0) and n*F''(0), F the
-    limit CGF (`SingularityMap.cgf`), or n - c0/A and c0/A at a double root r = 0."""
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
-    return _moments(require(params, QUADRATIC), SingularityMap(params), n)
-
-
-def _moments(regime: Regime, smap: SingularityMap, n: int) -> tuple[float, float]:
-    """The moments of `asymptotic_moments`.  At r = 0 (B = 0), F''(0) = 0, but
-    w = e^{c0 t}(1 - A t x)^{-nu} there, so n - height tends to Poisson(c0/A)."""
-    if regime.double_root_at_zero:
-        return n - regime.c0 / regime.A, regime.c0 / regime.A
-    cgf = smap.cgf(0.0)
-    return n * cgf.deriv1, n * cgf.deriv2
+    """The (mu, sigma2) of `log_pn_quadratic`, which do not depend on x."""
+    est = log_pn_quadratic(params, 1.0, n)
+    return est.mu, est.sigma2
 
 
 def gaussian_local_law(mu: float, sigma2: float, k: float) -> float:
@@ -138,17 +141,16 @@ def log_pn_linear_drift(params: ModelParams, x: float, n: int) -> AsymptoticEsti
 
     The saddle t > 0 solves (n+1)/t = a_lin + B*y(x)*e^{B t} with
     a_lin = gamma0 - alpha0*C/B and y(x) = (alpha0/B)(x + C/B); see
-    `closedform.modulus_saddle`, which starts from t = W(n/y(x))/B.
+    `closedform.modulus_saddle`.  The moments are the envelope
+    theta-derivatives of log w - (n+1) log t at the saddle t at x = 1.
     """
     regime = require(params, (DriftKind.LINEAR,))
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     log_pn = _laplace_tail(n, modulus_saddle(params, x, n))
-    B, C = regime.B, regime.C
-    frac_up = B / (B + C)
-    w_s = lambert_w0(n / ((params.alpha0 / B) * (1.0 + C / B)))
-    mu = frac_up * n / w_s
-    sigma2 = frac_up * (1.0 - frac_up) * n / w_s + frac_up**2 * n / (w_s * w_s + w_s)
+    saddle, B = modulus_saddle(params, 1.0, n), regime.B
+    mu = (params.alpha0 / B) * math.expm1(B * saddle.t)
+    sigma2 = mu - (params.alpha0 * math.exp(B * saddle.t)) ** 2 / saddle.curvature
     return AsymptoticEstimate(log_pn, mu, sigma2)
 
 

@@ -18,15 +18,15 @@ import numpy as np
 from .closedform import SingularityMap
 from .errors import DomainError
 from .exact import height_distribution
-from .model import QUADRATIC, ModelParams, require
+from .model import QUADRATIC, DriftKind, ModelParams, require
 from .specfun import CgfValues, conjugate_root
 
 THETA_LIMIT = 60.0  # |theta| beyond this saturates F' in double precision unless r2 = 0
 
 
 def limit_cgf(params: ModelParams, theta: float) -> CgfValues:
-    """F(theta) = log(tau(1)/tau(e^theta)) with F', F'' and F''' (see
-    `SingularityMap.cgf`)."""
+    """F(theta) = log(tau(1)/tau(e^theta)) with F', F'', F''' and F''''
+    (see `SingularityMap.cgf`)."""
     require(params, QUADRATIC)
     return SingularityMap(params).cgf(theta)
 
@@ -71,7 +71,7 @@ def rate_profile(params: ModelParams, u_grid) -> RateProfile:
     F(theta) = theta, so I(u) = +inf for every u < 1.
     """
     regime = require(params, QUADRATIC)
-    if regime.double_root_at_zero:
+    if regime.kind is DriftKind.DOUBLE_ROOT and regime.B == 0:
         raise DomainError("double root at r = 0: K_n/n tends to a point mass at u = 1, "
                           "so I(u) = +inf for every u < 1 and there is no rate profile")
     low = -THETA_LIMIT

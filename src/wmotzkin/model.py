@@ -161,11 +161,6 @@ class Regime:
     def is_quadratic(self) -> bool:
         return self.kind in QUADRATIC
 
-    @property
-    def double_root_at_zero(self) -> bool:
-        """A double root at r = 0 (B = 0), where n - height tends to Poisson(c0/A)."""
-        return self.kind is DriftKind.DOUBLE_ROOT and self.B == 0
-
     def describe(self) -> str:
         if self.kind is DriftKind.TWO_REAL_ROOTS:
             return f"two real roots (r1={self.r1:g}, r2={self.r2:g})"

@@ -20,7 +20,7 @@ from wmotzkin import (
     log_pn_linear_drift,
     log_pn_quadratic,
 )
-from wmotzkin.closedform import modulus_saddle
+from wmotzkin.closedform import SingularityMap, modulus_saddle
 from wmotzkin.model import DriftKind, classify
 from oracles import log_sum_exp
 from corpus import (
@@ -73,35 +73,36 @@ def test_estimates_converge_all_regimes():
         assert errs[1] < errs[0] and errs[2] < errs[1], (params, errs)
 
 
-# Relative (mean, variance) error bounds of linear drift per n; measured
-# 0.125, 0.042, 0.014 (mean) and 0.36, 0.14, 0.052 (variance) at worst.
-LINEAR_MOMENT_BOUNDS = {100: (0.15, 0.4), 400: (0.05, 0.15), 1600: (0.02, 0.06)}
-
-
 def test_estimate_moments_match_exact_law():
     # log_pn_estimate's mu and sigma2 against the exact law, as relative
-    # errors: rounding only for constant drift, n * error at most 5.5 (mean)
-    # and 3.2 (variance) for quadratic drift, and falling with n for linear
-    # drift.  Two r = 0 double roots join the corpus's (1,0,0,2,0,1), whose
-    # n - height tends to Poisson(c0/A) with c0/A = 3 and 1.
+    # errors: rounding only for constant drift, n^2 * error at most 50 (mean)
+    # and 30 (variance) for quadratic drift away from r = 0, and n * error at
+    # most 0.8 and falling with n for linear drift.  Two r = 0 double roots join the
+    # corpus's (1,0,0,2,0,1), whose n - height tends to Poisson(c0/A) with
+    # c0/A = 3 and 1: there the variance error is O(1/n) (n * error <= 1.5).
+    # At every n from 3 to 40, mu lies in [0, n] and sigma2 is positive.
     r_zero = [ModelParams(1, 0, 0, 2, 0, 3), ModelParams(2, 0, 0, 1, 0, 2)]
     for params in balanced_corpus() + r_zero:
-        kind = classify(params).kind
+        regime = classify(params)
+        for n in range(3, 41):
+            est = log_pn_estimate(params, 1.0, n)
+            assert 0.0 <= est.mu <= n and est.sigma2 > 0.0, (params, n, est)
         errs = []
         for n in (100, 400, 1600):
             dist = height_distribution(params, n)
             est = log_pn_estimate(params, 1.0, n)
             err = (abs(est.mu - dist.mean) / dist.mean,
                    abs(est.sigma2 - dist.variance) / dist.variance)
-            if kind is DriftKind.CONSTANT:
+            if regime.kind is DriftKind.CONSTANT:
                 assert max(err) <= 1e-12, (params, n, err)
-            elif kind is DriftKind.LINEAR:
-                mean_bound, variance_bound = LINEAR_MOMENT_BOUNDS[n]
-                assert err[0] <= mean_bound and err[1] <= variance_bound, (params, n, err)
+            elif regime.kind is DriftKind.LINEAR:
+                assert n * max(err) <= 0.8, (params, n, err)
+            elif regime.kind is DriftKind.DOUBLE_ROOT and regime.B == 0:
+                assert n * n * err[0] <= 5.0 and n * err[1] <= 1.5, (params, n, err)
             else:
-                assert n * err[0] <= 6.0 and n * err[1] <= 4.0, (params, n, err)
+                assert n * n * err[0] <= 50.0 and n * n * err[1] <= 30.0, (params, n, err)
             errs.append(err)
-        if kind is DriftKind.LINEAR:
+        if regime.kind is DriftKind.LINEAR:
             for first, middle, last in zip(*errs):
                 assert first > middle > last, (params, errs)
 
@@ -159,15 +160,17 @@ def test_quadratic_with_alpha0_zero_is_degenerate():
 
 
 def test_moment_examples():
+    # On DOUBLE_ROOT the estimate's moments are the exact law's.
     mu, sigma2 = asymptotic_moments(DOUBLE_ROOT, 100)
-    assert math.isclose(mu, 50.0, rel_tol=1e-12)
-    assert math.isclose(sigma2, 25.0, rel_tol=1e-12)
-    mu, _ = asymptotic_moments(SHOWCASE, 100)
-    assert math.isclose(mu, 100 * (1.0 / 3.0) / math.log(3.0), rel_tol=1e-12)
+    dist = height_distribution(DOUBLE_ROOT, 100)
+    assert math.isclose(mu, dist.mean, rel_tol=1e-12)
+    assert math.isclose(sigma2, dist.variance, rel_tol=1e-12)
+    chi = SingularityMap(SHOWCASE).cgf(0.0).deriv1
+    assert math.isclose(chi, (1.0 / 3.0) / math.log(3.0), rel_tol=1e-12)
 
 
 def test_exact_mean_gap_stays_bounded():
-    chi = asymptotic_moments(SHOWCASE, 1)[0]
+    chi = SingularityMap(SHOWCASE).cgf(0.0).deriv1
     gaps = []
     for n in (50, 100, 200, 400):
         dist = height_distribution(SHOWCASE, n)
@@ -301,7 +304,7 @@ def test_linear_log_accuracy():
 def test_linear_moment_accuracy():
     dist = height_distribution(LINEAR_BALANCED, 300)
     est = log_pn_linear_drift(LINEAR_BALANCED, 1.0, 300)
-    assert abs(est.mu - dist.mean) / dist.mean <= 0.05
+    assert abs(est.mu - dist.mean) / dist.mean <= 0.005
 
 
 def test_linear_saddle_residual():
