@@ -141,17 +141,20 @@ def log_pn_linear_drift(params: ModelParams, x: float, n: int) -> AsymptoticEsti
 
     The saddle t > 0 solves (n+1)/t = a_lin + B*y(x)*e^{B t} with
     a_lin = gamma0 - alpha0*C/B and y(x) = (alpha0/B)(x + C/B); see
-    `closedform.modulus_saddle`.  The moments are the envelope
-    theta-derivatives of log w - (n+1) log t at the saddle t at x = 1.
+    `closedform.modulus_saddle`.  The moments are theta-derivatives at the
+    saddle t at x = 1: the envelope ones of log w - (n+1) log t, and for
+    the mean also that of -log(curvature)/2, through dt/dtheta =
+    -alpha0 e^{B t}/curvature.
     """
     regime = require(params, (DriftKind.LINEAR,))
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     log_pn = _laplace_tail(n, modulus_saddle(params, x, n))
     saddle, B = modulus_saddle(params, 1.0, n), regime.B
-    mu = (params.alpha0 / B) * math.expm1(B * saddle.t)
-    sigma2 = mu - (params.alpha0 * math.exp(B * saddle.t)) ** 2 / saddle.curvature
-    return AsymptoticEstimate(log_pn, mu, sigma2)
+    t, curv, grow = saddle.t, saddle.curvature, params.alpha0 * math.exp(B * saddle.t)
+    lead = (params.alpha0 / B) * math.expm1(B * t)
+    d_curv = B * grow - (B * (B + regime.C) * grow - 2.0 * (n + 1) / t**3) * grow / curv
+    return AsymptoticEstimate(log_pn, lead - 0.5 * d_curv / curv, lead - grow**2 / curv)
 
 
 def log_pn_estimate(params: ModelParams, x: float, n: int) -> AsymptoticEstimate:

@@ -14,6 +14,7 @@ per-column scales; zero weights map to -inf.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator
@@ -47,29 +48,32 @@ _BLOCK_BUDGET = 600.0
 # Smallest scaled nonzero entry accepted.  2^-960 lies far above the
 # subnormal range (2^-1022), so no nonzero weight loses precision unseen.
 _TINY = 2.0**-960
+# A step leaves its row multiplied by 2^held, a power of two that is divided
+# out (exactly: every entry stays a normal double) where the row's logs are
+# taken, or once held leaves this window.
+_HELD = (-32, 512)
 _LOG2 = math.log(2.0)
 
 
-def _support_size(params: ModelParams, n: int) -> int:
-    """Number of structurally nonzero entries of row n >= 1.
+def _support_sizes(params: ModelParams) -> Iterator[int]:
+    """Numbers of structurally nonzero entries of rows 1, 2, ..., in turn.
 
-    alpha0 = 0 pins the walk at height 0.  Otherwise row n holds the
-    heights n, n - step, ... down to the lowest reachable height lo, where
-    step is 2 without level steps (c = gamma0 = 0) and 1 with them.  Height
-    0 is reached by staying (gamma0 > 0) or by returning (beta0 > 0,
-    n >= 2); otherwise lo is 1, or n when there are neither level nor down
-    steps.
+    alpha0 = 0 pins the walk at height 0.  Otherwise row 1 holds height 1,
+    and 0 when gamma0 > 0, and row m >= 2 the heights m, m - step, ... down
+    to the lowest reachable height lo, where step is 2 without level steps
+    (c = gamma0 = 0) and 1 with them.  Height 0 is reached by staying
+    (gamma0 > 0) or by returning (beta0 > 0); otherwise lo is 1, or m when
+    there are neither level nor down steps.
     """
-    if params.alpha0 == 0:
-        return 1 if params.gamma0 else 0
-    step = 1 if params.c or params.gamma0 else 2
-    if params.gamma0 or (params.beta0 and n >= 2):
-        lo = 0
-    elif step == 1 or params.b:
-        lo = 1
-    else:
-        lo = n
-    return len(range(n, lo - 1, -step))
+    p = params
+    if p.alpha0 == 0:
+        return itertools.repeat(1 if p.gamma0 else 0)
+    step = 1 if p.c or p.gamma0 else 2
+    if step == 2 and not (p.b or p.beta0):
+        return itertools.repeat(1)
+    lo = 0 if p.gamma0 or p.beta0 else 1
+    rest = ((m - lo) // step + 1 for m in itertools.count(2))
+    return itertools.chain([2 if p.gamma0 else 1], rest)
 
 
 def _block_size(params: ModelParams, n_max: int) -> int:
@@ -104,13 +108,16 @@ def iter_log_rows(params: ModelParams, n_max: int) -> Iterator[np.ndarray]:
     the stored row u = exp(L - s - c) is 1 on every nonzero entry and
     c = 0.  A step is three multiply-adds with the scale ratios folded into
     the weights, alpha_{k-1} e^{s_{k-1}-s_k}, gamma_k and
-    beta_k e^{s_{k+1}-s_k}, then a division of u by the power of two that
-    puts its maximum in [1/2, 1), which c records.  Structural zeros stay
-    exactly 0 (-inf).  A nonzero entry that falls below 2^-960 of the row
-    maximum raises AccuracyError rather than yield a wrong row; a step weight
-    past the doubles, DomainError.  Sending True after row 0 asks for row
-    n_max alone: every row is still built and checked, but only block ends
-    (the next scale) and row n_max get logs.
+    beta_k e^{s_{k+1}-s_k}, which leave u times 2^held, held the exponent
+    that puts the row maximum in [2^(held-1), 2^held).  The division by
+    2^held, which c records, waits until the row's logs are taken or held
+    leaves _HELD; a power of two divides exactly, so each row equals what a
+    division at every step gives.  Structural zeros stay exactly 0 (-inf).
+    A nonzero entry that falls below 2^-960 of the row maximum raises
+    AccuracyError rather than yield a wrong row; a step weight past the
+    doubles, DomainError.  Sending True after row 0 asks for row n_max
+    alone: every row is still built and checked, but only block ends (the
+    next scale) and row n_max get logs.
     """
     if n_max < 0:
         raise DomainError(f"n_max must be nonnegative, got {n_max}")
@@ -122,7 +129,7 @@ def iter_log_rows(params: ModelParams, n_max: int) -> Iterator[np.ndarray]:
             level = params.level_weight(k)
     except (OverflowError, FloatingPointError):
         raise DomainError(f"step weights of {params.as_tuple()} leave the doubles") from None
-    block = _block_size(params, n_max)
+    block, sizes = _block_size(params, n_max), _support_sizes(params)
     row = np.zeros(1)
     last_only = yield row
     n = 0
@@ -133,7 +140,9 @@ def iter_log_rows(params: ModelParams, n_max: int) -> Iterator[np.ndarray]:
         finite = row > LOG_ZERO
         nonzero = np.flatnonzero(finite)
         s = np.zeros(width + 1)
-        if nonzero.size:
+        if nonzero.size == n + 1:  # np.interp at its own nodes returns them
+            s[: n + 1] = row
+        elif nonzero.size:
             s[: n + 1] = np.interp(cols[: n + 1], nonzero, row[nonzero])
         slope = s[n] - s[n - 1] if n else 0.0
         s[n + 1 :] = s[n] + slope * (cols[n + 1 :] - n)
@@ -144,13 +153,13 @@ def iter_log_rows(params: ModelParams, n_max: int) -> Iterator[np.ndarray]:
             drop = np.exp(log_down[:width] + ds)
         stay = level[:width]
 
-        # buf[1 + k] holds u_k; buf[0] and buf[-1] stay 0.  A step reads one
-        # buffer's centre, left and right views and writes the other's centre.
+        # buf[1 + k] holds u_k 2^held; buf[0] and buf[-1] stay 0.  A step reads
+        # one buffer's centre, left and right views and writes the other's.
         bufs = np.zeros(width + 2), np.zeros(width + 2)
         bufs[0][1 : n + 2] = finite
         views = [(buf[1:-1], buf[:-2], buf[2:]) for buf in bufs]
         term = np.empty(width)
-        exponent = 0
+        exponent = held = 0
         for step in range(steps):
             (mid, left, right), new = views[step % 2], views[1 - step % 2][0]
             np.multiply(stay, mid, out=new)
@@ -159,18 +168,20 @@ def iter_log_rows(params: ModelParams, n_max: int) -> Iterator[np.ndarray]:
             np.multiply(drop, right, out=term)
             new += term
             n += 1
-            support = _support_size(params, n)
+            support = next(sizes)
             if support:
-                peak = new.max()
-                if not _TINY < peak < math.inf:
+                peak = np.maximum.reduce(new)
+                if not math.ldexp(_TINY, held) < peak < math.inf:
                     raise _precision_lost(params, n)
-                shift = math.frexp(peak)[1]
-                exponent += shift
-                new *= 2.0**-shift
-            if np.count_nonzero(new > _TINY) != support:
+                held = math.frexp(peak)[1]
+            if np.count_nonzero(new > math.ldexp(_TINY, held)) != support:
                 raise _precision_lost(params, n)
-            if last_only and step + 1 < steps:
-                continue  # no one reads this row's logs
+            logged = not last_only or step + 1 == steps  # no one reads the others
+            if logged or not _HELD[0] <= held <= _HELD[1]:
+                new *= 2.0**-held
+                exponent, held = exponent + held, 0
+            if not logged:
+                continue
             with np.errstate(divide="ignore"):  # structural zeros become -inf
                 row = np.log(new[: n + 1])
             row += s[: n + 1]

@@ -4,10 +4,13 @@ Each one is written apart from the engine it checks: path enumeration for
 the triangle recurrence, the whole-row `log_sum_exp` and tilted sums for
 the windowed `tilted_cgf` (the library's one reduction of a log row), the
 x-parametrization of the rate profile for the Legendre solve, the
-closed-form double-root rate, and a fixed value of Lambert W.  None of
-them is part of the library.  `egf_value` reads the library's one closed
-form at a real point, for the tests of its values.  `uniform_error_applies`
-names the models that the O(1/n) Daniels error bounds of the tests cover.
+closed-form double-root rate, a fixed value of Lambert W, and the
+log-space row kernel that divides every row by its power of two
+(`rescaled_log_rows`) for `exact.iter_log_rows`, which divides only the
+rows whose logs are taken.  None of them is part of the library.
+`egf_value` reads the library's one closed form at a real point, for the
+tests of its values.  `uniform_error_applies` names the models that the
+O(1/n) Daniels error bounds of the tests cover.
 """
 
 import math
@@ -15,8 +18,8 @@ import math
 import numpy as np
 
 from wmotzkin import (
-    CapacityError, CgfValues, DomainError, DriftKind, EgfEvaluator, ModelParams, RateProfile,
-    RegimeError, SingularityMap,
+    AccuracyError, CapacityError, CgfValues, DomainError, DriftKind, EgfEvaluator, ModelParams,
+    RateProfile, RegimeError, SingularityMap, exact,
 )
 from wmotzkin.model import QUADRATIC, require
 from wmotzkin.specfun import LOG_ZERO
@@ -157,3 +160,93 @@ def rate_closed_form_double_root(r: float, u: float) -> float:
         return 0.0 if u == 1.0 else INFINITE_RATE
     entropy = u * math.log(u) + ((1.0 - u) * math.log(1.0 - u) if u < 1.0 else 0.0)
     return entropy + (u - 1.0) * math.log(-r) + math.log(1.0 - r)
+
+
+def _support_size(params: ModelParams, n: int) -> int:
+    """Number of structurally nonzero entries of row n >= 1: heights n,
+    n - step, ... down to the lowest reachable height lo."""
+    if params.alpha0 == 0:
+        return 1 if params.gamma0 else 0
+    step = 1 if params.c or params.gamma0 else 2
+    if params.gamma0 or (params.beta0 and n >= 2):
+        lo = 0
+    elif step == 1 or params.b:
+        lo = 1
+    else:
+        lo = n
+    return len(range(n, lo - 1, -step))
+
+
+def rescaled_log_rows(params: ModelParams, n_max: int, last_only: bool = False):
+    """Log-space rows 0..n_max by the blocked kernel of `exact.iter_log_rows`
+    with every row divided by the power of two that puts its maximum in
+    [1/2, 1), and each row checked against `exact._TINY` there.  With
+    `last_only`, rows 0 and n_max alone are yielded, and only block ends and
+    row n_max have their logs taken.  The block sizes and the threshold come
+    from `exact`, so a patched `_BLOCK_BUDGET` reaches both kernels.
+    """
+
+    def precision_lost(n):
+        return AccuracyError(f"log-space row {n} of {params.as_tuple()}: a nonzero weight "
+                             "left the range of its column scale")
+
+    k = np.arange(n_max + 1, dtype=float)
+    try:
+        with np.errstate(divide="ignore", over="raise"):
+            log_up = np.log(params.up_weight(k))
+            log_down = np.log(params.down_weight(k))
+            level = params.level_weight(k)
+    except (OverflowError, FloatingPointError):
+        raise DomainError(f"step weights of {params.as_tuple()} leave the doubles") from None
+    block = exact._block_size(params, n_max)
+    row = np.zeros(1)
+    yield row
+    n = 0
+    while n < n_max:
+        steps = min(block, n_max - n)
+        width = n + steps + 1
+        cols = np.arange(width + 1, dtype=float)
+        finite = row > LOG_ZERO
+        nonzero = np.flatnonzero(finite)
+        s = np.zeros(width + 1)
+        if nonzero.size:
+            s[: n + 1] = np.interp(cols[: n + 1], nonzero, row[nonzero])
+        slope = s[n] - s[n - 1] if n else 0.0
+        s[n + 1 :] = s[n] + slope * (cols[n + 1 :] - n)
+        ds = np.diff(s)
+        lift = np.zeros(width)
+        with np.errstate(over="ignore"):
+            lift[1:] = np.exp(log_up[: width - 1] - ds[:-1])
+            drop = np.exp(log_down[:width] + ds)
+        stay = level[:width]
+        bufs = np.zeros(width + 2), np.zeros(width + 2)
+        bufs[0][1 : n + 2] = finite
+        views = [(buf[1:-1], buf[:-2], buf[2:]) for buf in bufs]
+        term = np.empty(width)
+        exponent = 0
+        for step in range(steps):
+            (mid, left, right), new = views[step % 2], views[1 - step % 2][0]
+            np.multiply(stay, mid, out=new)
+            np.multiply(lift, left, out=term)
+            new += term
+            np.multiply(drop, right, out=term)
+            new += term
+            n += 1
+            support = _support_size(params, n)
+            if support:
+                peak = new.max()
+                if not exact._TINY < peak < math.inf:
+                    raise precision_lost(n)
+                shift = math.frexp(peak)[1]
+                exponent += shift
+                new *= 2.0**-shift
+            if np.count_nonzero(new > exact._TINY) != support:
+                raise precision_lost(n)
+            if last_only and step + 1 < steps:
+                continue
+            with np.errstate(divide="ignore"):
+                row = np.log(new[: n + 1])
+            row += s[: n + 1]
+            row += exponent * math.log(2.0)
+            if not last_only or n == n_max:
+                yield row

@@ -19,7 +19,7 @@ from wmotzkin import (
 )
 from wmotzkin import cli, exact, ldp
 from wmotzkin.closedform import SingularityMap
-from oracles import brute_force_oracle, exact_log_row, log_sum_exp
+from oracles import brute_force_oracle, exact_log_row, log_sum_exp, rescaled_log_rows
 from corpus import (
     CORPUS,
     CLASSIC,
@@ -363,6 +363,51 @@ def test_streaming_matches_full_build():
             logs = list(exact.iter_log_rows(params, n))
             assert len(logs) == n + 1
             assert np.array_equal(final_log_row(params, n), logs[n]), (params, n)
+
+
+def _build(rows, params, n):
+    """The bytes of each row a build yields, or the text of its AccuracyError."""
+    try:
+        return [row.tobytes() for row in rows(params, n)]
+    except AccuracyError as err:
+        return str(err)
+
+
+def _last_row(params, n):
+    return [final_log_row(params, n)]
+
+
+def _last_rescaled_row(params, n):
+    return list(rescaled_log_rows(params, n, True))[-1:]
+
+
+def _assert_builds_match_every_step_rescale(params, n):
+    for rows, ref in ((exact.iter_log_rows, rescaled_log_rows), (_last_row, _last_rescaled_row)):
+        assert _build(rows, params, n) == _build(ref, params, n), (params, n, rows)
+
+
+@pytest.mark.parametrize("window", [None, (1, 0), (-4, 16)], ids=["held", "empty", "narrow"])
+def test_log_rows_match_every_step_rescale(monkeypatch, window):
+    # iter_log_rows divides a row by the power of two it carries only where
+    # its logs are taken or the power leaves _HELD; the oracle divides every
+    # row.  A division by a power of two is exact, so every row must match
+    # bit for bit: with the module's window (where the corpus at n = 1000
+    # leaves it 22 times mid-block), with an empty one (a division at every
+    # step) and with a narrow one (the power leaves it every few steps;
+    # a = 10**30 grows about 100 bits a step).
+    if window:
+        monkeypatch.setattr(exact, "_HELD", window)
+    for params in CORPUS + ZERO_STRUCTURE + [ModelParams(10**30, 1, 1, 1, 1, 1)]:
+        for n in _block_lengths(params) + [1000] * (window is None):
+            _assert_builds_match_every_step_rescale(params, n)
+
+
+def test_lost_precision_matches_every_step_rescale(monkeypatch):
+    # Blocks ten times too long: 20 of these 26 builds fail, each at the
+    # oracle's row with its text, whether every row or the last is asked for.
+    monkeypatch.setattr(exact, "_BLOCK_BUDGET", 6000.0)
+    for params in CORPUS + [ModelParams(10**30, 1, 1, 1, 1, 1)]:
+        _assert_builds_match_every_step_rescale(params, 400)
 
 
 def test_row_builds_pass_through_a_yield_from_wrapper(monkeypatch, capsys):
