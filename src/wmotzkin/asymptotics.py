@@ -45,19 +45,21 @@ def log_pn_quadratic(params: ModelParams, x: float, n: int) -> AsymptoticEstimat
         raise DomainError(f"n must be >= 1, got {n}")
     smap = SingularityMap(params)
     tau = smap.tau(x)
-    nu, c0 = regime.nu, regime.c0
+    nu, c0, p = regime.nu, regime.c0, regime.p
     # sqrt(2 pi)/Gamma(nu) * amp(x) * e^{c0 tau} * n^{nu-1/2} * (n/(e tau))^n
-    log_pn = (
-        _LOG_SQRT_2PI
-        - math.lgamma(nu)
-        + smap.log_amplitude(x, tau)
-        + c0 * tau
-        + (nu - 0.5) * math.log(n)
-        + n * (math.log(n) - 1.0 - math.log(tau))
-    )
+    try:
+        log_pn = (
+            _LOG_SQRT_2PI
+            - math.lgamma(nu)
+            + smap.log_amplitude(x, tau)
+            + c0 * tau
+            + (nu - 0.5) * math.log(n)
+            + n * (math.log(n) - 1.0 - math.log(tau))
+        )
+    except OverflowError:  # log Gamma(nu) past about nu = 2.56e305
+        raise DomainError(f"log Gamma(nu) at nu = alpha0/A = {nu:g} overflows") from None
     cgf, c0_T = smap.cgf(0.0), c0 * smap.tau(1.0)
-    p = regime.p if regime.kind is DriftKind.COMPLEX_ROOTS else smap.domain_low
-    r_sq = (1.0 - p) ** 2 + (regime.q or 0.0) ** 2
+    r_sq = (1.0 - p) ** 2 + regime.q**2
     s = (1.0 - p) / r_sq
     mu = (n + nu - c0_T) * cgf.deriv1 - nu * s
     sigma2 = ((n + nu - c0_T) * cgf.deriv2 + c0_T * cgf.deriv1**2
@@ -113,10 +115,9 @@ def log_pn_constant_drift_exact(params: ModelParams, x: float, n: int) -> float:
     if not 0 < x < math.inf or n < 0:
         raise DomainError(f"need a positive finite x and n >= 0, got x={x} and n={n}")
     X = params.alpha0 * x + params.gamma0
-    Y = params.alpha0 * regime.C
-    if Y == 0.0:
+    if regime.Y == 0.0:
         return n * math.log(X)
-    return sum(map(math.log, hermite_ratios(X, Y, n)), 0.0)
+    return sum(map(math.log, hermite_ratios(X, regime.Y, n)), 0.0)
 
 
 def constant_drift_moments(params: ModelParams, n: int) -> tuple[float, float]:
@@ -124,9 +125,7 @@ def constant_drift_moments(params: ModelParams, n: int) -> tuple[float, float]:
     regime = require(params, (DriftKind.CONSTANT,), degenerate="weighted")
     if params.is_degenerate or n == 0:
         return (0.0, 0.0)  # a point mass at height 0
-    X1 = params.alpha0 + params.gamma0
-    Y = params.alpha0 * regime.C
-    ratios = hermite_ratios(X1, Y, n)  # H_m/H_{m-1}, m = 1..n
+    ratios = hermite_ratios(params.alpha0 + params.gamma0, regime.Y, n)  # H_m/H_{m-1}, m = 1..n
     mu = params.alpha0 * n / ratios[-1]
     if n >= 2:
         ekk1 = params.alpha0**2 * n * (n - 1) / (ratios[-1] * ratios[-2])
@@ -144,7 +143,7 @@ def log_pn_linear_drift(params: ModelParams, x: float, n: int) -> AsymptoticEsti
     `closedform.modulus_saddle`.  The moments are theta-derivatives at the
     saddle t at x = 1: the envelope ones of log w - (n+1) log t, and for
     the mean also that of -log(curvature)/2, through dt/dtheta =
-    -alpha0 e^{B t}/curvature.
+    -alpha0 e^{B t}/curvature; DomainError where t^3 is 0 in a double.
     """
     regime = require(params, (DriftKind.LINEAR,))
     if n < 1:
@@ -152,7 +151,9 @@ def log_pn_linear_drift(params: ModelParams, x: float, n: int) -> AsymptoticEsti
     log_pn = _laplace_tail(n, modulus_saddle(params, x, n))
     saddle, B = modulus_saddle(params, 1.0, n), regime.B
     t, curv, grow = saddle.t, saddle.curvature, params.alpha0 * math.exp(B * saddle.t)
-    lead = (params.alpha0 / B) * math.expm1(B * t)
+    if not t**3 > 0:
+        raise DomainError(f"the modulus saddle t={t:g} at x=1 has t^3 = 0 in a double")
+    lead = regime.alpha0_B * math.expm1(B * t)
     d_curv = B * grow - (B * (B + regime.C) * grow - 2.0 * (n + 1) / t**3) * grow / curv
     return AsymptoticEstimate(log_pn, lead - 0.5 * d_curv / curv, lead - grow**2 / curv)
 

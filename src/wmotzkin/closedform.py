@@ -45,12 +45,7 @@ class SingularityMap:
 
     @property
     def domain_low(self) -> float:
-        regime = self.regime
-        if regime.kind is DriftKind.TWO_REAL_ROOTS:
-            return regime.r2
-        if regime.kind is DriftKind.DOUBLE_ROOT:
-            return regime.r
-        return 0.0
+        return 0.0 if self.regime.q else self.regime.p
 
     def tau(self, x: float) -> float:
         if not self.domain_low < x < math.inf:
@@ -79,10 +74,7 @@ class SingularityMap:
         the distance from x to the root that bounds the singularity domain.
         """
         regime = self.regime
-        if regime.kind is DriftKind.COMPLEX_ROOTS:
-            radial = math.hypot(x - regime.p, regime.q)
-        else:
-            radial = x - self.domain_low
+        radial = math.hypot(x - regime.p, regime.q)  # x - p exactly when q = 0
         return -regime.nu * (math.log(regime.A) + math.log(tau) + math.log(radial))
 
     def cgf(self, theta: float) -> CgfValues:
@@ -150,17 +142,14 @@ class EgfEvaluator:
         Powers take the principal branch; nothing here checks that the
         power base stays off the negative real axis on the contour.
         """
-        params = self.params
-        regime = self.regime
+        params, regime = self.params, self.regime
         kind = regime.kind
         if kind is DriftKind.CONSTANT:
-            C = regime.C
-            quadratic = params.alpha0 * x * t + 0.5 * params.alpha0 * C * t * t
+            quadratic = params.alpha0 * x * t + 0.5 * regime.Y * t * t
             return np.exp(quadratic + params.gamma0 * t)
         if kind is DriftKind.LINEAR:
-            B, C = regime.B, regime.C
-            lam = (params.alpha0 / B) * (np.exp(B * t) - 1.0)
-            return np.exp(lam * (x + C / B) + (params.gamma0 - params.alpha0 * C / B) * t)
+            lam = regime.alpha0_B * (np.exp(regime.B * t) - 1.0)
+            return np.exp(lam * (x + regime.C_B) + regime.a_lin * t)
 
         A = regime.A
         nu = regime.nu
@@ -261,12 +250,12 @@ def modulus_saddle(params: ModelParams, x: float, n: int) -> ModulusSaddle:
     Constant drift: log w = X t + Y t^2/2 with X = alpha0*x + gamma0 and
     Y = alpha0*C, and t in closed form.  Linear drift: log w = a_lin t +
     (x + C/B)(alpha0/B)(e^{B t} - 1) with a_lin = gamma0 - alpha0*C/B, and t
-    by `safeguarded_root` from W(n/y)/B, y = (alpha0/B)(x + C/B).  With
-    alpha0 = 0, log w = gamma0 t and t = (n+1)/gamma0, or 1.0 when w is
-    constant (gamma0 = 0).
-    Unbalanced and A > 0 models raise RegimeError; x <= 0, x = inf and
-    Laplace data that is not finite (t^2 underflows at x near 1e300) raise
-    DomainError.
+    by `safeguarded_root` from W(n/y)/B, y = (alpha0/B)(x + C/B).  Y, C/B,
+    alpha0/B and a_lin come from `Regime`.  With alpha0 = 0, log w =
+    gamma0 t and t = (n+1)/gamma0, or 1.0 when w is constant (gamma0 = 0).
+    Unbalanced and A > 0 models raise RegimeError; x <= 0, x = inf, an
+    e^{B t} past the doubles at a Newton step and Laplace data that is not
+    finite (t^2 underflows at x near 1e300) raise DomainError.
     """
     regime = require(params, (DriftKind.CONSTANT, DriftKind.LINEAR), degenerate="accept")
     if not 0 < x < math.inf:
@@ -274,17 +263,15 @@ def modulus_saddle(params: ModelParams, x: float, n: int) -> ModulusSaddle:
     if params.alpha0 == 0:
         t = (n + 1) / params.gamma0 if params.gamma0 else 1.0
         return _laplace_data(n, t, params.gamma0 * t, 0.0)
-    B, C = regime.B, regime.C
+    B, Y, a_lin = regime.B, regime.Y, regime.a_lin
     if regime.kind is DriftKind.CONSTANT:
         X = params.alpha0 * x + params.gamma0
-        Y = params.alpha0 * C
         if Y == 0:
             t = (n + 1) / X
         else:
             t = (-X + math.sqrt(X * X + 4.0 * Y * (n + 1))) / (2.0 * Y)
         return _laplace_data(n, t, X * t + 0.5 * Y * t * t, Y)
-    y = (params.alpha0 / B) * (x + C / B)
-    a_lin = params.gamma0 - params.alpha0 * C / B
+    y = regime.alpha0_B * (x + regime.C_B)
 
     def excess(t: float) -> tuple[float, float]:
         grow = B * y * math.exp(B * t)
@@ -294,9 +281,12 @@ def modulus_saddle(params: ModelParams, x: float, n: int) -> ModulusSaddle:
     # positive root.  Below it the steps go up; above it a Newton step on a
     # convex function stays above it, so no point reaches t <= 0.  The
     # tolerance keeps the residual a decade inside 1e-12 * (n + 1).
-    t, _ = safeguarded_root(excess, lambert_w0(n / y) / B, tol=1e-13 * (n + 1), limit=1e9)
-    lam = (params.alpha0 / B) * math.expm1(B * t)
-    return _laplace_data(n, t, a_lin * t + (C / B + x) * lam, B * B * y * math.exp(B * t))
+    try:
+        t, _ = safeguarded_root(excess, lambert_w0(n / y) / B, tol=1e-13 * (n + 1), limit=1e9)
+    except OverflowError:  # e^{B t} at a Newton step
+        raise DomainError(f"e^(B t) overflows on the way to the modulus saddle at x={x}") from None
+    lam = regime.alpha0_B * math.expm1(B * t)
+    return _laplace_data(n, t, a_lin * t + (regime.C_B + x) * lam, B * B * y * math.exp(B * t))
 
 
 def _laplace_data(n: int, t: float, log_w: float, bend: float) -> ModulusSaddle:

@@ -113,11 +113,11 @@ def iter_log_rows(params: ModelParams, n_max: int) -> Iterator[np.ndarray]:
     2^held, which c records, waits until the row's logs are taken or held
     leaves _HELD; a power of two divides exactly, so each row equals what a
     division at every step gives.  Structural zeros stay exactly 0 (-inf).
-    A nonzero entry that falls below 2^-960 of the row maximum raises
-    AccuracyError rather than yield a wrong row; a step weight past the
-    doubles, DomainError.  Sending True after row 0 asks for row n_max
-    alone: every row is still built and checked, but only block ends (the
-    next scale) and row n_max get logs.
+    A nonzero entry below 2^-960 of the row maximum, or a folded weight past
+    the doubles, raises AccuracyError rather than yield a wrong row; a step
+    weight past the doubles, DomainError.  Sending True after row 0 asks for
+    row n_max alone: every row is still built and checked, but only block
+    ends (the next scale) and row n_max get logs.
     """
     if n_max < 0:
         raise DomainError(f"n_max must be nonnegative, got {n_max}")
@@ -148,9 +148,12 @@ def iter_log_rows(params: ModelParams, n_max: int) -> Iterator[np.ndarray]:
         s[n + 1 :] = s[n] + slope * (cols[n + 1 :] - n)
         ds = np.diff(s)
         lift = np.zeros(width)  # lift[0] multiplies the zero below column 0
-        with np.errstate(over="ignore"):  # an inf weight fails the row check
-            lift[1:] = np.exp(log_up[: width - 1] - ds[:-1])
-            drop = np.exp(log_down[:width] + ds)
+        try:
+            with np.errstate(over="raise"):
+                lift[1:] = np.exp(log_up[: width - 1] - ds[:-1])
+                drop = np.exp(log_down[:width] + ds)
+        except FloatingPointError:  # an inf weight: row n + 1 would hold an inf or nan
+            raise _precision_lost(params, n + 1) from None
         stay = level[:width]
 
         # buf[1 + k] holds u_k 2^held; buf[0] and buf[-1] stay 0.  A step reads

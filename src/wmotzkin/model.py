@@ -137,18 +137,25 @@ QUADRATIC = (DriftKind.TWO_REAL_ROOTS, DriftKind.DOUBLE_ROOT, DriftKind.COMPLEX_
 
 @dataclass(frozen=True)
 class Regime:
-    """Drift classification plus the constants used by the closed forms.
+    """Drift classification plus every constant the closed forms and the
+    estimates read, each computed once by `classify`.
 
     A, B and C are the coefficients of the drift Q(x) = A*x^2 + B*x + C.
-    Quadratic kinds carry nu = alpha0/A and the exponential prefactor rate
-    c0; the root fields are populated per kind (r1 < r2, double root r, or
-    complex pair p +/- i*q with q > 0).
+    A = 0 kinds carry Y = alpha0*C, and linear drift also alpha0/B, C/B
+    and a_lin = gamma0 - alpha0*C/B.  Quadratic kinds carry nu = alpha0/A,
+    the exponential prefactor rate c0, their roots (r1 < r2, double root r,
+    or complex pair) and the root p +/- i*q that bounds the singularity
+    domain: r2 or r with q = 0, or the complex pair with q > 0.
     """
 
     kind: DriftKind
     A: int
     B: int
     C: int
+    Y: float | None = None
+    alpha0_B: float | None = None
+    C_B: float | None = None
+    a_lin: float | None = None
     r1: float | None = None
     r2: float | None = None
     r: float | None = None
@@ -175,38 +182,34 @@ def classify(params: ModelParams) -> Regime:
     """Classify the drift regime of a parameter set.
 
     The branch is decided on the exact integer discriminant, so regime
-    selection never suffers floating-point ambiguity; the derived root
-    constants are double precision, so DomainError when a parameter or the
-    discriminant is not a finite double.
+    selection never suffers floating-point ambiguity; the derived constants
+    are doubles, so DomainError when a parameter, the discriminant or, for
+    A = 0, alpha0*C (which bounds every A = 0 constant) is not a finite double.
     """
     A, B, C = params.a, params.c, params.b
     delta = B * B - 4 * A * C
-    try:
-        for value in (*params.as_tuple(), delta):
+    checks = [("a coefficient or B^2 - 4AC", v) for v in (*params.as_tuple(), delta)]
+    for what, value in checks + ([("alpha0*C", params.alpha0 * C)] if A == 0 else []):
+        try:
             float(value)
-    except OverflowError:
-        raise DomainError(f"a coefficient or B^2 - 4AC of {params.as_tuple()} "
-                          "is not a finite double") from None
-    fields = {}
+        except OverflowError:
+            raise DomainError(f"{what} of {params.as_tuple()} is not a finite double") from None
     if A == 0:
+        linear = {"alpha0_B": params.alpha0 / B, "C_B": C / B,
+                  "a_lin": params.gamma0 - params.alpha0 * C / B} if B else {}
         kind = DriftKind.LINEAR if B else DriftKind.CONSTANT
-    else:
-        # Each quadratic kind stores its roots and names the lead one
-        # (r1, r or p) that sets the prefactor rate c0.
-        if delta > 0:
-            sqrt_delta = math.sqrt(delta)
-            kind = DriftKind.TWO_REAL_ROOTS
-            fields = {"r1": (-B - sqrt_delta) / (2 * A), "r2": (-B + sqrt_delta) / (2 * A)}
-            lead = fields["r1"]
-        elif delta == 0:
-            kind, lead = DriftKind.DOUBLE_ROOT, -B / (2 * A)
-            fields = {"r": lead}
-        else:
-            kind, lead = DriftKind.COMPLEX_ROOTS, -B / (2 * A)
-            fields = {"p": lead, "q": math.sqrt(-delta) / (2 * A)}
-        c0 = params.alpha0 * lead + params.gamma0
-        fields.update(nu=params.alpha0 / A, c0=c0)
-    return Regime(kind, A, B, C, **fields)
+        return Regime(kind, A, B, C, Y=float(params.alpha0 * C), **linear)
+    # The lead root (r1, r or p) sets the prefactor rate c0; p (+/- iq) bounds the domain.
+    if delta > 0:
+        sqrt_delta = math.sqrt(delta)
+        r1, r2 = (-B - sqrt_delta) / (2 * A), (-B + sqrt_delta) / (2 * A)
+        kind, lead, fields = DriftKind.TWO_REAL_ROOTS, r1, {"r1": r1, "r2": r2, "p": r2, "q": 0.0}
+    else:  # p +/- iq, one double root r = p when q = 0
+        lead, q = -B / (2 * A), math.sqrt(-delta) / (2 * A)
+        kind = DriftKind.COMPLEX_ROOTS if delta else DriftKind.DOUBLE_ROOT
+        fields = {"p": lead, "q": q, "r": None if delta else lead}
+    c0 = params.alpha0 * lead + params.gamma0
+    return Regime(kind, A, B, C, nu=params.alpha0 / A, c0=c0, **fields)
 
 
 def require(

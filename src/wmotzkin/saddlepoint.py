@@ -55,8 +55,8 @@ class CumulantEvaluator:
 
     def solve_saddle(self, k: int, near: SaddleResult | None = None) -> SaddleResult:
         """Tilt theta with tilted mean k, by `conjugate_root` on kappa_n:
-        cold from theta = 0, or warm from `near`, the solve at a nearby k.
-        """
+        cold from theta = 0, or warm from `near`, the solve at a nearby k;
+        DomainError where the tilted law there is a point mass (kappa'' = 0)."""
         if k <= self.k_min or k >= self.k_max:
             raise BoundaryError(
                 f"no mass beyond k={k}: support is [{self.k_min}, {self.k_max}]"
@@ -68,6 +68,8 @@ class CumulantEvaluator:
             at_zero=self.at_zero,
             tol=1e-9 * max(1.0, float(k)),
         )
+        if not vals.deriv2 > 0:
+            raise DomainError(f"the tilted law at k={k} has variance {vals.deriv2:g}")
         log_p = (
             -0.5 * math.log(2.0 * math.pi * vals.deriv2)
             + vals.value

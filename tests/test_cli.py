@@ -3,6 +3,7 @@ import functools
 import importlib
 import json
 import math
+import random
 import re
 import subprocess
 import sys
@@ -255,6 +256,10 @@ A0_LINEAR = "a=0 b=1 c=1 alpha0=1 beta0=1 gamma0=1"
 A0_CONSTANT = "a=0 b=0 c=0 alpha0=2 beta0=0 gamma0=3"
 
 
+def _params(a, b, c, alpha0, beta0, gamma0):
+    return f"a={a} b={b} c={c} alpha0={alpha0} beta0={beta0} gamma0={gamma0}"
+
+
 @pytest.mark.parametrize("args, expected", [
     # --params text too long to be a file name is read as inline parameters
     (["triangle", "--params", "x" * 300, "--n", "3"], 2),
@@ -285,6 +290,22 @@ A0_CONSTANT = "a=0 b=0 c=0 alpha0=2 beta0=0 gamma0=3"
       '"gamma0": 1}', "--n", "3"], 2),
     (["dist", "--params", '{"a": -1, "b": 1, "c": 1, "alpha0": 1, "beta0": 1, '
       '"gamma0": 1}', "--n", "3"], 2),
+    # Near the top of the doubles, each of these raised OverflowError,
+    # ZeroDivisionError, ValueError or a numpy RuntimeWarning out of an engine.
+    # alpha0*C past the doubles: A = 0 constants no double holds
+    (["asym", "--N-list", "20", "--params", _params(0, 2**895, 2**143, 2**699, 2**895, 2**797)], 3),
+    (["egf-check", "--params", _params(0, 2**895, 2**143, 2**699, 2**895, 2**797)], 3),
+    (["asym", "--N-list", "20,40", "--params", _params(0, 2**102, 0, 2**953, 2**102, 0)], 3),
+    # a folded step weight past the doubles meets a structural zero (inf * 0)
+    (["dist", "--n", "90", "--params", _params(0, 3, 2, 2**819, 2**590, 3)], 3),
+    # e^(B t) overflows at a Newton step toward the linear-drift modulus saddle
+    (["egf-check", "--n", "6", "--params", _params(0, 1, 2**232, 2**123, 1, 0)], 3),
+    # the linear-drift moments at a modulus saddle t whose cube underflows
+    (["asym", "--N-list", "20", "--params", _params(0, 0, 2**396, 5, 0, 2**352)], 3),
+    # log Gamma(nu) overflows at nu = alpha0/A near 2.2e306
+    (["asym", "--N-list", "20", "--params", _params(5, 0, 0, 2**1020, 0, 2**247)], 3),
+    # a Daniels saddle whose tilted law is a point mass (kappa'' = 0)
+    (["saddle", "--n", "60", "--params", _params(2**902, 0, 2**833, 2**474, 0, 2**578)], 3),
 ])
 def test_error_exits_without_traceback(args, expected, capsys):
     with warnings.catch_warnings():
@@ -292,6 +313,31 @@ def test_error_exits_without_traceback(args, expected, capsys):
         code, out, err = run_main(args, capsys)
     assert (code, out) == (expected, "")
     assert err.startswith("error: " if expected == 2 else "numeric-domain error: ")
+
+
+def test_random_large_models_exit_with_documented_codes(capsys):
+    # 100 seeded models, each coefficient 0, 1..6 or a power of two from
+    # 2^100 to 2^1020, through every float engine: each run exits 0, 2, 3
+    # or 4, with no exception and no numpy RuntimeWarning.
+    rng = random.Random(0)
+
+    def coefficient():
+        pick = rng.randrange(3)
+        return 0 if pick == 0 else rng.randint(1, 6) if pick == 1 else 2 ** rng.randint(100, 1020)
+
+    commands = [["dist", "--n", "60"], ["saddle", "--n", "60"], ["asym", "--N-list", "20,40"],
+                ["ldp", "--N-list", "30"], ["egf-check", "--n", "6"]]
+    for _ in range(100):
+        params = _params(*(coefficient() for _ in range(6)))
+        for command in commands:
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", RuntimeWarning)
+                    code = main([*command, "--params", params])
+            except Exception as exc:
+                pytest.fail(f"{command[0]} --params '{params}' raised {exc!r}")
+            capsys.readouterr()
+            assert code in (0, 2, 3, 4), (command, params)
 
 
 @pytest.mark.parametrize("args", [

@@ -410,6 +410,23 @@ def test_lost_precision_matches_every_step_rescale(monkeypatch):
         _assert_builds_match_every_step_rescale(params, 400)
 
 
+@pytest.mark.parametrize("params", [
+    ModelParams(0, 3, 2, 2**819, 2**590, 3),
+    ModelParams(0, 0, 0, 2**949, 2**799, 6),
+    ModelParams(2**929, 2**250, 1, 2**175, 2**438, 5),
+], ids=["dist-repro", "constant", "quadratic"])
+def test_inf_folded_weight_fails_like_every_step_rescale(params):
+    # A folded down weight past the doubles (inf) meets a structural zero in
+    # the block's first step.  The build raises the oracle's AccuracyError at
+    # the oracle's row, with no numpy RuntimeWarning (pytest makes those
+    # errors); only the oracle's own inf * 0 is silenced.
+    for rows, ref in ((exact.iter_log_rows, rescaled_log_rows), (_last_row, _last_rescaled_row)):
+        with np.errstate(invalid="ignore"):
+            expected = _build(ref, params, 90)
+        assert isinstance(expected, str)
+        assert _build(rows, params, 90) == expected
+
+
 def test_row_builds_pass_through_a_yield_from_wrapper(monkeypatch, capsys):
     # A span wrapper that forwards the generator with `yield from`, as the
     # benchmark's tracer around the module's iter_log_rows does: every

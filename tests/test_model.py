@@ -117,11 +117,36 @@ def test_regime_constants_per_kind():
         regime = classify(params)
         if regime.kind is DriftKind.DOUBLE_ROOT:
             assert regime.r == -regime.B / (2 * regime.A)
+            assert (regime.p, regime.q) == (regime.r, 0.0)
+        if regime.kind is DriftKind.TWO_REAL_ROOTS:
+            assert (regime.p, regime.q) == (regime.r2, 0.0)
         if regime.kind is DriftKind.COMPLEX_ROOTS:
             assert regime.q > 0
             assert regime.p == -regime.B / (2 * regime.A)
         if regime.is_quadratic:
             assert regime.nu == float(Fraction(params.alpha0, regime.A))
+            continue
+        # A = 0: the closed-form constants, each a double near its exact value
+        B, C = regime.B, regime.C
+        assert regime.Y == params.alpha0 * C
+        if regime.kind is DriftKind.LINEAR:
+            assert regime.alpha0_B == float(Fraction(params.alpha0, B))
+            assert regime.C_B == float(Fraction(C, B))
+            exact = params.gamma0 - Fraction(params.alpha0 * C, B)
+            assert math.isclose(regime.a_lin, exact, rel_tol=1e-15, abs_tol=1e-15)
+        else:
+            assert regime.alpha0_B is regime.C_B is regime.a_lin is None
+
+
+def test_alpha0_C_past_the_doubles_refused_for_A_zero_only():
+    # A = 0 constants all lie within alpha0*C of 0 (C >= 0, B >= 1), so
+    # classify's one finite-double guard covers alpha0*C; A > 0 reads none.
+    for params in (ModelParams(0, 2**895, 2**143, 2**699, 2**895, 2**797),
+                   ModelParams(0, 2**102, 0, 2**953, 2**102, 0)):
+        with pytest.raises(DomainError, match=r"^alpha0\*C of .* is not a finite double$"):
+            classify(params)
+    regime = classify(ModelParams(1, 2**600, 2**300, 2**600, 2**600, 1))
+    assert regime.kind is DriftKind.COMPLEX_ROOTS and regime.Y is None
 
 
 def test_validation_rejects_bad_values():
