@@ -24,11 +24,15 @@ _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 class AsymptoticEstimate:
     """Leading-order log row sum at (x, n), and the length-n mean and
     variance: the theta-derivatives of the estimate's log P_n(e^theta) at
-    theta = 0 (exact Hermite moments for constant drift)."""
+    theta = 0 (exact Hermite moments for constant drift), each finite."""
 
     log_pn: float
     mu: float
     sigma2: float
+
+    def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.log_pn, self.mu, self.sigma2))):
+            raise DomainError(f"the asymptotic estimate {self} is not finite")
 
 
 def log_pn_quadratic(params: ModelParams, x: float, n: int) -> AsymptoticEstimate:

@@ -56,12 +56,11 @@ class SingularityMap:
         regime = self.regime
         A = regime.A
         if regime.kind is DriftKind.TWO_REAL_ROOTS:
-            # log((x-r1)/(x-r2)) written via log1p for stability at large x.
-            return math.log1p((regime.r2 - regime.r1) / (x - regime.r2)) / (
-                A * (regime.r2 - regime.r1)
-            )
+            # log((x-r1)/(x-r2)), r2 = p, written via log1p for stability at large x.
+            gap = regime.p - regime.r1
+            return math.log1p(gap / (x - regime.p)) / (A * gap)
         if regime.kind is DriftKind.DOUBLE_ROOT:
-            return 1.0 / (A * (x - regime.r))
+            return 1.0 / (A * (x - regime.p))
         # pi/2 - arctan((x-p)/q) == arctan(q/(x-p)) since x > 0 >= p here.
         return math.atan2(regime.q, x - regime.p) / (A * regime.q)
 
@@ -158,11 +157,11 @@ class EgfEvaluator:
             base = regime.q / (math.hypot(x - regime.p, regime.q) * np.cos(phase))
             return np.exp(regime.c0 * t) * _principal_pow(base, nu)
         if kind is DriftKind.DOUBLE_ROOT:
-            g = 1.0 - A * t * (x - regime.r)
+            g = 1.0 - A * t * (x - regime.p)
             return np.exp(regime.c0 * t) * _principal_pow(g, -nu)
-        grow = np.exp(A * (regime.r1 - regime.r2) * t)
-        denom = (x - regime.r2) - (x - regime.r1) * grow
-        base = (regime.r1 - regime.r2) / denom
+        grow = np.exp(A * (regime.r1 - regime.p) * t)
+        denom = (x - regime.p) - (x - regime.r1) * grow
+        base = (regime.r1 - regime.p) / denom
         return np.exp(regime.c0 * t) * _principal_pow(base, nu)
 
     def taylor_coefficients(self, x: float, n_terms: int) -> np.ndarray:

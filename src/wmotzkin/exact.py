@@ -25,8 +25,8 @@ from .errors import AccuracyError, CapacityError, DomainError
 from .model import ModelParams
 from .specfun import LOG_ZERO, tilted_cgf
 
-# Default budget on the total stored integer size of an exact build (bits).
-DEFAULT_BIT_BUDGET = 1 << 30
+# Budget on the total stored integer size of an exact build (bits).
+BIT_BUDGET = 1 << 30
 
 
 @dataclass
@@ -48,9 +48,8 @@ _BLOCK_BUDGET = 600.0
 # Smallest scaled nonzero entry accepted.  2^-960 lies far above the
 # subnormal range (2^-1022), so no nonzero weight loses precision unseen.
 _TINY = 2.0**-960
-# A step leaves its row multiplied by 2^held, a power of two that is divided
-# out (exactly: every entry stays a normal double) where the row's logs are
-# taken, or once held leaves this window.
+# A step leaves its row times 2^held, a power of two divided out (exactly: every entry stays
+# a normal double) where the row's logs are taken, or once held leaves this window or its cap.
 _HELD = (-32, 512)
 _LOG2 = math.log(2.0)
 
@@ -111,8 +110,8 @@ def iter_log_rows(params: ModelParams, n_max: int) -> Iterator[np.ndarray]:
     beta_k e^{s_{k+1}-s_k}, which leave u times 2^held, held the exponent
     that puts the row maximum in [2^(held-1), 2^held).  The division by
     2^held, which c records, waits until the row's logs are taken or held
-    leaves _HELD; a power of two divides exactly, so each row equals what a
-    division at every step gives.  Structural zeros stay exactly 0 (-inf).
+    leaves _HELD or its block's cap; a power of two divides exactly, so each
+    row equals what a division at every step gives.  Structural zeros stay 0 (-inf).
     A nonzero entry below 2^-960 of the row maximum, or a folded weight past
     the doubles, raises AccuracyError rather than yield a wrong row; a step
     weight past the doubles, DomainError.  Sending True after row 0 asks for
@@ -147,14 +146,19 @@ def iter_log_rows(params: ModelParams, n_max: int) -> Iterator[np.ndarray]:
         slope = s[n] - s[n - 1] if n else 0.0
         s[n + 1 :] = s[n] + slope * (cols[n + 1 :] - n)
         ds = np.diff(s)
-        lift = np.zeros(width)  # lift[0] multiplies the zero below column 0
+        lift, drop = folded = np.zeros((2, width))  # lift[0] multiplies the zero below column 0
         try:
             with np.errstate(over="raise"):
-                lift[1:] = np.exp(log_up[: width - 1] - ds[:-1])
-                drop = np.exp(log_down[:width] + ds)
+                np.exp(log_up[: width - 1] - ds[:-1], out=lift[1:])
+                np.exp(log_down[:width] + ds, out=drop)
         except FloatingPointError:  # an inf weight: row n + 1 would hold an inf or nan
             raise _precision_lost(params, n + 1) from None
         stay = level[:width]
+        # The cap keeps a step below 2^1023: 2^(1021 - top) tops every weight (levels grow
+        # with k).  With top < 0 a divided row may step to inf too: the peak check fails, unwarned.
+        top = min(_HELD[1], 1021 - math.frexp(max(folded.max(), stay[-1]))[1])
+        quiet = np.errstate(over="ignore") if top < 0 else lambda ufunc: ufunc
+        mul, add = quiet(np.multiply), quiet(np.add)
 
         # buf[1 + k] holds u_k 2^held; buf[0] and buf[-1] stay 0.  A step reads
         # one buffer's centre, left and right views and writes the other's.
@@ -165,11 +169,11 @@ def iter_log_rows(params: ModelParams, n_max: int) -> Iterator[np.ndarray]:
         exponent = held = 0
         for step in range(steps):
             (mid, left, right), new = views[step % 2], views[1 - step % 2][0]
-            np.multiply(stay, mid, out=new)
-            np.multiply(lift, left, out=term)
-            new += term
-            np.multiply(drop, right, out=term)
-            new += term
+            mul(stay, mid, out=new)
+            mul(lift, left, out=term)
+            add(new, term, out=new)
+            mul(drop, right, out=term)
+            add(new, term, out=new)
             n += 1
             support = next(sizes)
             if support:
@@ -180,7 +184,7 @@ def iter_log_rows(params: ModelParams, n_max: int) -> Iterator[np.ndarray]:
             if np.count_nonzero(new > math.ldexp(_TINY, held)) != support:
                 raise _precision_lost(params, n)
             logged = not last_only or step + 1 == steps  # no one reads the others
-            if logged or not _HELD[0] <= held <= _HELD[1]:
+            if logged or not _HELD[0] <= held <= top:
                 new *= 2.0**-held
                 exponent, held = exponent + held, 0
             if not logged:
@@ -222,20 +226,16 @@ def _exact_rows(params: ModelParams, n_max: int, one):
     yield row
 
 
-def iter_int_rows(params: ModelParams, n_max: int,
-                  bit_budget: int = DEFAULT_BIT_BUDGET) -> Iterator[list[int]]:
-    """Yield the int rows 0..n_max, two rows in memory.  CapacityError at the
-    first row whose running integer size (row 0 counts one bit) passes
-    `bit_budget` bits."""
+def iter_int_rows(params: ModelParams, n_max: int) -> Iterator[list[int]]:
+    """Yield the int rows 0..n_max, two rows in memory; CapacityError at the first
+    row whose running integer size (row 0 counts one bit) passes BIT_BUDGET."""
     bits_used = 1
     for n, row in enumerate(_exact_rows(params, n_max, 1)):
         if n:
             bits_used += sum(map(int.bit_length, row))
-            if bits_used > bit_budget:
-                raise CapacityError(
-                    f"exact triangle exceeds {bit_budget} bits at row {n}; "
-                    "use the log-space rows (iter_log_rows) or raise bit_budget"
-                )
+            if bits_used > BIT_BUDGET:
+                raise CapacityError(f"exact triangle exceeds {BIT_BUDGET} bits at row {n}; "
+                                    "use the log-space rows (iter_log_rows)")
         yield row
 
 
@@ -264,10 +264,9 @@ def iter_decimal_rows(params: ModelParams, n_max: int) -> Iterator[list[str]]:
         yield list(map(str, row))
 
 
-def build_triangle(params: ModelParams, n_max: int,
-                   bit_budget: int = DEFAULT_BIT_BUDGET) -> Triangle:
+def build_triangle(params: ModelParams, n_max: int) -> Triangle:
     """Rows 0..n_max of the exact weight triangle: `iter_int_rows`, listed."""
-    return Triangle(list(iter_int_rows(params, n_max, bit_budget)))
+    return Triangle(list(iter_int_rows(params, n_max)))
 
 
 @dataclass

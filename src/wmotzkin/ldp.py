@@ -75,8 +75,8 @@ def rate_profile(params: ModelParams, u_grid) -> RateProfile:
         raise DomainError("double root at r = 0: K_n/n tends to a point mass at u = 1, "
                           "so I(u) = +inf for every u < 1 and there is no rate profile")
     low = -THETA_LIMIT
-    if regime.r2 == 0:  # a nat above where Q(e^theta)^2 ~ (B e^theta)^2 is subnormal
-        low = math.log(math.sqrt(sys.float_info.min) / regime.B) + 1.0
+    if regime.kind is DriftKind.TWO_REAL_ROOTS and regime.p == 0:  # r2 = 0
+        low = math.log(math.sqrt(sys.float_info.min) / regime.B) + 1.0  # a nat above subnormal Q^2
     smap = SingularityMap(params)
     points, near = [], None
     for u in u_grid:

@@ -143,9 +143,9 @@ class Regime:
     A, B and C are the coefficients of the drift Q(x) = A*x^2 + B*x + C.
     A = 0 kinds carry Y = alpha0*C, and linear drift also alpha0/B, C/B
     and a_lin = gamma0 - alpha0*C/B.  Quadratic kinds carry nu = alpha0/A,
-    the exponential prefactor rate c0, their roots (r1 < r2, double root r,
-    or complex pair) and the root p +/- i*q that bounds the singularity
-    domain: r2 or r with q = 0, or the complex pair with q > 0.
+    the exponential prefactor rate c0, the lead root r1 < p of two real
+    roots and the root p +/- i*q that bounds the singularity domain: r2 or
+    the double root r with q = 0, or the complex pair with q > 0.
     """
 
     kind: DriftKind
@@ -157,8 +157,6 @@ class Regime:
     C_B: float | None = None
     a_lin: float | None = None
     r1: float | None = None
-    r2: float | None = None
-    r: float | None = None
     p: float | None = None
     q: float | None = None
     nu: float | None = None
@@ -170,9 +168,9 @@ class Regime:
 
     def describe(self) -> str:
         if self.kind is DriftKind.TWO_REAL_ROOTS:
-            return f"two real roots (r1={self.r1:g}, r2={self.r2:g})"
+            return f"two real roots (r1={self.r1:g}, r2={self.p:g})"
         if self.kind is DriftKind.DOUBLE_ROOT:
-            return f"double root (r={self.r:g})"
+            return f"double root (r={self.p:g})"
         if self.kind is DriftKind.COMPLEX_ROOTS:
             return f"complex roots (p={self.p:g}, q={self.q:g})"
         return self.kind.value
@@ -183,13 +181,14 @@ def classify(params: ModelParams) -> Regime:
 
     The branch is decided on the exact integer discriminant, so regime
     selection never suffers floating-point ambiguity; the derived constants
-    are doubles, so DomainError when a parameter, the discriminant or, for
-    A = 0, alpha0*C (which bounds every A = 0 constant) is not a finite double.
+    are doubles, so DomainError when a parameter, the discriminant, 2A (the
+    divisor of every root) or alpha0*C (A = 0: it bounds every A = 0
+    constant) is not a finite double.
     """
     A, B, C = params.a, params.c, params.b
     delta = B * B - 4 * A * C
     checks = [("a coefficient or B^2 - 4AC", v) for v in (*params.as_tuple(), delta)]
-    for what, value in checks + ([("alpha0*C", params.alpha0 * C)] if A == 0 else []):
+    for what, value in checks + [("2A", 2 * A) if A else ("alpha0*C", params.alpha0 * C)]:
         try:
             float(value)
         except OverflowError:
@@ -199,17 +198,15 @@ def classify(params: ModelParams) -> Regime:
                   "a_lin": params.gamma0 - params.alpha0 * C / B} if B else {}
         kind = DriftKind.LINEAR if B else DriftKind.CONSTANT
         return Regime(kind, A, B, C, Y=float(params.alpha0 * C), **linear)
-    # The lead root (r1, r or p) sets the prefactor rate c0; p (+/- iq) bounds the domain.
-    if delta > 0:
+    if delta > 0:  # the lead root, r1 here and p otherwise, sets the prefactor rate c0
         sqrt_delta = math.sqrt(delta)
-        r1, r2 = (-B - sqrt_delta) / (2 * A), (-B + sqrt_delta) / (2 * A)
-        kind, lead, fields = DriftKind.TWO_REAL_ROOTS, r1, {"r1": r1, "r2": r2, "p": r2, "q": 0.0}
-    else:  # p +/- iq, one double root r = p when q = 0
-        lead, q = -B / (2 * A), math.sqrt(-delta) / (2 * A)
-        kind = DriftKind.COMPLEX_ROOTS if delta else DriftKind.DOUBLE_ROOT
-        fields = {"p": lead, "q": q, "r": None if delta else lead}
+        r1, p, q = (-B - sqrt_delta) / (2 * A), (-B + sqrt_delta) / (2 * A), 0.0
+        kind, lead = DriftKind.TWO_REAL_ROOTS, r1
+    else:  # p +/- iq, one double root p when q = 0
+        r1, p, q = None, -B / (2 * A), math.sqrt(-delta) / (2 * A)
+        kind, lead = DriftKind.COMPLEX_ROOTS if delta else DriftKind.DOUBLE_ROOT, p
     c0 = params.alpha0 * lead + params.gamma0
-    return Regime(kind, A, B, C, nu=params.alpha0 / A, c0=c0, **fields)
+    return Regime(kind, A, B, C, r1=r1, p=p, q=q, nu=params.alpha0 / A, c0=c0)
 
 
 def require(

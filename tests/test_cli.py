@@ -1,5 +1,4 @@
 import decimal
-import functools
 import importlib
 import json
 import math
@@ -306,6 +305,14 @@ def _params(a, b, c, alpha0, beta0, gamma0):
     (["asym", "--N-list", "20", "--params", _params(5, 0, 0, 2**1020, 0, 2**247)], 3),
     # a Daniels saddle whose tilted law is a point mass (kappa'' = 0)
     (["saddle", "--n", "60", "--params", _params(2**902, 0, 2**833, 2**474, 0, 2**578)], 3),
+    # 2A, the divisor of every root, past the doubles
+    (["ldp", "--params", _params(2**1023, 0, 1, 1, 0, 1)], 3),
+    (["egf-check", "--params", _params(2**1023, 0, 1, 1, 0, 1)], 3),
+    # a non-finite estimate: the linear-drift mean, the Laplace log row sum
+    (["asym", "--N-list", "20,40", "--params", _params(0, 0, 2**315, 3, 0, 3)], 3),
+    (["asym", "--N-list", "20,40", "--params", _params(0, 0, 0, 0, 0, 2**514)], 3),
+    # finite folded weights that sum past the doubles in a step
+    (["dist", "--n", "60", "--params", _params(4, 0, 0, 2**638, 3, 2**1020)], 3),
 ])
 def test_error_exits_without_traceback(args, expected, capsys):
     with warnings.catch_warnings():
@@ -606,11 +613,10 @@ def test_failing_run_writes_nothing(tmp_path, capsys, monkeypatch):
 def test_streamed_capacity_error_removes_out_file(tmp_path, capsys, monkeypatch):
     # The int rows pass a small bit budget mid-stream: exit 4 with the
     # budget's row, no --out file, and on stdout the rows before it.
+    monkeypatch.setattr(exact, "BIT_BUDGET", 10_000)
     with pytest.raises(CapacityError) as raised:
-        build_triangle(ModelParams.parse(SHOWCASE_ARG), 200, bit_budget=10_000)
+        build_triangle(ModelParams.parse(SHOWCASE_ARG), 200)
     at = int(re.search(r"at row (\d+);", str(raised.value))[1])
-    monkeypatch.setattr(exact, "iter_int_rows",
-                        functools.partial(exact.iter_int_rows, bit_budget=10_000))
     args = ["triangle", "--params", SHOWCASE_ARG, "--n", "200"]
     target = tmp_path / "exact.csv"
     code, out, err = run_main(args + ["--out", str(target)], capsys)

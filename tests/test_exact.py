@@ -192,26 +192,28 @@ def test_variance_matches_big_int_moment():
     assert math.isclose(height_distribution(params, 300).variance, exact, rel_tol=1e-12)
 
 
-def test_capacity_budget():
+def test_capacity_budget(monkeypatch):
     # Row 0 counts one bit; the error names the first row whose running
     # total passes the budget.  The streamed int rows raise at that row too,
     # after yielding every row before it.
-    full = build_triangle(SHOWCASE, 200).rows  # 2.0e7 bits, inside the default 2**30
+    full = build_triangle(SHOWCASE, 200).rows  # 2.0e7 bits, inside BIT_BUDGET = 2**30
     bits, row = 0, None
     for n, weights in enumerate(full):
         bits += sum(w.bit_length() for w in weights)
         if bits > 10_000:
             row = n
             break
-    assert build_triangle(SHOWCASE, 0, bit_budget=0).rows == [[1]]
-    assert list(exact.iter_int_rows(SHOWCASE, 0, bit_budget=0)) == [[1]]
+    monkeypatch.setattr(exact, "BIT_BUDGET", 0)
+    assert build_triangle(SHOWCASE, 0).rows == [[1]]
+    assert list(exact.iter_int_rows(SHOWCASE, 0)) == [[1]]
     for budget, at in ((10_000, row), (1, 1)):
-        match = f"exceeds {budget} bits at row {at};"
+        monkeypatch.setattr(exact, "BIT_BUDGET", budget)
+        match = f"^exact triangle exceeds {budget} bits at row {at}; use the log-space rows"
         with pytest.raises(CapacityError, match=match):
-            build_triangle(SHOWCASE, 200, bit_budget=budget)
+            build_triangle(SHOWCASE, 200)
         yielded = []
         with pytest.raises(CapacityError, match=match):
-            for weights in exact.iter_int_rows(SHOWCASE, 200, bit_budget=budget):
+            for weights in exact.iter_int_rows(SHOWCASE, 200):
                 yielded.append(weights)
         assert yielded == full[:at]
 
@@ -414,14 +416,17 @@ def test_lost_precision_matches_every_step_rescale(monkeypatch):
     ModelParams(0, 3, 2, 2**819, 2**590, 3),
     ModelParams(0, 0, 0, 2**949, 2**799, 6),
     ModelParams(2**929, 2**250, 1, 2**175, 2**438, 5),
-], ids=["dist-repro", "constant", "quadratic"])
+    ModelParams(4, 0, 0, 2**638, 3, 2**1020),
+], ids=["dist-repro", "constant", "quadratic", "step-sum"])
 def test_inf_folded_weight_fails_like_every_step_rescale(params):
     # A folded down weight past the doubles (inf) meets a structural zero in
-    # the block's first step.  The build raises the oracle's AccuracyError at
-    # the oracle's row, with no numpy RuntimeWarning (pytest makes those
-    # errors); only the oracle's own inf * 0 is silenced.
+    # the block's first step, or (step-sum) finite folded weights near 2^1024
+    # sum past the doubles on a row of entries below 1, at row 16.  The build
+    # raises the oracle's AccuracyError at the oracle's row, with no numpy
+    # RuntimeWarning (pytest makes those errors); only the oracle's own
+    # inf * 0 and overflow are silenced.
     for rows, ref in ((exact.iter_log_rows, rescaled_log_rows), (_last_row, _last_rescaled_row)):
-        with np.errstate(invalid="ignore"):
+        with np.errstate(invalid="ignore", over="ignore"):
             expected = _build(ref, params, 90)
         assert isinstance(expected, str)
         assert _build(rows, params, 90) == expected

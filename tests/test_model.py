@@ -27,7 +27,7 @@ def test_classify_showcase():
     regime = classify(SHOWCASE)
     assert regime.kind is DriftKind.TWO_REAL_ROOTS
     assert regime.r1 == -5.0
-    assert regime.r2 == -1.0
+    assert (regime.p, regime.q) == (-1.0, 0.0)
     assert regime.nu == 8.0
     assert regime.c0 == -39.0
 
@@ -39,7 +39,7 @@ def test_classify_constant():
 def test_classify_double_root():
     regime = classify(ModelParams(1, 1, 2, 1, 1, 0))
     assert regime.kind is DriftKind.DOUBLE_ROOT
-    assert regime.r == -1.0
+    assert (regime.p, regime.q) == (-1.0, 0.0)
     assert regime.nu == 1.0
     assert regime.c0 == -1.0
 
@@ -106,20 +106,20 @@ def test_two_real_roots_invariants():
         if regime.kind is not DriftKind.TWO_REAL_ROOTS:
             continue
         A, B, C = regime.A, regime.B, regime.C
-        assert regime.r1 < regime.r2
-        assert regime.r2 <= 1e-12  # nonnegative B, C force the big root <= 0
-        assert abs(regime.r1 + regime.r2 + B / A) <= 1e-12 * max(1.0, abs(B / A))
-        assert abs(regime.r1 * regime.r2 - C / A) <= 1e-12 * max(1.0, abs(C / A))
+        assert regime.r1 < regime.p  # p is the big root r2
+        assert regime.p <= 1e-12  # nonnegative B, C force the big root <= 0
+        assert abs(regime.r1 + regime.p + B / A) <= 1e-12 * max(1.0, abs(B / A))
+        assert abs(regime.r1 * regime.p - C / A) <= 1e-12 * max(1.0, abs(C / A))
 
 
 def test_regime_constants_per_kind():
     for params in CORPUS:
         regime = classify(params)
         if regime.kind is DriftKind.DOUBLE_ROOT:
-            assert regime.r == -regime.B / (2 * regime.A)
-            assert (regime.p, regime.q) == (regime.r, 0.0)
+            assert (regime.p, regime.q) == (-regime.B / (2 * regime.A), 0.0)
         if regime.kind is DriftKind.TWO_REAL_ROOTS:
-            assert (regime.p, regime.q) == (regime.r2, 0.0)
+            sqrt_delta = math.sqrt(regime.B**2 - 4 * regime.A * regime.C)
+            assert (regime.p, regime.q) == ((sqrt_delta - regime.B) / (2 * regime.A), 0.0)
         if regime.kind is DriftKind.COMPLEX_ROOTS:
             assert regime.q > 0
             assert regime.p == -regime.B / (2 * regime.A)
@@ -147,6 +147,16 @@ def test_alpha0_C_past_the_doubles_refused_for_A_zero_only():
             classify(params)
     regime = classify(ModelParams(1, 2**600, 2**300, 2**600, 2**600, 1))
     assert regime.kind is DriftKind.COMPLEX_ROOTS and regime.Y is None
+
+
+def test_root_divisor_past_the_doubles_refused():
+    # 2A divides every root: at A = 2^1023 it is no double, although A and
+    # B^2 - 4AC are, on two real roots and on a double root alike.
+    for params in (ModelParams(2**1023, 0, 1, 1, 0, 1), ModelParams(2**1023, 0, 0, 1, 0, 1)):
+        with pytest.raises(DomainError, match=r"^2A of .* is not a finite double$"):
+            classify(params)
+    regime = classify(ModelParams(2**1022, 0, 1, 1, 0, 1))
+    assert (regime.kind, regime.r1, regime.p) == (DriftKind.TWO_REAL_ROOTS, -(2.0**-1022), 0.0)
 
 
 def test_validation_rejects_bad_values():
