@@ -24,8 +24,7 @@ from typing import Iterable, Iterator, Sequence
 
 from . import asymptotics, exact, ldp
 from .closedform import EgfEvaluator
-from .errors import CapacityError, ConfigError, MotzkinError
-from .exact import build_triangle
+from .errors import CapacityError, ConfigError, DomainError, MotzkinError
 from .model import ModelParams
 from .saddlepoint import CumulantEvaluator, k_window, profile
 
@@ -180,6 +179,8 @@ class Table:
     row i holds n, then i, then each column's i-th value; other groups have
     no lead.  `groups` may be a lazy iterator (the triangle streams one group
     per row); every other handler finishes its solves before it returns.
+    Every table has a row: argparse refuses empty lists, dist and triangle
+    have row 0, and saddle and figures refuse an empty k window.
     """
 
     header: str
@@ -220,10 +221,7 @@ def _render(table: Table, order: Sequence[int], hole, convert, row_text) -> Iter
     table: a group's template is its fragments joined with its lead's text.
     """
     groups = iter(table.groups)
-    first = next(groups, None)
-    if first is None:
-        return
-    lead, columns = first
+    lead, columns = first = next(groups)
     width = 2 * len(lead)  # header positions before the columns: lead and index
     samples = [column[0] for column in columns]
     picked = [j - width for j in order if j >= width]
@@ -261,7 +259,7 @@ def _write_csv(table: Table, path=None) -> None:
         table, range(table.header.count(",") + 1), _csv_hole,
         lambda values, sample: values, lambda cells: ",".join(cells) + "\n",
     )
-    first = next(texts, "")
+    first = next(texts)
     with _open_out(path) as out:
         out.write(table.header + "\n" + first)
         out.writelines(texts)
@@ -302,11 +300,11 @@ def _write_json(table: Table, params: ModelParams, path=None) -> None:
         return ",\n" + inner + "{\n" + fields + "\n" + inner + "}"
 
     texts = _render(table, [index[key] for key in keys], lambda sample: "%s", _json_cells, row_text)
-    first = next(texts, "")
+    first = next(texts)
     with _open_out(path) as out:
         out.write(before + '"rows": [' + first[1:])  # the first row takes no leading comma
         out.writelines(texts)
-        out.write(("\n" + outer if first else "") + "]" + after + "\n")
+        out.write("\n" + outer + "]" + after + "\n")
 
 
 # ----- subcommand handlers: each takes the parsed arguments ----- #
@@ -392,14 +390,20 @@ def _run_ldp(args) -> Table:
 
 def _run_egf_check(args) -> Table:
     ev = EgfEvaluator(args.params)
-    tri = build_triangle(args.params, args.n - 1)
+    tri = exact.build_triangle(args.params, args.n - 1)
     rows = []
     for x in args.x:
-        coeffs = ev.taylor_coefficients(x, args.n)
+        coeffs = ev.taylor_coefficients(x, args.n).tolist()
+        # P_n(x)/n! at x = num/den as one int quotient, rounded once.
+        num, den = x.as_integer_ratio()
         for n in range(args.n):
-            exact_coeff = sum(w * x**k for k, w in enumerate(tri.row(n))) / math.factorial(n)
+            scaled = sum(w * num**k * den ** (n - k) for k, w in enumerate(tri.row(n)))
+            try:
+                exact_coeff = scaled / (den**n * math.factorial(n))
+            except OverflowError:
+                raise DomainError(f"P_{n}(x)/{n}! at x={x} is past the doubles") from None
             rel = abs(coeffs[n] - exact_coeff) / max(abs(exact_coeff), 1e-300)
-            rows.append((x, n, exact_coeff, float(coeffs[n]), rel))
+            rows.append((x, n, exact_coeff, coeffs[n], rel))
     return Table(EGF_HEADER, _flat(rows))
 
 

@@ -194,42 +194,39 @@ class EgfEvaluator:
         Each doubling evaluates only the new odd nodes, in one array call:
         node j of N is node 2j of 2N bit for bit (2*pi*(2j) is an exact
         doubling, and cos, sin and the closed form work element by element),
-        so the kept samples are those a fresh rule would compute.  A radius
-        whose power rho^(n_terms - 1) underflows to 0, or a sample that is
-        not finite, raises DomainError.
+        so the kept samples are those a fresh rule would compute.  A
+        coefficient that is not finite raises DomainError: a power of rho
+        that underflows to 0, or one sample that is not finite, makes it so.
         """
-        powers = rho ** np.arange(n_terms)
-        if not powers[-1] > 0:
-            raise DomainError(f"contour radius {rho:g} at x={x}: rho^{n_terms - 1} underflows")
 
         def sample(first: int, stride: int, nodes: int) -> np.ndarray:
             phi = _TWO_PI * np.arange(first, nodes, stride) / nodes
-            with np.errstate(all="ignore"):
-                values = self._eval_complex(x, rho * (np.cos(phi) + 1j * np.sin(phi)))
-            if not np.isfinite(values).all():
-                raise DomainError(f"the closed form at x={x} is not finite on |t| = {rho:g}")
-            return values
+            return self._eval_complex(x, rho * (np.cos(phi) + 1j * np.sin(phi)))
 
-        previous = None
-        nodes = 64
-        samples = sample(0, 1, nodes)
-        while True:
-            spectrum = np.fft.fft(samples)[:n_terms]
-            coeffs = spectrum.real / (nodes * powers)
-            if previous is not None:
-                scale = np.maximum(np.abs(coeffs), 1e-300)
-                if np.max(np.abs(coeffs - previous) / scale) <= 1e-10:
-                    return coeffs
-            if nodes == 1 << 15:
-                raise AccuracyError(
-                    f"contour quadrature for {n_terms} coefficients at x={x} did not "
-                    "stabilize to 1e-10"
-                )
-            previous = coeffs
-            nodes *= 2
-            merged = np.empty(nodes, dtype=complex)
-            merged[0::2], merged[1::2] = samples, sample(1, 2, nodes)
-            samples = merged
+        with np.errstate(all="ignore"):
+            powers = rho ** np.arange(n_terms)
+            previous = None
+            nodes = 64
+            samples = sample(0, 1, nodes)
+            while True:
+                spectrum = np.fft.fft(samples)[:n_terms]
+                coeffs = spectrum.real / (nodes * powers)
+                if not np.isfinite(coeffs).all():
+                    raise DomainError(f"contour coefficients not finite at x={x}, |t| = {rho:g}")
+                if previous is not None:
+                    scale = np.maximum(np.abs(coeffs), 1e-300)
+                    if np.max(np.abs(coeffs - previous) / scale) <= 1e-10:
+                        return coeffs
+                if nodes == 1 << 15:
+                    raise AccuracyError(
+                        f"contour quadrature for {n_terms} coefficients at x={x} did not "
+                        "stabilize to 1e-10"
+                    )
+                previous = coeffs
+                nodes *= 2
+                merged = np.empty(nodes, dtype=complex)
+                merged[0::2], merged[1::2] = samples, sample(1, 2, nodes)
+                samples = merged
 
 
 @dataclass(frozen=True)

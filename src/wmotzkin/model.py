@@ -94,8 +94,6 @@ class ModelParams:
                 data = json.loads(stripped, object_pairs_hook=_unique_keys)
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"invalid JSON parameters: {exc}") from exc
-            if not isinstance(data, dict):
-                raise ConfigError("JSON parameters must be an object")
             return cls.from_dict(data)
         pairs = []
         for token in stripped.replace(",", " ").split():

@@ -151,6 +151,15 @@ def test_out_of_domain_input_refused(call):
         call()
 
 
+@pytest.mark.parametrize("estimate, params", [
+    (log_pn_constant_drift, CONSTANT_BALANCED),
+    (log_pn_linear_drift, LINEAR_BALANCED),
+], ids=["constant", "linear"])
+def test_drift_estimates_refuse_n_zero(estimate, params):
+    with pytest.raises(DomainError, match="n must be >= 1, got 0"):
+        estimate(params, 1.0, 0)
+
+
 def test_quadratic_with_alpha0_zero_is_degenerate():
     # a > 0 does not help: the walk cannot leave height 0.
     assert DEGENERATE_QUADRATIC.is_degenerate

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -25,6 +26,7 @@ from wmotzkin.cli import (
     main,
     svg_plot,
 )
+from corpus import balanced_corpus
 
 SHOWCASE_ARG = "a=1 b=5 c=6 alpha0=8 beta0=5 gamma0=1"
 
@@ -313,6 +315,12 @@ def _params(a, b, c, alpha0, beta0, gamma0):
     (["asym", "--N-list", "20,40", "--params", _params(0, 0, 0, 0, 0, 2**514)], 3),
     # finite folded weights that sum past the doubles in a step
     (["dist", "--n", "60", "--params", _params(4, 0, 0, 2**638, 3, 2**1020)], 3),
+    # contour coefficients that are not finite, once behind numpy warnings:
+    # the showcase's division by rho^k overflows at --x 5e16 --n 20, and the
+    # r = 0 double root's closed form is not finite on |t| = 5e299
+    (["egf-check", "--params", SHOWCASE_ARG, "--n", "20", "--x", "5e16"], 3),
+    (["egf-check", "--params", "a=1 b=0 c=0 alpha0=2 beta0=0 gamma0=1", "--n", "9",
+      "--x", "1e-300"], 3),
 ])
 def test_error_exits_without_traceback(args, expected, capsys):
     with warnings.catch_warnings():
@@ -320,6 +328,45 @@ def test_error_exits_without_traceback(args, expected, capsys):
         code, out, err = run_main(args, capsys)
     assert (code, out) == (expected, "")
     assert err.startswith("error: " if expected == 2 else "numeric-domain error: ")
+
+
+@pytest.mark.parametrize("params, x, n", [
+    # coefficients near 1e287 whose exact row sums pass the doubles in floats
+    ("a=1 b=4 c=4 alpha0=2 beta0=4 gamma0=1", "7e9", "30"),
+    # step weights near 1e18, whose int rows pass the doubles
+    ("a=847282031106320994 b=1 c=8089115735878714 alpha0=542451704308442081 beta0=1 "
+     "gamma0=2", "1e-3", "20"),
+])
+def test_egf_check_exact_coefficients_near_the_top_of_the_doubles(params, x, n, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, _ = run_main(["egf-check", "--params", params, "--x", x, "--n", n], capsys)
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert len(rows) == int(n)
+    for row in rows:
+        assert math.isfinite(float(row[2])) and float(row[4]) <= 1e-8, row
+
+
+def test_egf_check_exact_coefficient_is_the_rounded_rational(capsys):
+    # coeff_exact is P_n(x)/n! rounded once from the exact rational, on every
+    # row of each balanced model whose contour stabilizes at --n 20.
+    checked = 0
+    for params in balanced_corpus():
+        args = _params(*params.as_tuple())
+        code, out, err = run_main(["egf-check", "--params", args, "--n", "20",
+                                   "--x", "0.5,1,2"], capsys)
+        if code:
+            assert code == 3 and "did not stabilize" in err, (args, err)
+            continue
+        rows = build_triangle(params, 19).rows
+        for line in out.splitlines()[1:]:
+            x, n, coeff = line.split(",")[:3]
+            weights = rows[int(n)]
+            value = sum(w * Fraction(x) ** k for k, w in enumerate(weights))
+            assert float(coeff) == float(value / math.factorial(int(n))), (args, line)
+            checked += 1
+    assert checked >= 17 * 60
 
 
 def test_random_large_models_exit_with_documented_codes(capsys):
@@ -652,6 +699,14 @@ def test_svg_empty_series_error():
         svg_plot("x,p", [], "t")
     with pytest.raises(ConfigError):
         svg_plot("x,p", [(0.0, math.nan)], "t")
+
+
+def test_svg_single_point_widens_its_ranges():
+    # A zero x range and a zero y range each widen to one unit, so the one
+    # point sits at the plot's lower left corner with ticks up to x + 1, y + 1.
+    doc = svg_plot("x,p", [(2.0, 3.0)], "t")
+    assert re.findall(r'points="([^"]*)"', doc) == ["60.00,440.00"]
+    assert ">3</text>" in doc and ">4</text>" in doc
 
 
 def test_svg_deterministic():

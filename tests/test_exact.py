@@ -37,6 +37,13 @@ def test_row_zero_and_boundary():
     assert brute_force_oracle(CLASSIC, 0) == [1]
 
 
+def test_row_outside_built_range_refused():
+    tri = build_triangle(CLASSIC, 3)
+    for n in (-1, 4):
+        with pytest.raises(DomainError, match=f"row {n} outside built range 0..3"):
+            tri.row(n)
+
+
 def test_classic_rows():
     tri = build_triangle(CLASSIC, 4)
     assert tri.row(3) == [4, 5, 3, 1]

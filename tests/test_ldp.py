@@ -329,6 +329,12 @@ def test_rate_profile_invariants():
         assert np.all(interior > 0)
 
 
+@pytest.mark.parametrize("u", [0.0, 1.0])
+def test_rate_profile_refuses_u_outside_open_interval(u):
+    with pytest.raises(DomainError, match=r"u must be in \(0, 1\)"):
+        rate_profile(SHOWCASE, [u])
+
+
 def test_second_derivative_reciprocal_identity():
     # I''(u) = 1 / F''(theta(u)) via central differences on the profile.
     h = 1e-3

@@ -193,6 +193,14 @@ def test_parse_errors():
         ModelParams.parse("")
     with pytest.raises(ConfigError):
         ModelParams.parse("{not json")
+    with pytest.raises(ConfigError, match="a must be an integer, got 'x'"):
+        ModelParams.parse("a=x b=0 c=0 alpha0=1 beta0=0 gamma0=1")
+
+
+def test_regime_describe():
+    assert classify(ModelParams(1, 1, 2, 1, 1, 0)).describe() == "double root (r=-1)"
+    assert classify(ModelParams(0, 0, 0, 1, 1, 1)).describe() == "constant"
+    assert classify(ModelParams(0, 1, 1, 1, 1, 1)).describe() == "linear"
 
 
 # Every public routine behind the regime guard, in the column order of
