@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import itertools
 import json
 import math
@@ -440,6 +441,7 @@ def _run_figures(args) -> None:
     print("\n".join(str(out_dir / name) for name in files))
 
 
+@functools.cache  # one parser per process: building it costs over a millisecond
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wmotzkin",
@@ -455,8 +457,6 @@ def _build_parser() -> argparse.ArgumentParser:
     epsilon = _in_range(float, 0.0, 0.5, open_ends=True)
     positive = _in_range(float, 0.0, math.inf, open_ends=True)
 
-    # Handlers are read from the module globals when the parser is built,
-    # which main() does on every call, so a replaced handler is the one run.
     def add(
         name, handler, help, params=CLASSIC_PARAMS, formats=("csv", "json"), out_required=False
     ):

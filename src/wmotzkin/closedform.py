@@ -1,9 +1,9 @@
 """Closed-form evaluation of the balanced height-generating function.
 
 In the balanced case (beta0 == C) the exponential generating function
-w(x, t) = sum_n P_n(x) t^n / n! has an explicit closed form per drift
-regime.  When A > 0 it blows up at the moving singular time t = tau(x),
-the smallest positive singularity; for A = 0 it is entire in t.
+w(x, t) = sum_n P_n(x) t^n / n! solves w_t = Q(x) w_x + (alpha0 x + gamma0) w
+by characteristics.  When A > 0 it blows up at the moving singular time
+t = tau(x), the smallest positive singularity; for A = 0 it is entire in t.
 
 Derivatives of tau reuse one identity: along the drift flow dx/dt = -Q(x)
 the time to blow-up satisfies tau'(x) = -1/Q(x), hence
@@ -127,66 +127,68 @@ class SingularityMap:
 
 
 class EgfEvaluator:
-    """Evaluates the balanced generating function w(x, t) in its regime."""
+    """Taylor coefficients in t of the balanced generating function w(x, t)."""
 
     def __init__(self, params: ModelParams):
         self.regime = require(params, degenerate="accept")
         self.params = params
-        self.singularities = SingularityMap(params) if self.regime.is_quadratic else None
 
     def _eval_complex(self, x: float, t: complex | np.ndarray) -> complex | np.ndarray:
-        """w(x, t) for complex t (a scalar or an array, element by element)
-        with |t| inside the singular radius: the one closed form per regime.
-
-        Powers take the principal branch; nothing here checks that the
-        power base stays off the negative real axis on the contour.
-        """
+        """w(x, t) for complex t (a scalar or an array, element by element):
+        the A = 0 closed form, entire in t, that the contour samples."""
         params, regime = self.params, self.regime
-        kind = regime.kind
-        if kind is DriftKind.CONSTANT:
+        if regime.kind is DriftKind.CONSTANT:
             quadratic = params.alpha0 * x * t + 0.5 * regime.Y * t * t
             return np.exp(quadratic + params.gamma0 * t)
-        if kind is DriftKind.LINEAR:
-            lam = regime.alpha0_B * (np.exp(regime.B * t) - 1.0)
-            return np.exp(lam * (x + regime.C_B) + regime.a_lin * t)
-
-        A = regime.A
-        nu = regime.nu
-        if kind is DriftKind.COMPLEX_ROOTS:
-            phase = A * regime.q * t + math.atan((x - regime.p) / regime.q)
-            base = regime.q / (math.hypot(x - regime.p, regime.q) * np.cos(phase))
-            return np.exp(regime.c0 * t) * _principal_pow(base, nu)
-        if kind is DriftKind.DOUBLE_ROOT:
-            g = 1.0 - A * t * (x - regime.p)
-            return np.exp(regime.c0 * t) * _principal_pow(g, -nu)
-        grow = np.exp(A * (regime.r1 - regime.p) * t)
-        denom = (x - regime.p) - (x - regime.r1) * grow
-        base = (regime.r1 - regime.p) / denom
-        return np.exp(regime.c0 * t) * _principal_pow(base, nu)
+        lam = regime.alpha0_B * (np.exp(regime.B * t) - 1.0)
+        return np.exp(lam * (x + regime.C_B) + regime.a_lin * t)
 
     def taylor_coefficients(self, x: float, n_terms: int) -> np.ndarray:
         """Coefficients of the t-expansion at fixed x, i.e. P_n(x)/n!.
 
-        Trapezoidal contour quadrature on a circle of radius 0.5*tau(x) in
-        the quadratic regimes; for A = 0 (entire in t) each coefficient gets
-        its own saddle-tuned radius.  Node counts double until successive
-        estimates agree to 1e-10; failure to converge raises AccuracyError.
-        So does a stabilized coefficient 0 off P_0(x) = 1 by more than 1e-8.
+        A > 0: the characteristic series.  A = 0 (entire in t): trapezoidal
+        contour quadrature, each coefficient on its own circle at the
+        modulus-saddle radius.  Node counts double until successive estimates
+        agree to 1e-10; failure to converge raises AccuracyError.  So does a
+        stabilized coefficient 0 off P_0(x) = 1 by more than 1e-8.
         """
         if not 1 <= n_terms <= 30:
             raise DomainError(f"n_terms must be in 1..30, got {n_terms}")
         if not x > 0:
             raise DomainError(f"x must be positive, got {x}")
         if self.regime.is_quadratic:
-            out = self._contour_coefficients(x, 0.5 * self.singularities.tau(x), n_terms)
-        else:
-            out = np.empty(n_terms)
-            for n in range(n_terms):
-                rho = modulus_saddle(self.params, x, n).t
-                out[n] = self._contour_coefficients(x, rho, n + 1)[n]
+            return self._characteristic_series(x, n_terms)
+        out = np.empty(n_terms)
+        for n in range(n_terms):
+            rho = modulus_saddle(self.params, x, n).t
+            out[n] = self._contour_coefficients(x, rho, n + 1)[n]
         if not abs(out[0] - 1.0) <= 1e-8:
             raise AccuracyError(f"contour coefficient 0 at x={x} is {out[0]:.6g}, not P_0(x) = 1")
         return out
+
+    def _characteristic_series(self, x: float, n_terms: int) -> np.ndarray:
+        """P_n(x)/n! for n < n_terms, along the characteristic X' = Q(X), X(0) = x,
+        of which log w is the integral of alpha0 X + gamma0.
+
+        (k+1) X_{k+1} = A sum_{j<=k} X_j X_{k-j} + B X_k + C [k=0] gives
+        X = sum X_k t^k, the slopes k L_k = alpha0 X_{k-1} + gamma0 [k=1] of
+        log w give w = sum e_m t^m by m e_m = sum_{k=1..m} k L_k e_{m-k},
+        e_0 = 1 (Knuth, TAOCP vol. 2, 4.7).  No sum cancels: every term is
+        nonnegative.  A coefficient that is not finite raises DomainError.
+        """
+        A, B, C = self.regime.A, self.regime.B, self.regime.C
+        X = [x]
+        for k in range(n_terms - 2):
+            square = sum(X[j] * X[k - j] for j in range(k + 1))
+            X.append((A * square + B * X[k] + (C if k == 0 else 0)) / (k + 1))
+        slopes = [self.params.alpha0 * X_k for X_k in X]  # slopes[k - 1] = k L_k
+        slopes[0] += self.params.gamma0
+        e = [1.0]
+        for m in range(1, n_terms):
+            e.append(sum(s * e_j for s, e_j in zip(slopes, reversed(e))) / m)
+            if not math.isfinite(e[m]):
+                raise DomainError(f"series coefficient {m} at x={x} is not a finite double")
+        return np.array(e)
 
     def _contour_coefficients(self, x: float, rho: float, n_terms: int) -> np.ndarray:
         """Trapezoidal rule on |t| = rho with 64, 128, ... nodes.
@@ -293,6 +295,3 @@ def _laplace_data(n: int, t: float, log_w: float, bend: float) -> ModulusSaddle:
         raise DomainError(f"Laplace data at the modulus saddle t={t:g} is not finite")
     return ModulusSaddle(t, log_w, curvature)
 
-
-def _principal_pow(base: complex | np.ndarray, exponent: float) -> complex | np.ndarray:
-    return np.exp(exponent * np.log(base))

@@ -8,9 +8,10 @@ closed-form double-root rate, a fixed value of Lambert W, and the
 log-space row kernel that divides every row by its power of two
 (`rescaled_log_rows`) for `exact.iter_log_rows`, which divides only the
 rows whose logs are taken.  None of them is part of the library.
-`egf_value` reads the library's one closed form at a real point, for the
-tests of its values.  `uniform_error_applies` names the models that the
-O(1/n) Daniels error bounds of the tests cover.
+`closed_form_w` is the closed form of w(x, t) per drift regime, for the
+tests of the characteristic series and of the values themselves.
+`uniform_error_applies` names the models that the O(1/n) Daniels error
+bounds of the tests cover.
 """
 
 import math
@@ -45,10 +46,26 @@ def uniform_error_applies(params: ModelParams) -> bool:
     return not (regime.kind is DriftKind.COMPLEX_ROOTS and params.c == 0)
 
 
-def egf_value(params: ModelParams, x: float, t: float) -> float:
-    """w(x, t) at one real t: the real part of the contour's closed form
-    (`EgfEvaluator._eval_complex`), with no check of the validity window."""
-    return float(EgfEvaluator(params)._eval_complex(x, complex(t)).real)
+def closed_form_w(params: ModelParams, x: float, t: float) -> float:
+    """w(x, t) at one real t from the closed form of the model's regime, with
+    no check of the validity window.  A = 0: the closed form the contour
+    samples (`EgfEvaluator._eval_complex`).  A > 0: the solution by
+    characteristics, each power on the principal branch; it blows up at
+    t = tau(x)."""
+    ev = EgfEvaluator(params)
+    regime, t = ev.regime, complex(t)
+    if not regime.is_quadratic:
+        return float(ev._eval_complex(x, t).real)
+    A, nu = regime.A, regime.nu
+    if regime.kind is DriftKind.COMPLEX_ROOTS:
+        phase = A * regime.q * t + math.atan((x - regime.p) / regime.q)
+        base = regime.q / (math.hypot(x - regime.p, regime.q) * np.cos(phase))
+    elif regime.kind is DriftKind.DOUBLE_ROOT:
+        base, nu = 1.0 - A * t * (x - regime.p), -nu
+    else:
+        grow = np.exp(A * (regime.r1 - regime.p) * t)
+        base = (regime.r1 - regime.p) / ((x - regime.p) - (x - regime.r1) * grow)
+    return float((np.exp(regime.c0 * t) * np.exp(nu * np.log(base))).real)
 
 
 def exact_log_row(tri, n: int) -> np.ndarray:

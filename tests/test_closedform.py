@@ -25,7 +25,7 @@ from corpus import (
     balanced_corpus,
     balanced_quadratic,
 )
-from oracles import egf_value
+from oracles import closed_form_w
 
 
 def test_requires_balanced():
@@ -35,22 +35,22 @@ def test_requires_balanced():
 
 def test_initial_condition():
     for params in balanced_corpus():
-        assert math.isclose(egf_value(params, 1.3, 0.0), 1.0, rel_tol=1e-14)
+        assert math.isclose(closed_form_w(params, 1.3, 0.0), 1.0, rel_tol=1e-14)
 
 
 def test_double_root_value():
-    assert math.isclose(egf_value(DOUBLE_ROOT, 1.0, 0.25), 2.0 * math.exp(-0.25), rel_tol=1e-14)
+    assert math.isclose(closed_form_w(DOUBLE_ROOT, 1.0, 0.25), 2.0 * math.exp(-0.25), rel_tol=1e-14)
 
 
 def test_constant_value():
     params = ModelParams(0, 0, 0, 1, 0, 1)
-    assert math.isclose(egf_value(params, 2.0, 0.5), math.exp(1.5), rel_tol=1e-14)
+    assert math.isclose(closed_form_w(params, 2.0, 0.5), math.exp(1.5), rel_tol=1e-14)
 
 
 def test_linear_value():
     # B=1, C=1, alpha0=1, gamma0=1: exponent (e^t - 1)(x + 1) + 0*t at t=log 2.
     t = math.log(2.0)
-    assert math.isclose(egf_value(ModelParams(0, 1, 1, 1, 1, 1), 2.0, t), math.exp(3.0),
+    assert math.isclose(closed_form_w(ModelParams(0, 1, 1, 1, 1, 1), 2.0, t), math.exp(3.0),
                         rel_tol=1e-13)
 
 
@@ -176,8 +176,11 @@ def _fresh_contour_coefficients(ev, x, rho, n_terms):
 
 def test_contour_reuses_nodes_exactly(monkeypatch):
     # Reusing the samples of the halved rule changes no coefficient by a
-    # single bit: node j of N nodes is node 2j of 2N nodes exactly.
-    models = (CONSTANT_BALANCED, LINEAR_BALANCED, SHOWCASE, DOUBLE_ROOT, COMPLEX_UNIT)
+    # single bit: node j of N nodes is node 2j of 2N nodes exactly.  Only
+    # A = 0 models take the contour.
+    stuck = ModelParams(0, 0, 0, 2, 0, 3)
+    models = [p for p in balanced_corpus() if p.a == 0 and p != stuck]
+    assert len(models) == 5
     for params in models:
         ev = EgfEvaluator(params)
         for x in (0.5, 2.0):
@@ -189,17 +192,67 @@ def test_contour_reuses_nodes_exactly(monkeypatch):
             assert np.array_equal(coeffs, reference), (params, x)
     # The known failing case still runs out of nodes.
     with pytest.raises(AccuracyError, match="did not stabilize"):
-        EgfEvaluator(DOUBLE_ROOT).taylor_coefficients(1.0, 30)
+        EgfEvaluator(stuck).taylor_coefficients(1.0, 20)
 
 
 def test_coefficient_zero_is_one():
-    # P_0(x) = 1 for every model.  On the showcase at x = 5e16 the contour
-    # stabilizes on coefficients that are all wrong (c_0 comes out as 0.00098);
-    # at x = 1e6 c_0 is off by 5.4e-10.
+    # P_0(x) = 1 for every model: the characteristic series starts at 1
+    # exactly, also at x far above 1, and the A = 0 contour is checked
+    # against 1 to 1e-8.
     ev = EgfEvaluator(SHOWCASE)
-    with pytest.raises(AccuracyError, match="coefficient 0 at x=5e\\+16"):
-        ev.taylor_coefficients(5e16, 9)
-    assert abs(ev.taylor_coefficients(1e6, 9)[0] - 1.0) <= 1e-8
+    for x in (1e6, 5e16, 1e20):
+        assert ev.taylor_coefficients(x, 9)[0] == 1.0
+    for params in balanced_corpus():
+        assert abs(EgfEvaluator(params).taylor_coefficients(2.0, 1)[0] - 1.0) <= 1e-8
+
+
+def _exact_coefficient(rows, x, n):
+    """P_n(x)/n! as an exact rational from the int row n."""
+    return sum(w * Fraction(x) ** k for k, w in enumerate(rows[n])) / math.factorial(n)
+
+
+def test_characteristic_series_matches_exact_rationals():
+    # Every A > 0 coefficient is within 3e-15 of the exact rational (worst
+    # measured 2.0e-15, (3,1,4,2,1,2) at x = 0.1 and n = 29, over 3,240
+    # coefficients); the showcase holds at x = 5e16 and 1e20 (3.8e-16).
+    def rel_err(coeff, exact):
+        return float(abs(Fraction(float(coeff)) - exact) / exact)
+
+    worst = 0.0
+    for params in balanced_quadratic():
+        rows = build_triangle(params, 29).rows
+        ev = EgfEvaluator(params)
+        for x in (1e-3, 0.1, 0.5, 1.0, 2.0, 10.0, 1e3, 1e6, 1e9):
+            coeffs = ev.taylor_coefficients(x, 30)
+            worst = max(worst, *(rel_err(c, _exact_coefficient(rows, x, n))
+                                 for n, c in enumerate(coeffs)))
+    assert worst <= 3e-15
+    rows = build_triangle(SHOWCASE, 8).rows
+    for x in (5e16, 1e20):
+        coeffs = EgfEvaluator(SHOWCASE).taylor_coefficients(x, 9)
+        assert all(rel_err(c, _exact_coefficient(rows, x, n)) <= 3e-15
+                   for n, c in enumerate(coeffs)), x
+    # Coefficient 19 at x = 5e16 is near 1e324, past the doubles.
+    with pytest.raises(DomainError, match="coefficient 19 at x=5e\\+16"):
+        EgfEvaluator(SHOWCASE).taylor_coefficients(5e16, 20)
+
+
+def test_characteristic_series_sums_to_the_closed_form():
+    # Summed by Horner at t = tau(x)/4 and tau(x)/2, 100 terms of the series
+    # match each quadratic closed form within 1e-14 (worst measured 4.1e-15,
+    # (2,3,2,3,3,0) at x = 10, t = tau/2).  The series' cap of 30 terms is
+    # the CLI's; the tail past 100 terms is below 1e-22 here.
+    for params in balanced_quadratic():
+        ev = EgfEvaluator(params)
+        smap = SingularityMap(params)
+        for x in (0.1, 0.5, 1.0, 2.0, 10.0):
+            coeffs = ev._characteristic_series(x, 100)
+            for t in (0.25 * smap.tau(x), 0.5 * smap.tau(x)):
+                total = 0.0
+                for c in reversed(coeffs):
+                    total = total * t + c
+                reference = closed_form_w(params, x, t)
+                assert abs(total - reference) <= 1e-14 * reference, (params, x, t)
 
 
 def test_special_case_power_one_matches_general_path():
@@ -213,7 +266,7 @@ def test_special_case_power_one_matches_general_path():
         t = frac * tau
         denom = (1.0 - r2) - (1.0 - r1) * math.exp((r1 - r2) * t)
         ratio = math.exp(r1 * t) * (r1 - r2) / denom
-        assert math.isclose(egf_value(params, 1.0, t), ratio, rel_tol=1e-12)
+        assert math.isclose(closed_form_w(params, 1.0, t), ratio, rel_tol=1e-12)
 
 
 small = st.integers(min_value=0, max_value=5)
@@ -246,6 +299,6 @@ def test_blowup_rate_near_singularity():
         nu = EgfEvaluator(params).regime.nu
         tau = SingularityMap(params).tau(1.0)
         eps = np.logspace(-4, -2, 9)
-        logs = [math.log(egf_value(params, 1.0, tau * (1.0 - e))) for e in eps]
+        logs = [math.log(closed_form_w(params, 1.0, tau * (1.0 - e))) for e in eps]
         slope = np.polyfit(np.log(eps), logs, 1)[0]
         assert abs(slope + nu) <= 0.05 * nu
